@@ -9,7 +9,9 @@
  *    acceptance contract),
  *  - attention scores [seq, headDim] x [headDim, seq] at headDim 12,
  *  - the FFN pair [tokens, 48] x [48, 128] and [tokens, 128] x
- *    [128, 48].
+ *    [128, 48],
+ *  - the per-head attention GEMMs with 12-wide outputs (P.V, dV, dQ)
+ *    at sequence lengths 206 and 280.
  *
  * CSV rows: nn_gemm,<variant>_m<m>_k<k>_n<n>_<backend>_gflops,<v> plus
  * a `_speedup` row (vector over scalar) per variant/shape. Quick mode
@@ -43,6 +45,13 @@ const Shape kShapes[] = {
     {192, 12, 192},  // attention scores, one sequence per head
     {192, 48, 128},  // FFN expand
     {192, 128, 48},  // FFN contract
+    // Per-head attention at the training corpus's typical and long
+    // sequence lengths: accum is P.V, accum_at is dV (both 12-wide
+    // outputs), accum_bt of the [n,12,n] shape is dQ.
+    {206, 206, 12},
+    {206, 12, 206},
+    {280, 280, 12},
+    {280, 12, 280},
 };
 
 std::vector<float>

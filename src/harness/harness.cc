@@ -191,6 +191,7 @@ engineConfig(const TrainConfig& tcfg, const std::string& tag,
  * clone()s), wire each to a per-sample loss closure from make_loss, and
  * train. M must expose parameters() and clone(); make_loss(M*) must
  * return a std::function<nn::TensorPtr(size_t)> over sample indices.
+ * sample_cost is the engine's optional speed-only claiming estimate.
  */
 using BatchLossFn =
     std::function<BatchLossResult(const std::vector<size_t>&)>;
@@ -199,7 +200,8 @@ template <typename M, typename LossFactory>
 TrainStats
 runEngine(M& master, const LossFactory& make_loss, size_t num_samples,
           const TrainConfig& tcfg, const std::string& tag,
-          int epoch_mult = 1, BatchLossFn batch_loss = nullptr)
+          int epoch_mult = 1, BatchLossFn batch_loss = nullptr,
+          const std::vector<double>& sample_cost = {})
 {
     int threads = resolveTrainThreads(tcfg.trainThreads);
     // Workers beyond the batch (or corpus) would never receive a sample;
@@ -223,7 +225,7 @@ runEngine(M& master, const LossFactory& make_loss, size_t num_samples,
                             make_loss(clones.back().get()), nullptr});
     }
     return trainMinibatch(master.parameters(), replicas, num_samples,
-                          engineConfig(tcfg, tag, epoch_mult));
+                          engineConfig(tcfg, tag, epoch_mult), sample_cost);
 }
 
 uint64_t
@@ -241,6 +243,22 @@ costModelCfgHash(const model::CostModelConfig& cfg)
 }
 
 } // namespace
+
+std::vector<double>
+sampleCosts(const std::vector<model::TrainingEncoding>& encs)
+{
+    // Attention is quadratic in sequence length and dominates a
+    // sample's forward + backward, so len^2 per encoded view ranks the
+    // samples well enough for claiming.
+    std::vector<double> cost;
+    cost.reserve(encs.size());
+    for (const model::TrainingEncoding& e : encs) {
+        const double s = e.stat.length();
+        const double d = e.hasDyn ? e.dyn.length() : 0.0;
+        cost.push_back(s * s + d * d);
+    }
+    return cost;
+}
 
 std::unique_ptr<model::CostModel>
 trainCostModel(const model::CostModelConfig& mcfg, const synth::Dataset& ds,
@@ -313,7 +331,7 @@ trainCostModelUncached(model::CostModel& m, const synth::Dataset& ds,
         return r;
     };
     return runEngine(m, make_loss, encs.size(), tcfg, tag, 1,
-                     std::move(batch_loss));
+                     std::move(batch_loss), sampleCosts(encs));
 }
 
 std::unique_ptr<baselines::TlpModel>

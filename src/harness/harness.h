@@ -124,6 +124,14 @@ TrainStats trainCostModelUncached(
     const std::vector<model::TrainingEncoding>& encs,
     const TrainConfig& tcfg, const std::string& tag = "");
 
+/**
+ * The cost model's per-sample work estimates for trainMinibatch's
+ * claiming order: stat_len^2 + dyn_len^2 of each encoding. Speed-only,
+ * so never part of a cache key.
+ */
+std::vector<double>
+sampleCosts(const std::vector<model::TrainingEncoding>& encs);
+
 /** Train (or load) the TLP baseline. */
 std::unique_ptr<baselines::TlpModel>
 trainTlp(const synth::Dataset& ds, const TrainConfig& tcfg,

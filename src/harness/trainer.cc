@@ -1,6 +1,7 @@
 #include "harness/trainer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -122,12 +123,15 @@ resolveTrainThreads(int requested)
 TrainStats
 trainMinibatch(const std::vector<nn::TensorPtr>& master,
                const std::vector<TrainReplica>& replicas,
-               size_t num_samples, const TrainerConfig& cfg)
+               size_t num_samples, const TrainerConfig& cfg,
+               const std::vector<double>& sampleCost)
 {
     LLM_CHECK(!replicas.empty(), "trainMinibatch needs >= 1 replica");
     for (const auto& r : replicas)
         LLM_CHECK(r.params.size() == master.size(),
                   "replica parameter list misaligned with master");
+    LLM_CHECK(sampleCost.empty() || sampleCost.size() == num_samples,
+              "sampleCost must be empty or hold one estimate per sample");
 
     const int threads = static_cast<int>(replicas.size());
     const size_t batch = static_cast<size_t>(std::max(1, cfg.batchSize));
@@ -157,6 +161,10 @@ trainMinibatch(const std::vector<nn::TensorPtr>& master,
     // independent of worker scheduling.
     std::vector<nn::GradBuffer> slots(std::min(batch, num_samples));
     std::vector<double> slotLoss(slots.size(), 0.0);
+    // Claim order of the current batch's positions, and the cursor the
+    // workers claim from.
+    std::vector<size_t> claimOrder;
+    std::atomic<size_t> nextClaim{0};
 
     WorkerPool pool(intra ? 1 : threads);
 
@@ -207,15 +215,31 @@ trainMinibatch(const std::vector<nn::TensorPtr>& master,
                 continue;
             }
 
+            // Claim order: largest estimated cost first, so the long
+            // samples start early and the short ones fill in behind
+            // them; ties and the no-estimate case keep position order.
+            claimOrder.resize(nb);
+            for (size_t p = 0; p < nb; ++p)
+                claimOrder[p] = p;
+            if (!sampleCost.empty())
+                std::stable_sort(claimOrder.begin(), claimOrder.end(),
+                                 [&](size_t x, size_t y) {
+                                     return sampleCost[order[start + x]] >
+                                            sampleCost[order[start + y]];
+                                 });
+            nextClaim = 0;
+
             // Fork: each worker syncs its replica to the master weights,
-            // then owns batch positions worker, worker+T, worker+2T, ...
+            // then claims batch positions from the shared cursor until
+            // none are left.
             pool.run([&](int worker) {
                 const TrainReplica& rep = replicas[worker];
                 for (size_t i = 0; i < master.size(); ++i)
                     if (rep.params[i] != master[i])
                         rep.params[i]->value = master[i]->value;
-                for (size_t p = static_cast<size_t>(worker); p < nb;
-                     p += static_cast<size_t>(threads)) {
+                for (size_t c = nextClaim.fetch_add(1); c < nb;
+                     c = nextClaim.fetch_add(1)) {
+                    const size_t p = claimOrder[c];
                     nn::clearGrads(rep.params);
                     nn::TensorPtr loss = rep.sampleLoss(order[start + p]);
                     loss->backward();

@@ -13,14 +13,20 @@
  * parameter values are synced from the master before every batch, so
  * concurrent backward passes never touch shared gradient state.
  *
+ * Workers claim batch positions from a shared cursor, largest estimated
+ * cost first when the caller supplies per-sample estimates (position
+ * order otherwise), so one long sample does not leave the other workers
+ * idle at the batch barrier.
+ *
  * Determinism guarantee: each sample position in a batch captures its
  * replica's gradients into a dedicated nn::GradBuffer slot, and the
  * reducer adds the slots into the master parameters in fixed
- * sample-index order (never completion order) before a single
+ * sample-index order (never completion or claim order) before a single
  * AdamW::step(). The shuffle order depends only on cfg.seed. The loss
  * trajectory and final parameters are therefore bit-identical for 1 vs
- * N worker threads — which is why the model cache deliberately excludes
- * the thread count from its keys.
+ * N worker threads and for any cost estimate — which is why the model
+ * cache deliberately excludes the thread count and the estimates from
+ * its keys.
  */
 
 #include <cstdint>
@@ -110,11 +116,14 @@ int resolveTrainThreads(int requested);
  * samples. replicas.size() fixes the worker-thread count (one thread per
  * replica; a single replica runs inline on the caller's thread). Batch
  * gradients are the mean of the per-sample gradients, reduced in sample
- * order as described above.
+ * order as described above. sampleCost, if not empty, holds one relative
+ * work estimate per sample index and only orders the claiming (speed
+ * only: it never changes a bit of the result).
  */
 TrainStats trainMinibatch(const std::vector<nn::TensorPtr>& master,
                           const std::vector<TrainReplica>& replicas,
-                          size_t num_samples, const TrainerConfig& cfg);
+                          size_t num_samples, const TrainerConfig& cfg,
+                          const std::vector<double>& sampleCost = {});
 
 } // namespace harness
 } // namespace llmulator

@@ -8,22 +8,25 @@
  * operation sequence is exactly the scalar kernel's — reductions visit
  * terms in the same (ascending) order and keep the same zero-skip
  * predicate. All speed comes from restructuring ACROSS independent
- * output elements:
+ * output elements. All three GEMMs run on one register tile (`tile`):
+ * 4 output rows by 16 columns, or one fused 8+4, 8- or 4-wide tile for
+ * what a row has left (the 12-wide head-dim outputs of attention), with
+ * the accumulators held in registers across the whole reduction:
  *
- *  - gemmAccum:   a 4x16 register tile of C accumulators held across
- *                 the whole k loop, so each B row panel is loaded once
- *                 per 4 output rows and C is never re-read per k step
- *                 (~2-3x the scalar GFLOP/s on the model shapes).
+ *  - gemmAccum:   tiles of C over the k loop, so each B row is loaded
+ *                 once per 4 output rows and C is never re-read per k
+ *                 step.
  *  - gemmAccumBt: B is transposed once into a per-thread scratch
  *                 panel, turning the serial latency-bound dot-product
- *                 chain into a broadcast-multiply over 16 independent
+ *                 chain into a broadcast-multiply over independent
  *                 p-columns — each output's chain still strictly
  *                 j-ascending, local-sum-then-accumulate like the
- *                 reference (~5-10x; the scalar kernel is one
- *                 add-latency-bound chain per element).
- *  - gemmAccumAt: a 4x16 register tile of out accumulated across the i
- *                 loop (i stays outermost, as the element-wise
- *                 accumulation order requires; ~2x).
+ *                 reference (the scalar kernel is one add-latency-bound
+ *                 chain per element).
+ *  - gemmAccumAt: tiles of out over the i loop (i stays outermost, as
+ *                 the element-wise accumulation order requires).
+ *
+ * bench/bench_nn_gemm.cc has the per-shape speedups over scalar.
  *
  * The row-wise primitives (softmax, layer norm) are reduction-shaped:
  * their sums must stay ascending to preserve bit-identity, so only
@@ -83,8 +86,7 @@ namespace vec {
 
 namespace {
 
-constexpr int kMR = 4;  //!< row block (A/C of gemmAccum, dC of Bt/At)
-constexpr int kNR = 16; //!< column block held in registers (2 x v8f)
+constexpr int kMR = 4; //!< rows of every register tile
 
 /**
  * 8-wide float vector (GCC/Clang vector extension). Lowered to two SSE
@@ -97,6 +99,8 @@ constexpr int kNR = 16; //!< column block held in registers (2 x v8f)
  * which was SLOWER than the scalar reference.
  */
 typedef float v8f __attribute__((vector_size(32)));
+/** 4-wide companion for the narrow tiles (one xmm / SSE register). */
+typedef float v4f __attribute__((vector_size(16)));
 
 __attribute__((always_inline)) inline v8f
 load8(const float* p)
@@ -108,6 +112,20 @@ load8(const float* p)
 
 __attribute__((always_inline)) inline void
 store8(float* p, v8f v)
+{
+    std::memcpy(p, &v, sizeof(v));
+}
+
+__attribute__((always_inline)) inline v4f
+load4(const float* p)
+{
+    v4f v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
+
+__attribute__((always_inline)) inline void
+store4(float* p, v4f v)
 {
     std::memcpy(p, &v, sizeof(v));
 }
@@ -125,6 +143,169 @@ bcast8(float x)
 #else
     return v8f{x, x, x, x, x, x, x, x};
 #endif
+}
+
+/** Low four lanes of v: the xmm half of the ymm, no extra instruction. */
+__attribute__((always_inline)) inline v4f
+lo4(v8f v)
+{
+#if defined(__has_builtin) && __has_builtin(__builtin_shufflevector)
+    return __builtin_shufflevector(v, v, 0, 1, 2, 3);
+#else
+    return v4f{v[0], v[1], v[2], v[3]};
+#endif
+}
+
+/**
+ * One row of register accumulators: 8*N8 + 4*N4 output columns, with
+ * N8 in 0..2 and N4 in 0..1 (16-, 12-, 8- and 4-wide tiles). Members a
+ * width does not use are never touched and compile away.
+ */
+struct TileRow
+{
+    v8f lo, hi;
+    v4f q;
+};
+
+template <int N8, int N4>
+__attribute__((always_inline)) inline TileRow
+loadRow(const float* p)
+{
+    TileRow t{};
+    if constexpr (N8 >= 1)
+        t.lo = load8(p);
+    if constexpr (N8 >= 2)
+        t.hi = load8(p + 8);
+    if constexpr (N4 == 1)
+        t.q = load4(p + 8 * N8);
+    return t;
+}
+
+template <int N8, int N4>
+__attribute__((always_inline)) inline void
+storeRow(float* p, const TileRow& t)
+{
+    if constexpr (N8 >= 1)
+        store8(p, t.lo);
+    if constexpr (N8 >= 2)
+        store8(p + 8, t.hi);
+    if constexpr (N4 == 1)
+        store4(p + 8 * N8, t.q);
+}
+
+/** p[0..W) += t, one add per element. */
+template <int N8, int N4>
+__attribute__((always_inline)) inline void
+addToRow(float* p, const TileRow& t)
+{
+    if constexpr (N8 >= 1)
+        store8(p, load8(p) + t.lo);
+    if constexpr (N8 >= 2)
+        store8(p + 8, load8(p + 8) + t.hi);
+    if constexpr (N4 == 1)
+        store4(p + 8 * N8, load4(p + 8 * N8) + t.q);
+}
+
+/** acc += xv * y, element-wise: one mul then one add per lane. */
+template <int N8, int N4>
+__attribute__((always_inline)) inline void
+rank1(TileRow& acc, float xv, const TileRow& y)
+{
+    const v8f xb = bcast8(xv);
+    if constexpr (N8 >= 1)
+        acc.lo += xb * y.lo;
+    if constexpr (N8 >= 2)
+        acc.hi += xb * y.hi;
+    if constexpr (N4 == 1)
+        acc.q += lo4(xb) * y.q;
+}
+
+/**
+ * The register tile all three GEMM variants reduce to: a sum of rank-1
+ * updates over `steps`, into kMR output rows of W = 8*N8 + 4*N4
+ * columns,
+ *
+ *     C[r, 0..W) <- C[r, 0..W) + sum_s X[r,s] * Y[s, 0..W),
+ *
+ * with X[r,s] at x[r*xRow + s*xStep], Y row s at y + s*ldy and C row r
+ * at c + r*ldc. The kMR x W accumulators stay in registers for the
+ * whole reduction and each Y row is loaded once for all kMR rows.
+ *
+ * Per output element the float operations are exactly the scalar
+ * reference's: terms in ascending s, a separate mul and add each
+ * (contraction is off for this file). The two reference shapes:
+ *  - Skip (gemmAccum, gemmAccumAt): the chain starts from C's value and
+ *    a term whose X is zero (== 0.0f, so -0.0f too) is skipped, never
+ *    multiplied — 0 * inf would be NaN;
+ *  - !Skip (gemmAccumBt): the chain starts from 0, takes every term,
+ *    and is added to C once at the end (`s = 0; ...; out += s`).
+ */
+template <int N8, int N4, bool Skip>
+__attribute__((always_inline)) inline void
+tile(const float* x, size_t xRow, size_t xStep, const float* y, size_t ldy,
+     float* c, size_t ldc, int steps)
+{
+    TileRow acc0{}, acc1{}, acc2{}, acc3{};
+    if constexpr (Skip) {
+        acc0 = loadRow<N8, N4>(c);
+        acc1 = loadRow<N8, N4>(c + ldc);
+        acc2 = loadRow<N8, N4>(c + 2 * ldc);
+        acc3 = loadRow<N8, N4>(c + 3 * ldc);
+    }
+    for (int s = 0; s < steps; ++s) {
+        const TileRow ys = loadRow<N8, N4>(y + size_t(s) * ldy);
+        const float* xs = x + size_t(s) * xStep;
+        const float x0 = xs[0], x1 = xs[xRow];
+        const float x2 = xs[2 * xRow], x3 = xs[3 * xRow];
+        if (!Skip || x0 != 0.f)
+            rank1<N8, N4>(acc0, x0, ys);
+        if (!Skip || x1 != 0.f)
+            rank1<N8, N4>(acc1, x1, ys);
+        if (!Skip || x2 != 0.f)
+            rank1<N8, N4>(acc2, x2, ys);
+        if (!Skip || x3 != 0.f)
+            rank1<N8, N4>(acc3, x3, ys);
+    }
+    if constexpr (Skip) {
+        storeRow<N8, N4>(c, acc0);
+        storeRow<N8, N4>(c + ldc, acc1);
+        storeRow<N8, N4>(c + 2 * ldc, acc2);
+        storeRow<N8, N4>(c + 3 * ldc, acc3);
+    } else {
+        addToRow<N8, N4>(c, acc0);
+        addToRow<N8, N4>(c + ldc, acc1);
+        addToRow<N8, N4>(c + 2 * ldc, acc2);
+        addToRow<N8, N4>(c + 3 * ldc, acc3);
+    }
+}
+
+/**
+ * Sweep one kMR-row block across output columns [0, w): 16-wide tiles,
+ * then a single 12-, 8- or 4-wide tile for what is left — so the
+ * head-dim outputs of attention (P*V, dV, dQ at width 12) run one
+ * fused 8+4 tile instead of per-element loops. Returns the first column
+ * not covered (w rounded down to a multiple of 4).
+ */
+template <bool Skip>
+__attribute__((always_inline)) inline int
+tileColumns(const float* x, size_t xRow, size_t xStep, const float* y,
+            size_t ldy, float* c, size_t ldc, int steps, int w)
+{
+    int j = 0;
+    for (; j + 16 <= w; j += 16)
+        tile<2, 0, Skip>(x, xRow, xStep, y + j, ldy, c + j, ldc, steps);
+    const int rest = w - j;
+    if (rest >= 12) {
+        tile<1, 1, Skip>(x, xRow, xStep, y + j, ldy, c + j, ldc, steps);
+        j += 12;
+    } else if (rest >= 8) {
+        tile<1, 0, Skip>(x, xRow, xStep, y + j, ldy, c + j, ldc, steps);
+        j += 8;
+    } else if (rest >= 4) {
+        tile<0, 1, Skip>(x, xRow, xStep, y + j, ldy, c + j, ldc, steps);
+        j += 4;
+    }
+    return j;
 }
 
 /** Scalar-identical ikj kernel over rows [i0,i1), columns [j0,n). */
@@ -173,61 +354,12 @@ gemmAccumAtEdge(const float* a, const float* dc, float* out, int m,
 LLM_KERNEL_CLONES void
 gemmAccum(const float* a, const float* b, float* c, int m, int k, int n)
 {
+    // Tiles of C: X = A (rows i..i+3, stepping along k), Y = B's rows.
     int i = 0;
     for (; i + kMR <= m; i += kMR) {
-        const float* a0 = a + size_t(i) * k;
-        const float* a1 = a0 + k;
-        const float* a2 = a1 + k;
-        const float* a3 = a2 + k;
-        float* c0 = c + size_t(i) * n;
-        float* c1 = c0 + n;
-        float* c2 = c1 + n;
-        float* c3 = c2 + n;
-        int j = 0;
-        for (; j + kNR <= n; j += kNR) {
-            // 4x16 accumulator tile (8 vector registers) lives in
-            // registers across the whole k loop; each element's chain
-            // is p-ascending with the scalar zero-skip, i.e.
-            // bit-identical to the reference. Each B row panel is
-            // loaded once and feeds four C rows.
-            v8f acc00 = load8(c0 + j), acc01 = load8(c0 + j + 8);
-            v8f acc10 = load8(c1 + j), acc11 = load8(c1 + j + 8);
-            v8f acc20 = load8(c2 + j), acc21 = load8(c2 + j + 8);
-            v8f acc30 = load8(c3 + j), acc31 = load8(c3 + j + 8);
-            for (int p = 0; p < k; ++p) {
-                const float* bp = b + size_t(p) * n + j;
-                v8f b0 = load8(bp), b1 = load8(bp + 8);
-                float av0 = a0[p], av1 = a1[p], av2 = a2[p], av3 = a3[p];
-                if (av0 != 0.f) {
-                    v8f av = bcast8(av0);
-                    acc00 += av * b0;
-                    acc01 += av * b1;
-                }
-                if (av1 != 0.f) {
-                    v8f av = bcast8(av1);
-                    acc10 += av * b0;
-                    acc11 += av * b1;
-                }
-                if (av2 != 0.f) {
-                    v8f av = bcast8(av2);
-                    acc20 += av * b0;
-                    acc21 += av * b1;
-                }
-                if (av3 != 0.f) {
-                    v8f av = bcast8(av3);
-                    acc30 += av * b0;
-                    acc31 += av * b1;
-                }
-            }
-            store8(c0 + j, acc00);
-            store8(c0 + j + 8, acc01);
-            store8(c1 + j, acc10);
-            store8(c1 + j + 8, acc11);
-            store8(c2 + j, acc20);
-            store8(c2 + j + 8, acc21);
-            store8(c3 + j, acc30);
-            store8(c3 + j + 8, acc31);
-        }
+        const int j = tileColumns<true>(a + size_t(i) * k, size_t(k), 1, b,
+                                        size_t(n), c + size_t(i) * n,
+                                        size_t(n), k, n);
         if (j < n)
             gemmAccumEdge(a, b, c, i, i + kMR, j, k, n);
     }
@@ -253,13 +385,11 @@ gemmAccumBt(const float* dc, const float* b, float* out, int m, int k, int n)
     // The scalar kernel is one serial j-ascending add-chain per output
     // element — pure FPU-latency-bound. Transposing B once into an
     // [n,k] panel turns the inner step into `acc[p..] += dC[i,j] *
-    // bT[j][p..]`: a broadcast-multiply across kNR INDEPENDENT p
-    // chains, each still strictly j-ascending. The local accumulators
-    // start at zero and are added into `out` once at the end, exactly
-    // like the reference's `s = 0; ...; out += s`, so results stay
-    // bit-identical. Small m can't amortize the O(k*n) transpose, and
-    // k below one vector width leaves nothing to vectorize across; the
-    // reference loop is fast enough there.
+    // bT[j][p..]`: a broadcast-multiply across up to 16 INDEPENDENT p
+    // chains, each still strictly j-ascending and local-sum-then-
+    // accumulate (the tile's !Skip form). Small m can't amortize the
+    // O(k*n) transpose, and k below one vector width leaves nothing to
+    // vectorize across; the reference loop is fast enough there.
     if (m < kMR || k < 8) {
         scalar::gemmAccumBt(dc, b, out, m, k, n);
         return;
@@ -272,68 +402,21 @@ gemmAccumBt(const float* dc, const float* b, float* out, int m, int k, int n)
         for (int j = 0; j < n; ++j)
             bt[size_t(j) * k + p] = b[size_t(p) * n + j];
 
+    // Tiles of out: X = dC (rows i..i+3, stepping along n), Y = bT's rows.
     int i = 0;
     for (; i + kMR <= m; i += kMR) {
-        const float* d0 = dc + size_t(i) * n;
-        const float* d1 = d0 + n;
-        const float* d2 = d1 + n;
-        const float* d3 = d2 + n;
-        float* o0 = out + size_t(i) * k;
-        float* o1 = o0 + k;
-        float* o2 = o1 + k;
-        float* o3 = o2 + k;
-        int p = 0;
-        for (; p + kNR <= k; p += kNR) {
-            v8f acc00 = {}, acc01 = {}, acc10 = {}, acc11 = {};
-            v8f acc20 = {}, acc21 = {}, acc30 = {}, acc31 = {};
-            for (int j = 0; j < n; ++j) {
-                const float* btj = bt + size_t(j) * k + p;
-                v8f b0 = load8(btj), b1 = load8(btj + 8);
-                v8f dv0 = bcast8(d0[j]), dv1 = bcast8(d1[j]);
-                v8f dv2 = bcast8(d2[j]), dv3 = bcast8(d3[j]);
-                acc00 += dv0 * b0;
-                acc01 += dv0 * b1;
-                acc10 += dv1 * b0;
-                acc11 += dv1 * b1;
-                acc20 += dv2 * b0;
-                acc21 += dv2 * b1;
-                acc30 += dv3 * b0;
-                acc31 += dv3 * b1;
-            }
-            store8(o0 + p, load8(o0 + p) + acc00);
-            store8(o0 + p + 8, load8(o0 + p + 8) + acc01);
-            store8(o1 + p, load8(o1 + p) + acc10);
-            store8(o1 + p + 8, load8(o1 + p + 8) + acc11);
-            store8(o2 + p, load8(o2 + p) + acc20);
-            store8(o2 + p + 8, load8(o2 + p + 8) + acc21);
-            store8(o3 + p, load8(o3 + p) + acc30);
-            store8(o3 + p + 8, load8(o3 + p + 8) + acc31);
-        }
-        // One 8-wide p panel catches shapes like the attention-score
-        // backward (k = headDim = 12) that never reach a 16 panel.
-        for (; p + 8 <= k; p += 8) {
-            v8f acc0 = {}, acc1 = {}, acc2 = {}, acc3 = {};
-            for (int j = 0; j < n; ++j) {
-                v8f b0 = load8(bt + size_t(j) * k + p);
-                acc0 += bcast8(d0[j]) * b0;
-                acc1 += bcast8(d1[j]) * b0;
-                acc2 += bcast8(d2[j]) * b0;
-                acc3 += bcast8(d3[j]) * b0;
-            }
-            store8(o0 + p, load8(o0 + p) + acc0);
-            store8(o1 + p, load8(o1 + p) + acc1);
-            store8(o2 + p, load8(o2 + p) + acc2);
-            store8(o3 + p, load8(o3 + p) + acc3);
-        }
+        const float* d = dc + size_t(i) * n;
+        float* o = out + size_t(i) * k;
+        int p = tileColumns<false>(d, size_t(n), 1, bt, size_t(k), o,
+                                   size_t(k), n, k);
         for (; p < k; ++p) {
             const float* brow = b + size_t(p) * n;
-            const float* dr[kMR] = {d0, d1, d2, d3};
-            float* orow[kMR] = {o0, o1, o2, o3};
             for (int r = 0; r < kMR; ++r) {
+                const float* drow = d + size_t(r) * n;
                 float sv = 0.f;
                 for (int j = 0; j < n; ++j)
-                    sv += dr[r][j] * brow[j];
-                orow[r][p] += sv;
+                    sv += drow[j] * brow[j];
+                o[size_t(r) * k + p] += sv;
             }
         }
     }
@@ -345,57 +428,13 @@ gemmAccumBt(const float* dc, const float* b, float* out, int m, int k, int n)
 LLM_KERNEL_CLONES void
 gemmAccumAt(const float* a, const float* dc, float* out, int m, int k, int n)
 {
+    // Tiles of out: X = A^T (out rows p..p+3 are A's columns, stepping
+    // down A's rows, so i stays outermost per element), Y = dC's rows.
     int p = 0;
     for (; p + kMR <= k; p += kMR) {
-        int j = 0;
-        for (; j + kNR <= n; j += kNR) {
-            // 4x16 out tile in registers across the i loop; per element
-            // the accumulation stays i-ascending with the scalar
-            // zero-skip on A[i,p], and (like the reference) the chain
-            // starts from the existing out value.
-            v8f acc00 = load8(out + size_t(p) * n + j);
-            v8f acc01 = load8(out + size_t(p) * n + j + 8);
-            v8f acc10 = load8(out + size_t(p + 1) * n + j);
-            v8f acc11 = load8(out + size_t(p + 1) * n + j + 8);
-            v8f acc20 = load8(out + size_t(p + 2) * n + j);
-            v8f acc21 = load8(out + size_t(p + 2) * n + j + 8);
-            v8f acc30 = load8(out + size_t(p + 3) * n + j);
-            v8f acc31 = load8(out + size_t(p + 3) * n + j + 8);
-            for (int i = 0; i < m; ++i) {
-                const float* ai = a + size_t(i) * k + p;
-                const float* di = dc + size_t(i) * n + j;
-                v8f d0 = load8(di), d1 = load8(di + 8);
-                float av0 = ai[0], av1 = ai[1], av2 = ai[2], av3 = ai[3];
-                if (av0 != 0.f) {
-                    v8f av = bcast8(av0);
-                    acc00 += av * d0;
-                    acc01 += av * d1;
-                }
-                if (av1 != 0.f) {
-                    v8f av = bcast8(av1);
-                    acc10 += av * d0;
-                    acc11 += av * d1;
-                }
-                if (av2 != 0.f) {
-                    v8f av = bcast8(av2);
-                    acc20 += av * d0;
-                    acc21 += av * d1;
-                }
-                if (av3 != 0.f) {
-                    v8f av = bcast8(av3);
-                    acc30 += av * d0;
-                    acc31 += av * d1;
-                }
-            }
-            store8(out + size_t(p) * n + j, acc00);
-            store8(out + size_t(p) * n + j + 8, acc01);
-            store8(out + size_t(p + 1) * n + j, acc10);
-            store8(out + size_t(p + 1) * n + j + 8, acc11);
-            store8(out + size_t(p + 2) * n + j, acc20);
-            store8(out + size_t(p + 2) * n + j + 8, acc21);
-            store8(out + size_t(p + 3) * n + j, acc30);
-            store8(out + size_t(p + 3) * n + j + 8, acc31);
-        }
+        const int j = tileColumns<true>(a + p, 1, size_t(k), dc, size_t(n),
+                                        out + size_t(p) * n, size_t(n), m,
+                                        n);
         if (j < n)
             gemmAccumAtEdge(a, dc, out, m, p, p + kMR, j, k, n);
     }

@@ -95,13 +95,16 @@ struct GemmShape
 /**
  * The sweep: tiny, odd/prime, non-multiple-of-block, and the
  * [64,256]x[256,256] class the pooled cost-model GEMMs hit, plus the
- * real encoder shapes (attention scores at headDim 12, FFN at 48->128).
+ * real encoder shapes (attention scores at headDim 12, FFN at 48->128)
+ * and per-head attention at sequence lengths 206 and 280, whose P*V,
+ * dV and dQ have 12-wide outputs.
  */
 const GemmShape kShapes[] = {
-    {1, 1, 1},   {1, 1, 8},     {1, 7, 3},     {3, 1, 1},
-    {2, 3, 4},   {4, 8, 8},     {5, 7, 9},     {13, 1, 17},
-    {7, 13, 11}, {17, 31, 29},  {33, 64, 15},  {31, 12, 192},
-    {192, 48, 128}, {100, 48, 48}, {64, 256, 256},
+    {1, 1, 1},      {1, 1, 8},       {1, 7, 3},      {3, 1, 1},
+    {2, 3, 4},      {4, 8, 8},       {5, 7, 9},      {13, 1, 17},
+    {7, 13, 11},    {17, 31, 29},    {33, 64, 15},   {31, 12, 192},
+    {192, 48, 128}, {100, 48, 48},   {64, 256, 256}, {206, 206, 12},
+    {280, 280, 12}, {206, 12, 206},
 };
 
 void
@@ -156,6 +159,30 @@ TEST(NnBackend, GemmBitIdentityZeroHeavy)
         auto dc = zeroHeavyVec(size_t(s.m) * s.n, rng, 700);
         std::vector<float> c(size_t(s.m) * s.n, 0.f);
         runGemmCompare(s, a, b, dc, c);
+    }
+}
+
+TEST(NnBackend, GemmBitIdentityNarrowWidthSweep)
+{
+    // Every output width 1..20 of every variant (n for gemmAccum and
+    // gemmAccumAt, k for gemmAccumBt) crosses the 16-, 12-, 8- and
+    // 4-wide tiles and the per-element tail, at one full row block
+    // (m = 4) and one with a leftover row (m = 5).
+    util::Rng rng(404);
+    for (int m : {4, 5}) {
+        for (int k = 1; k <= 20; ++k) {
+            for (int n = 1; n <= 20; ++n) {
+                const GemmShape s{m, k, n};
+                const size_t mk = size_t(m) * k, kn = size_t(k) * n;
+                const size_t mn = size_t(m) * n;
+                runGemmCompare(s, randVec(mk, rng), randVec(kn, rng),
+                               randVec(mn, rng), randVec(mn, rng, 0.1));
+                runGemmCompare(s, zeroHeavyVec(mk, rng, 600),
+                               zeroHeavyVec(kn, rng, 300),
+                               zeroHeavyVec(mn, rng, 600),
+                               std::vector<float>(mn, 0.f));
+            }
+        }
     }
 }
 
@@ -409,6 +436,51 @@ TEST(NnBackend, ZeroSkipFiniteInputContract)
     EXPECT_FLOAT_EQ(o1[1], 0.f);
     EXPECT_TRUE(std::isinf(o1[2])); // genuine inf * nonzero passes through
     EXPECT_FLOAT_EQ(o1[3], 3.f);    // 1*1 + 0.5*4
+}
+
+TEST(NnBackend, ZeroSkipHoldsInNarrowTiles)
+{
+    // The 12-, 8- and 4-wide tiles must keep the zero-skip too: an inf
+    // in a B (or dC) row under a zero multiplier contributes nothing,
+    // exactly as in the scalar kernel, instead of 0 * inf = NaN.
+    const float inf = std::numeric_limits<float>::infinity();
+    util::Rng rng(505);
+    for (int w : {4, 8, 12}) {
+        const int m = 4, k = 3;
+        // gemmAccum: A[:,1] is zero (one -0), B row 1 is all inf.
+        std::vector<float> a = randVec(size_t(m) * k, rng);
+        for (int i = 0; i < m; ++i)
+            a[size_t(i) * k + 1] = (i == 2) ? -0.f : 0.f;
+        std::vector<float> b = randVec(size_t(k) * w, rng);
+        for (int j = 0; j < w; ++j)
+            b[size_t(w) + j] = (j % 2) ? inf : -inf;
+        std::vector<float> c1(size_t(m) * w, 0.5f), c2 = c1;
+        nn::scalarBackend().gemmAccum(a.data(), b.data(), c1.data(), m, k,
+                                      w);
+        nn::vectorBackend().gemmAccum(a.data(), b.data(), c2.data(), m, k,
+                                      w);
+        EXPECT_TRUE(bitEqual(c1, c2)) << "gemmAccum width " << w;
+        for (float v : c2)
+            EXPECT_TRUE(std::isfinite(v)) << "gemmAccum width " << w;
+
+        // gemmAccumAt: out row p of width w; A[:,0] is zero, so the inf
+        // in dC row 1 is skipped for out row 0 and only there.
+        const int kk = 4; // one full 4-row block of out
+        std::vector<float> at = randVec(size_t(m) * kk, rng);
+        for (int i = 0; i < m; ++i)
+            at[size_t(i) * kk] = 0.f;
+        std::vector<float> dc = randVec(size_t(m) * w, rng);
+        dc[size_t(w) + size_t(w) - 1] = inf;
+        std::vector<float> o1(size_t(kk) * w, 0.f), o2 = o1;
+        nn::scalarBackend().gemmAccumAt(at.data(), dc.data(), o1.data(), m,
+                                        kk, w);
+        nn::vectorBackend().gemmAccumAt(at.data(), dc.data(), o2.data(), m,
+                                        kk, w);
+        EXPECT_TRUE(bitEqual(o1, o2)) << "gemmAccumAt width " << w;
+        for (int j = 0; j < w; ++j)
+            EXPECT_TRUE(std::isfinite(o2[size_t(j)]))
+                << "gemmAccumAt width " << w << " column " << j;
+    }
 }
 
 TEST(NnBackend, SelectionByName)

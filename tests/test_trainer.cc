@@ -2,11 +2,13 @@
  * @file
  * Minibatch training engine tests: the bit-identical 1-vs-N-thread
  * guarantee on both a pure-nn regression problem and the real cost
- * model, batch-boundary edge cases (corpus % batch != 0, batch >
- * corpus, batch of one, empty corpus), and repeated pool
- * construction/teardown — the suite CI runs under ThreadSanitizer.
+ * model, the same guarantee across claiming-order estimates,
+ * batch-boundary edge cases (corpus % batch != 0, batch > corpus, batch
+ * of one, empty corpus), and repeated pool construction/teardown — the
+ * suite CI runs under ThreadSanitizer.
  */
 
+#include <algorithm>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -231,6 +233,139 @@ TEST(Trainer, CostModelBitIdentical1v8)
         for (size_t j = 0; j < p1[i]->value.size(); ++j)
             ASSERT_EQ(p1[i]->value[j], p8[i]->value[j])
                 << "param " << i << "[" << j << "]";
+}
+
+TEST(Trainer, OneWorkerClaimsLargestEstimateFirst)
+{
+    // Positive control for the claiming order: with a single worker the
+    // per-sample losses are built in claim order, which must be
+    // descending estimate within each batch (ties in position order).
+    TinyProblem p(10);
+    std::vector<double> cost = {3, 9, 1, 9, 4, 0, 7, 2, 8, 5};
+    util::Rng rng(7);
+    nn::Mlp net(std::vector<int>{2, 8, 1}, rng);
+    std::vector<size_t> calls;
+    harness::TrainReplica rep{
+        net.parameters(),
+        [&](size_t i) {
+            calls.push_back(i);
+            auto x = nn::Tensor::fromData(1, 2, p.xs[i]);
+            return nn::mseLoss(net.forward(x), {p.ys[i]});
+        },
+        nullptr};
+    auto cfg = tinyConfig(/*epochs=*/1, /*batch=*/4);
+    harness::trainMinibatch(net.parameters(), {rep}, p.xs.size(), cfg, cost);
+    ASSERT_EQ(calls.size(), p.xs.size());
+    for (size_t start = 0; start < calls.size(); start += 4) {
+        const size_t end = std::min(calls.size(), start + 4);
+        for (size_t c = start + 1; c < end; ++c)
+            EXPECT_GE(cost[calls[c - 1]], cost[calls[c]])
+                << "claim " << c << " of the batch at " << start;
+    }
+}
+
+/** Cost-model trajectory of one engine run: epoch losses + parameters. */
+struct CostModelRun
+{
+    std::vector<double> epochLoss;
+    std::vector<std::vector<float>> params;
+};
+
+/**
+ * Train a fresh Tiny cost model through trainMinibatch directly, with
+ * `threads` replicas and an explicit claiming estimate (empty: none).
+ */
+CostModelRun
+trainCostModelClaiming(const synth::Dataset& ds,
+                       const std::vector<model::TrainingEncoding>& encs,
+                       int threads, const std::vector<double>& cost)
+{
+    auto mcfg = model::configForScale(model::ModelScale::Tiny);
+    mcfg.enc.maxSeq = 128;
+    model::CostModel master(mcfg);
+    std::vector<std::unique_ptr<model::CostModel>> clones;
+    auto lossFor = [&](const model::CostModel* rm) {
+        return [rm, &ds, &encs](size_t i) {
+            const model::TrainingEncoding& e = encs[i];
+            return rm->lossOnSample(e.stat, e.hasDyn ? &e.dyn : nullptr,
+                                    ds.samples[i].targets);
+        };
+    };
+    std::vector<harness::TrainReplica> replicas;
+    replicas.push_back({master.parameters(), lossFor(&master), nullptr});
+    for (int t = 1; t < threads; ++t) {
+        clones.push_back(master.clone());
+        replicas.push_back(
+            {clones.back()->parameters(), lossFor(clones.back().get()),
+             nullptr});
+    }
+    harness::TrainerConfig cfg;
+    cfg.epochs = 2;
+    cfg.batchSize = 8;
+    harness::TrainStats stats = harness::trainMinibatch(
+        master.parameters(), replicas, encs.size(), cfg, cost);
+
+    CostModelRun run;
+    run.epochLoss = stats.epochLoss;
+    for (const auto& prm : master.parameters())
+        run.params.push_back(prm->value);
+    return run;
+}
+
+TEST(Trainer, ClaimingOrderCannotMoveBits)
+{
+    // The cost estimate only reorders which worker computes which batch
+    // position; gradient slots stay indexed by position and reduce in
+    // position order. Constant, reversed and random estimates at 1, 4
+    // and 8 threads must all reproduce the no-estimate run bit for bit.
+    synth::SynthConfig scfg;
+    scfg.numPrograms = 9;
+    scfg.seed = 31;
+    auto ds = synth::synthesize(scfg);
+    ASSERT_GE(ds.samples.size(), 8u);
+    auto mcfg = model::configForScale(model::ModelScale::Tiny);
+    mcfg.enc.maxSeq = 128;
+    model::CostModel encoder(mcfg);
+    std::vector<model::TrainingEncoding> encs;
+    for (const auto& smp : ds.samples)
+        encs.push_back(model::encodeForTraining(
+            encoder, smp.graph, smp.hasData ? &smp.data : nullptr,
+            smp.reasoning));
+
+    const std::vector<double> lenSq = harness::sampleCosts(encs);
+    std::vector<double> reversed(lenSq.size());
+    for (size_t i = 0; i < lenSq.size(); ++i)
+        reversed[i] = -lenSq[i];
+    std::vector<double> random(lenSq.size());
+    util::Rng rng(2718);
+    for (double& c : random)
+        c = rng.uniform(0.0, 1.0);
+    const std::vector<double> constant(lenSq.size(), 1.0);
+
+    const CostModelRun ref = trainCostModelClaiming(ds, encs, 1, {});
+    ASSERT_EQ(ref.epochLoss.size(), 2u);
+    const std::pair<const char*, const std::vector<double>*> estimates[] = {
+        {"constant", &constant},
+        {"len^2", &lenSq},
+        {"reversed", &reversed},
+        {"random", &random},
+    };
+    for (int threads : {1, 4, 8}) {
+        for (const auto& [name, cost] : estimates) {
+            const CostModelRun run =
+                trainCostModelClaiming(ds, encs, threads, *cost);
+            ASSERT_EQ(run.epochLoss.size(), ref.epochLoss.size());
+            for (size_t e = 0; e < ref.epochLoss.size(); ++e)
+                EXPECT_EQ(ref.epochLoss[e], run.epochLoss[e])
+                    << name << " estimate, " << threads << " threads, epoch "
+                    << e;
+            ASSERT_EQ(run.params.size(), ref.params.size());
+            for (size_t i = 0; i < ref.params.size(); ++i)
+                ASSERT_EQ(ref.params[i], run.params[i])
+                    << name << " estimate, " << threads
+                    << " threads, param " << i;
+        }
+    }
 }
 
 TEST(Trainer, IntraBatchModeIsDeterministicAndLearns)
