@@ -6,8 +6,8 @@
  * keys on a stream of semantically equivalent program mutants
  * (renamed values, commuted operands, injected dead code, and
  * proven-legal loop interchanges), plus the schedule-family hit rate
- * (dfir::scheduleFamilyHash via net::PersistentResultCache::
- * recordFamily) on the same stream — the family key also collapses the
+ * (distinct dfir::scheduleFamilyHash values, counted here) on the same
+ * stream — the family key also collapses the
  * interchange mutants that exact canonical keys must miss — and the
  * synthesizer dataset redundancy under both keys (synth::datasetStats).
  *
@@ -16,12 +16,12 @@
  */
 
 #include <chrono>
+#include <unordered_set>
 #include <vector>
 
 #include "bench_common.h"
 #include "dfir/passes.h"
 #include "dfir/schedule.h"
-#include "net/persist_cache.h"
 #include "serve/result_cache.h"
 #include "synth/dataset.h"
 #include "synth/generators.h"
@@ -58,10 +58,8 @@ replayHitRate(const std::vector<Query>& stream, bool canonical)
     for (const auto& q : stream) {
         serve::ResultKey key;
         if (canonical) {
-            dfir::CanonResult canon = dfir::canonicalizeEx(q.graph);
-            key.program = dfir::structuralHash(canon.graph);
-            key.input = serve::hashRuntimeData(
-                dfir::remapRuntimeData(q.data, canon.scalarRenames));
+            key = serve::makeResultKey(q.graph, &q.data,
+                                       model::Metric::Power);
         } else {
             key.program = dfir::structuralHash(q.graph);
             key.input = serve::hashRuntimeData(q.data);
@@ -166,24 +164,25 @@ main(int argc, char** argv)
     bench::csv("bench_dfir_canon", "hit_rate_canonical", hit_canon);
     bench::csv("bench_dfir_canon", "hit_rate_delta", hit_canon - hit_raw);
 
-    // Family hit rate on the same stream, recorded the way the fleet
-    // front-end would: PersistentResultCache::recordFamily alongside
-    // each probe. Families are statistics only — the exact ResultKey
-    // path above is untouched — but on this stream the family key also
-    // collapses the interchange mutants, so hit_rate_family >=
-    // hit_rate_canonical.
+    // Family hit rate on the same stream: a query is a family hit when
+    // an earlier query had the same scheduleFamilyHash. Families are
+    // statistics only — they never key a cache — but on this stream the
+    // family key also collapses the interchange mutants, so
+    // hit_rate_family >= hit_rate_canonical.
     {
-        net::PersistentResultCache cache(4096);
+        std::unordered_set<uint64_t> families;
+        size_t familyHits = 0;
         for (const auto& q : stream)
-            cache.recordFamily(dfir::scheduleFamilyHash(q.graph));
-        net::PersistentResultCache::FamilyStats fs = cache.familyStats();
-        bench::csv("bench_dfir_canon", "hit_rate_family",
-                   fs.probes ? double(fs.hits) / double(fs.probes) : 0.0);
+            if (!families.insert(dfir::scheduleFamilyHash(q.graph)).second)
+                ++familyHits;
+        const double hit_family =
+            stream.empty() ? 0.0
+                           : double(familyHits) / double(stream.size());
+        bench::csv("bench_dfir_canon", "hit_rate_family", hit_family);
         bench::csv("bench_dfir_canon", "family_distinct",
-                   double(fs.distinct));
+                   double(families.size()));
         bench::csv("bench_dfir_canon", "hit_rate_family_delta",
-                   (fs.probes ? double(fs.hits) / double(fs.probes) : 0.0) -
-                       hit_canon);
+                   hit_family - hit_canon);
     }
 
     // Synthesizer dataset redundancy under exact vs family keys.

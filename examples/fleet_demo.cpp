@@ -4,10 +4,10 @@
  * PredictionServers behind the loopback TCP front-end) on an ephemeral
  * port, round-trip queries through a FleetClient, run a short
  * Zipf-skewed fleet simulation, then restart the whole fleet and show
- * the persistent result cache answering the replayed queries without
- * any model work. This is also the CI smoke leg for src/net: every
- * claim below is LLM_CHECKed, so a regression fails the run instead of
- * just printing different numbers.
+ * the shard caches, warmed from the snapshot, answering the replayed
+ * queries without any model work. This is also the CI smoke leg for
+ * src/net: every claim below is LLM_CHECKed, so a regression fails the
+ * run instead of just printing different numbers.
  *
  *   ./fleet_demo                     # full simulation
  *   LLMULATOR_SMOKE=1 ./fleet_demo   # seconds, used by the smoke test
@@ -57,7 +57,7 @@ std::unique_ptr<model::CostModel>
 tinyModel()
 {
     // Untrained Tiny model: init is seeded, so the restarted fleet
-    // below rebuilds the *same* model and the persistent cache stays
+    // below rebuilds the *same* model and the cache snapshot stays
     // valid across the restart — exactly the redeploy scenario.
     auto cfg = model::configForScale(model::ModelScale::Tiny);
     cfg.enc.maxSeq = 128;
@@ -132,10 +132,10 @@ main()
         LLM_CHECK(res.failed == 0, "fleet_demo: transport failures");
         LLM_CHECK(res.ok > 0, "fleet_demo: no queries served");
 
-        fleet.stop(); // snapshots the persistent cache to cachePath
+        fleet.stop(); // snapshots the shard caches to cachePath
     }
 
-    // --- Generation 2: restarted fleet, warm persistent cache ---------
+    // --- Generation 2: restarted fleet, caches warmed from the snapshot
     {
         net::FleetServer fleet(tinyModel(), cfg);
         net::FleetStats cold = fleet.stats();
@@ -155,13 +155,13 @@ main()
         LLM_CHECK(resp.status == net::Status::Ok,
                   "fleet_demo: replay not Ok");
         LLM_CHECK(resp.cacheHit,
-                  "fleet_demo: replay missed the persistent cache");
+                  "fleet_demo: replay missed the warmed cache");
         LLM_CHECK(resp.prediction.value == coldPred.value,
                   "fleet_demo: cached prediction diverged");
         net::FleetStats warm = fleet.stats();
         LLM_CHECK(warm.shardModelCalls == 0,
                   "fleet_demo: replay ran the model anyway");
-        std::printf("replay: cycles=%ld served from the persistent cache "
+        std::printf("replay: cycles=%ld served from the warmed cache "
                     "(0 model calls)\n",
                     resp.prediction.value);
     }

@@ -48,9 +48,9 @@
  * truth), and it erases mapping knobs that move cycles. It therefore
  * never keys the serve result cache or the model cache — those stay on
  * dfir::canonicalHash bit for bit. Its consumers are statistics and
- * diagnostics: family hit-rate reporting (bench_dfir_canon,
- * net::PersistentResultCache::recordFamily), dataset dedup stats
- * (synth::datasetStats) and the profile_cli --schedule report.
+ * diagnostics: family hit-rate reporting (bench_dfir_canon), dataset
+ * dedup stats (synth::datasetStats) and the profile_cli --schedule
+ * report.
  */
 
 #include <cstdint>

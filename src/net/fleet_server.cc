@@ -10,7 +10,7 @@
 #include <unistd.h>
 
 #include "dfir/parser.h"
-#include "dfir/passes.h"
+#include "net/snapshot.h"
 #include "util/common.h"
 #include "util/env.h"
 
@@ -26,6 +26,20 @@ msBetween(Clock::time_point a, Clock::time_point b)
 {
     return std::chrono::duration<double, std::milli>(b - a).count();
 }
+
+/** Records its own lifetime, in ms, into a histogram. */
+class ScopeTimer
+{
+  public:
+    explicit ScopeTimer(obs::Histogram& h) : h_(h) {}
+    ~ScopeTimer() { h_.record(msBetween(t0_, Clock::now())); }
+    ScopeTimer(const ScopeTimer&) = delete;
+    ScopeTimer& operator=(const ScopeTimer&) = delete;
+
+  private:
+    obs::Histogram& h_;
+    const Clock::time_point t0_ = Clock::now();
+};
 
 FleetConfig
 normalized(FleetConfig cfg)
@@ -61,20 +75,17 @@ fleetConfigFromEnv(FleetConfig base)
 FleetServer::FleetServer(std::unique_ptr<model::CostModel> model,
                          const FleetConfig& cfg)
     : cfg_(normalized(cfg)),
-      persist_(cfg_.persistCapacity),
       requests_(telemetry_.counter("net.requests")),
       okCount_(telemetry_.counter("net.ok")),
       overloadedCount_(telemetry_.counter("net.overloaded")),
       badRequestCount_(telemetry_.counter("net.bad_request")),
       errorCount_(telemetry_.counter("net.error")),
-      persistHits_(telemetry_.counter("net.persist.hits")),
-      persistLookups_(telemetry_.counter("net.persist.lookups")),
       handleMs_(telemetry_.histogram("net.handle_ms"))
 {
     LLM_CHECK(model != nullptr, "FleetServer needs a model");
     LLM_CHECK(!cfg_.serve.calibration.enabled,
               "fleet shards must not calibrate: per-shard hot-swaps would "
-              "fork the model version the persistent cache is keyed by");
+              "fork the model version the cache snapshot is keyed by");
     modelVersion_ = model->version();
     shards_.reserve(static_cast<size_t>(cfg_.shards));
     for (int i = 1; i < cfg_.shards; ++i)
@@ -83,10 +94,12 @@ FleetServer::FleetServer(std::unique_ptr<model::CostModel> model,
     shards_.push_back(std::make_unique<serve::PredictionServer>(
         std::move(model), cfg_.serve));
     if (!cfg_.persistPath.empty()) {
-        PersistentResultCache::LoadStats ls =
-            persist_.load(cfg_.persistPath, modelVersion_);
-        persistLoaded_ = ls.loaded;
-        persistStale_ = ls.staleSkipped;
+        Snapshot snap = loadSnapshot(cfg_.persistPath, modelVersion_);
+        for (const serve::ResultCache::Entry& e : snap.entries)
+            shards_[shardOf(e.first.program, shards_.size())]->cache().put(
+                e.first, e.second);
+        persistLoaded_ = snap.entries.size();
+        persistStale_ = snap.staleSkipped;
     }
 }
 
@@ -183,7 +196,7 @@ FleetServer::connectionLoop(int fd)
 NetResponse
 FleetServer::handle(const NetRequest& req)
 {
-    const auto t0 = Clock::now();
+    const ScopeTimer timer(handleMs_);
     requests_.add(1);
     NetResponse resp;
     resp.modelVersion = modelVersion_;
@@ -193,52 +206,24 @@ FleetServer::handle(const NetRequest& req)
         badRequestCount_.add(1);
         resp.status = Status::BadRequest;
         resp.error = "parse error: " + parsed.error;
-        handleMs_.record(msBetween(t0, Clock::now()));
         return resp;
     }
 
-    // One canonicalization decides both the shard and the persistent
-    // key, so equivalent programs share a shard, its result cache, and
-    // one persistent entry (the shard re-derives the same canonical key
-    // internally for its own cache).
-    dfir::CanonResult canon = dfir::canonicalizeEx(parsed.graph);
-    serve::ResultKey key;
-    key.program = dfir::structuralHash(canon.graph);
-    key.input = req.hasData
-                    ? serve::hashRuntimeData(dfir::remapRuntimeData(
-                          req.data, canon.scalarRenames))
-                    : 0;
-    key.metric = static_cast<int>(req.metric);
-    key.version = modelVersion_;
-
-    // The persistent cache only runs when a snapshot path is
-    // configured: without one it would just shadow the shard result
-    // caches with a second in-memory copy.
-    const bool persistOn = !cfg_.persistPath.empty();
-    if (persistOn) {
-        persistLookups_.add(1);
-        if (persist_.get(key, resp.prediction)) {
-            persistHits_.add(1);
-            okCount_.add(1);
-            resp.status = Status::Ok;
-            resp.cacheHit = true;
-            handleMs_.record(msBetween(t0, Clock::now()));
-            return resp;
-        }
-    }
-
-    serve::PredictionServer& target =
-        *shards_[shardOf(key.program, shards_.size())];
-    serve::Admission adm = target.submitIfAdmitted(
-        parsed.graph, req.hasData ? &req.data : nullptr, req.metric,
-        req.priority);
+    // One key derivation picks the shard and keys its result cache, so
+    // equivalent programs share a shard and one cache entry; the shard
+    // takes the key as is instead of canonicalizing again.
+    const dfir::RuntimeData* data = req.hasData ? &req.data : nullptr;
+    const serve::ResultKey key =
+        serve::makeResultKey(parsed.graph, data, req.metric);
+    serve::Admission adm =
+        shards_[shardOf(key.program, shards_.size())]->submitIfAdmitted(
+            key, parsed.graph, data, req.priority);
     if (adm.status != serve::AdmitStatus::Accepted) {
         overloadedCount_.add(1);
         resp.status = Status::Overloaded;
         resp.error = adm.status == serve::AdmitStatus::Shed
                          ? "shed: queue over this priority's depth limit"
                          : "rejected: queue full";
-        handleMs_.record(msBetween(t0, Clock::now()));
         return resp;
     }
 
@@ -248,14 +233,11 @@ FleetServer::handle(const NetRequest& req)
         errorCount_.add(1);
         resp.status = Status::Error;
         resp.error = e.what();
-        handleMs_.record(msBetween(t0, Clock::now()));
         return resp;
     }
-    if (persistOn)
-        persist_.put(key, resp.prediction);
     okCount_.add(1);
     resp.status = Status::Ok;
-    handleMs_.record(msBetween(t0, Clock::now()));
+    resp.cacheHit = adm.cacheHit;
     return resp;
 }
 
@@ -282,12 +264,18 @@ FleetServer::stop()
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    // Connections are gone; drain the shards, then snapshot the
-    // persistent cache with every completed prediction included.
+    // Connections are gone; drain the shards, then snapshot their
+    // caches with every completed prediction included.
     for (auto& s : shards_)
         s->stop();
-    if (!cfg_.persistPath.empty())
-        persist_.save(cfg_.persistPath);
+    if (!cfg_.persistPath.empty()) {
+        std::vector<serve::ResultCache::Entry> entries;
+        for (auto& s : shards_) {
+            std::vector<serve::ResultCache::Entry> part = s->cache().entries();
+            entries.insert(entries.end(), part.begin(), part.end());
+        }
+        saveSnapshot(cfg_.persistPath, entries);
+    }
 }
 
 FleetStats
@@ -299,9 +287,6 @@ FleetServer::stats() const
     s.overloaded = overloadedCount_.total();
     s.badRequest = badRequestCount_.total();
     s.errors = errorCount_.total();
-    s.persistHits = persistHits_.total();
-    s.persistLookups = persistLookups_.total();
-    s.persistSize = persist_.size();
     s.persistLoaded = persistLoaded_;
     s.persistStale = persistStale_;
     for (const auto& shard : shards_) {

@@ -14,32 +14,32 @@
  *
  *  1. parse the program text (dfir::parseProgram; failure -> a
  *     BAD_REQUEST reply, the connection stays usable),
- *  2. canonicalize it once: the SHARD RULE is
- *     `shard = canonicalHash(program) % shards`, so semantically
- *     equivalent programs — renamed values, commuted operands, dead
- *     code — always land on the same shard and therefore the same
- *     result cache, keeping per-shard hit rates high under the
+ *  2. derive the result key once (serve::makeResultKey: canonical
+ *     program hash, remapped input hash, metric). The SHARD RULE is
+ *     `shard = key.program % shards` — the canonical hash — so
+ *     semantically equivalent programs (renamed values, commuted
+ *     operands, dead code) always land on the same shard and therefore
+ *     the same result cache, keeping per-shard hit rates high under the
  *     Zipf-skewed popularity a real fleet produces,
- *  3. probe the persistent result cache (canonical program hash,
- *     remapped input hash, metric, model version); a hit answers
- *     without touching any shard and is flagged `cacheHit` on the
- *     wire,
- *  4. dispatch through the shard's admission control
- *     (PredictionServer::submitIfAdmitted): per-priority queue-depth
- *     limits shed Low traffic first, and a full queue refuses instead
- *     of blocking — both surface as an explicit OVERLOADED reply, so
- *     an overloaded fleet degrades by answering fast, not by
- *     stalling every client,
- *  5. fill the persistent cache with the computed prediction.
+ *  3. hand that key to the shard's admission control
+ *     (PredictionServer::submitIfAdmitted), which does not canonicalize
+ *     again: a shard-cache hit answers at once and is flagged `cacheHit`
+ *     on the wire; otherwise per-priority queue-depth limits shed Low
+ *     traffic first, and a full queue refuses instead of blocking —
+ *     both surface as an explicit OVERLOADED reply, so an overloaded
+ *     fleet degrades by answering fast, not by stalling every client,
+ *  4. wait for the prediction (the shard fills its cache with it).
  *
  * stop() (also run by the destructor) closes the listener, unblocks
  * and joins every connection thread, drains the shards, and — when a
- * persistPath is configured — atomically snapshots the persistent
- * cache so the next start() warms instantly (net/persist_cache.h).
+ * persistPath is configured — atomically writes every shard's result
+ * cache into one snapshot (net/snapshot.h). The constructor loads it
+ * back, putting each entry into shard `key.program % shards`, so the
+ * next fleet warms instantly even with a different shard count.
  *
  * Shards never calibrate (FleetConfig forbids it): every shard must
- * stay on one shared weight generation or the persistent-cache model
- * version would fork across shards.
+ * stay on one shared weight generation or the model version that
+ * stamps the snapshot would fork across shards.
  *
  * Telemetry flows through a per-instance always-on obs::Registry
  * (`net.*` counters + `net.handle_ms`); FleetStats is a point-in-time
@@ -55,7 +55,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/persist_cache.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
@@ -73,10 +72,9 @@ struct FleetConfig
     //! Per-shard serving knobs (admission limits included). The
     //! calibration sub-config must stay disabled — see the file header.
     serve::ServeConfig serve;
-    //! Persistent result-cache snapshot path; "" disables the
-    //! persistent cache entirely (the shard result caches remain).
+    //! Result snapshot path: stop() saves the shard result caches
+    //! here and the constructor warms them from it; "" = no snapshot.
     std::string persistPath;
-    size_t persistCapacity = 1u << 16; //!< persistent-cache entries
 };
 
 /**
@@ -95,10 +93,7 @@ struct FleetStats
     uint64_t overloaded = 0; //!< shed or rejected by admission control
     uint64_t badRequest = 0; //!< undecodable payload / unparsable program
     uint64_t errors = 0;     //!< server-side failures
-    uint64_t persistHits = 0;    //!< persistent-cache answers
-    uint64_t persistLookups = 0; //!< persistent-cache probes
-    size_t persistSize = 0;      //!< entries currently held
-    //! Warm-start view of the last load(): entries accepted / skipped
+    //! Warm-start view of the snapshot load: entries accepted / skipped
     //! because they were stamped with another model version.
     uint64_t persistLoaded = 0;
     uint64_t persistStale = 0;
@@ -109,26 +104,21 @@ struct FleetStats
     uint64_t shardRejected = 0;
     std::array<uint64_t, serve::kNumPriorities> shardShed{{0, 0, 0}};
 
-    /**
-     * Fraction of Ok answers served from a cache (persistent-cache
-     * hits plus shard result-cache hits) instead of model work.
-     */
+    /** Fraction of Ok answers served from a shard result cache. */
     double hitRate() const
     {
-        return ok == 0
-                   ? 0.0
-                   : double(persistHits + shardCacheHits) / double(ok);
+        return ok == 0 ? 0.0 : double(shardCacheHits) / double(ok);
     }
 };
 
-/** Sharded, admission-controlled, persistently cached fleet server. */
+/** Sharded, admission-controlled fleet server with a cache snapshot. */
 class FleetServer
 {
   public:
     /**
      * Takes ownership of one (usually trained) model and clones it per
      * shard, so every shard answers from the same weight generation.
-     * Loads the persistent cache snapshot when cfg.persistPath is set.
+     * Warms the shard caches from cfg.persistPath when it is set.
      * The listener does NOT start until start().
      */
     FleetServer(std::unique_ptr<model::CostModel> model,
@@ -143,7 +133,7 @@ class FleetServer
     void start();
 
     /** Close the listener, join connections, drain shards, snapshot
-     *  the persistent cache. Idempotent; runs on destruction. */
+     *  the shard caches. Idempotent; runs on destruction. */
     void stop();
 
     /** The bound port (resolved after start() when cfg.port == 0). */
@@ -173,7 +163,6 @@ class FleetServer
 
     FleetConfig cfg_;
     std::vector<std::unique_ptr<serve::PredictionServer>> shards_;
-    PersistentResultCache persist_;
     uint64_t modelVersion_ = 0; //!< shared across shards, fixed
 
     int listenFd_ = -1;
@@ -192,8 +181,6 @@ class FleetServer
     obs::Counter& overloadedCount_; //!< net.overloaded
     obs::Counter& badRequestCount_; //!< net.bad_request
     obs::Counter& errorCount_;     //!< net.error
-    obs::Counter& persistHits_;    //!< net.persist.hits
-    obs::Counter& persistLookups_; //!< net.persist.lookups
     obs::Histogram& handleMs_;     //!< net.handle_ms
     uint64_t persistLoaded_ = 0;
     uint64_t persistStale_ = 0;

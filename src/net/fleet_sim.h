@@ -12,7 +12,7 @@
  * Popularity: corpus entry at rank i (0-based) is drawn with weight
  * (i + 1)^-skew. skew = 0 is uniform; skew = 1 is the classic Zipf
  * law where a handful of programs dominate — which is what makes the
- * fleet's sharded + persistent caches pay off. Each client gets its
+ * fleet's sharded result caches pay off. Each client gets its
  * own deterministic Rng (seed + client index) and its own connection,
  * and cycles priorities High/Normal/Low when `mixedPriorities` is set.
  *

@@ -161,6 +161,35 @@ Reader::str()
     return std::string(p, len);
 }
 
+void
+putPrediction(std::string& buf, const model::NumericPrediction& p)
+{
+    putI64(buf, p.value);
+    putU32(buf, static_cast<uint32_t>(p.digits.size()));
+    for (int d : p.digits)
+        putI32(buf, d);
+    putU32(buf, static_cast<uint32_t>(p.digitProbs.size()));
+    for (double pr : p.digitProbs)
+        putF64(buf, pr);
+    putF64(buf, p.logProb);
+}
+
+bool
+getPrediction(Reader& r, model::NumericPrediction& p)
+{
+    p.value = r.i64();
+    uint32_t nd = r.u32();
+    p.digits.clear();
+    for (uint32_t i = 0; r.ok() && i < nd; ++i)
+        p.digits.push_back(r.i32());
+    uint32_t np = r.u32();
+    p.digitProbs.clear();
+    for (uint32_t i = 0; r.ok() && i < np; ++i)
+        p.digitProbs.push_back(r.f64());
+    p.logProb = r.f64();
+    return r.ok();
+}
+
 } // namespace wire
 
 const char*
@@ -181,35 +210,6 @@ fail(std::string* error, const char* what)
 {
     if (error)
         *error = what;
-}
-
-void
-putPrediction(std::string& buf, const model::NumericPrediction& p)
-{
-    wire::putI64(buf, p.value);
-    wire::putU32(buf, static_cast<uint32_t>(p.digits.size()));
-    for (int d : p.digits)
-        wire::putI32(buf, d);
-    wire::putU32(buf, static_cast<uint32_t>(p.digitProbs.size()));
-    for (double pr : p.digitProbs)
-        wire::putF64(buf, pr);
-    wire::putF64(buf, p.logProb);
-}
-
-bool
-getPrediction(wire::Reader& r, model::NumericPrediction& p)
-{
-    p.value = r.i64();
-    uint32_t nd = r.u32();
-    p.digits.clear();
-    for (uint32_t i = 0; r.ok() && i < nd; ++i)
-        p.digits.push_back(r.i32());
-    uint32_t np = r.u32();
-    p.digitProbs.clear();
-    for (uint32_t i = 0; r.ok() && i < np; ++i)
-        p.digitProbs.push_back(r.f64());
-    p.logProb = r.f64();
-    return r.ok();
 }
 
 } // namespace
@@ -305,7 +305,7 @@ encodeResponse(const NetResponse& resp)
     wire::putU8(buf, static_cast<uint8_t>(resp.status));
     wire::putU8(buf, resp.cacheHit ? 1 : 0);
     wire::putU64(buf, resp.modelVersion);
-    putPrediction(buf, resp.prediction);
+    wire::putPrediction(buf, resp.prediction);
     wire::putString(buf, resp.error);
     return buf;
 }
@@ -333,7 +333,7 @@ decodeResponse(const std::string& payload, NetResponse& out,
     out.status = static_cast<Status>(status);
     out.cacheHit = cacheHit != 0;
     out.modelVersion = r.u64();
-    if (!getPrediction(r, out.prediction)) {
+    if (!wire::getPrediction(r, out.prediction)) {
         fail(error, "truncated prediction");
         return false;
     }

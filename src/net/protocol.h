@@ -26,7 +26,7 @@
  * Response payload (after magic + version):
  *
  *   u8  status        Status below
- *   u8  cacheHit      1 = answered from the persistent fleet cache
+ *   u8  cacheHit      1 = answered from a shard's result cache
  *   u64 modelVersion  weight generation that produced the prediction
  *   i64 value         NumericPrediction fields; digits MSB-first,
  *   u32 digitCount    probabilities as raw f64 bits so the round trip
@@ -90,7 +90,7 @@ struct NetRequest
 struct NetResponse
 {
     Status status = Status::Error;
-    bool cacheHit = false; //!< persistent-cache hit (shard hits excluded)
+    bool cacheHit = false; //!< answered from a shard's result cache
     uint64_t modelVersion = 0;
     model::NumericPrediction prediction;
     std::string error; //!< human-readable detail when status != Ok
@@ -165,6 +165,15 @@ class Reader
     size_t off_ = 0;
     bool ok_ = true;
 };
+
+/**
+ * The prediction fields of a response (value, digits, digit
+ * probabilities, log-prob; doubles as raw bits), shared with the result
+ * snapshot (net/snapshot.h). getPrediction() is bounds-checked like
+ * every Reader use: false once the buffer ran out.
+ */
+void putPrediction(std::string& buf, const model::NumericPrediction& p);
+bool getPrediction(Reader& r, model::NumericPrediction& p);
 
 } // namespace wire
 

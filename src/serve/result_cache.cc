@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "dfir/passes.h"
 #include "util/string_util.h"
 
 namespace llmulator {
@@ -28,6 +29,20 @@ hashRuntimeData(const dfir::RuntimeData& data)
         }
     }
     return h;
+}
+
+ResultKey
+makeResultKey(const dfir::DataflowGraph& g, const dfir::RuntimeData* data,
+              model::Metric metric)
+{
+    dfir::CanonResult canon = dfir::canonicalizeEx(g);
+    ResultKey key;
+    key.program = dfir::structuralHash(canon.graph);
+    key.input = data ? hashRuntimeData(dfir::remapRuntimeData(
+                           *data, canon.scalarRenames))
+                     : 0;
+    key.metric = static_cast<int>(metric);
+    return key;
 }
 
 uint64_t
@@ -102,6 +117,17 @@ ResultCache::size() const
         n += s->lru.size();
     }
     return n;
+}
+
+std::vector<ResultCache::Entry>
+ResultCache::entries() const
+{
+    std::vector<Entry> out;
+    for (const auto& s : shards_) {
+        std::lock_guard<std::mutex> lk(s->mu);
+        out.insert(out.end(), s->lru.rbegin(), s->lru.rend());
+    }
+    return out;
 }
 
 } // namespace serve

@@ -3,8 +3,9 @@
 
 /**
  * @file
- * Sharded LRU cache of finished predictions, keyed by (program DFIR
- * hash, runtime-input hash, metric, model version). Sharding by key
+ * Sharded LRU cache of finished predictions, keyed by (canonical
+ * program hash, remapped runtime-input hash, metric, model version).
+ * makeResultKey() is the one place that key is derived. Sharding by key
  * hash keeps lock contention bounded when many workers and client
  * threads hit the cache concurrently; each shard holds an independent
  * LRU list. A capacity of zero disables caching entirely (used by
@@ -32,8 +33,8 @@ namespace serve {
 /** Cache identity of one prediction request. */
 struct ResultKey
 {
-    uint64_t program = 0; //!< dfir::structuralHash of the graph
-    uint64_t input = 0;   //!< hashRuntimeData (0 when static)
+    uint64_t program = 0; //!< dfir::canonicalHash of the graph
+    uint64_t input = 0;   //!< hashRuntimeData, canonical names (0 = static)
     int metric = 0;       //!< static_cast<int>(model::Metric)
     uint64_t version = 0; //!< model weight generation (hot-swap counter)
 
@@ -46,6 +47,16 @@ struct ResultKey
 
 /** Stable 64-bit hash of runtime data (scalars + tensor payloads). */
 uint64_t hashRuntimeData(const dfir::RuntimeData& data);
+
+/**
+ * The cache key of one request, version left 0 for the server to stamp:
+ * the structural hash of the canonicalized graph, and the runtime data
+ * hashed after renaming its scalars into the canonical graph's
+ * namespace. Semantically identical programs (renamed values, commuted
+ * operands, dead code) therefore share one key — and one fleet shard.
+ */
+ResultKey makeResultKey(const dfir::DataflowGraph& g,
+                        const dfir::RuntimeData* data, model::Metric metric);
 
 /** Mix a ResultKey down to one 64-bit hash (shard + bucket selector). */
 uint64_t hashResultKey(const ResultKey& k);
@@ -63,6 +74,8 @@ struct ResultKeyHash
 class ResultCache
 {
   public:
+    using Entry = std::pair<ResultKey, model::NumericPrediction>;
+
     /**
      * `capacity` is the total entry budget split evenly across
      * `shards` (each shard gets at least one entry). capacity == 0
@@ -82,12 +95,19 @@ class ResultCache
     /** Total cached entries across shards (approximate under load). */
     size_t size() const;
 
+    /**
+     * Copy of every entry, shard by shard, each shard least recently
+     * used first — so put()ting them back in order into a cache with
+     * the same shard count rebuilds every shard's LRU order.
+     */
+    std::vector<Entry> entries() const;
+
   private:
     struct Shard
     {
         std::mutex mu;
         //! Most-recently-used entries sit at the front.
-        std::list<std::pair<ResultKey, model::NumericPrediction>> lru;
+        std::list<Entry> lru;
         std::unordered_map<ResultKey, decltype(lru)::iterator,
                            ResultKeyHash>
             index;

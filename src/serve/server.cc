@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "dfir/ir.h"
-#include "dfir/passes.h"
 #include "obs/trace.h"
 #include "util/common.h"
 #include "util/string_util.h"
@@ -86,58 +85,50 @@ PredictionServer::~PredictionServer()
     stop();
 }
 
-void
-PredictionServer::prepareRequest(Request& req, const dfir::DataflowGraph& g,
-                                 const dfir::RuntimeData* data,
-                                 model::Metric metric)
+Admission
+PredictionServer::submit(const ResultKey& key, const dfir::DataflowGraph& g,
+                         const dfir::RuntimeData* data, Priority priority,
+                         bool admit)
 {
-    req.id = reqSeq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (cfg_.canonicalCacheKeys) {
-        // Canonical keys: equivalent programs (renamed values, commuted
-        // operands, dead code) collide on one entry. The input hash is
-        // taken after renaming the caller's scalars into the canonical
-        // namespace so it matches across renamed variants too.
-        dfir::CanonResult canon = dfir::canonicalizeEx(g);
-        req.key.program = dfir::structuralHash(canon.graph);
-        req.key.input =
-            data ? hashRuntimeData(
-                       dfir::remapRuntimeData(*data, canon.scalarRenames))
-                 : 0;
-    } else {
-        req.key.program = dfir::structuralHash(g);
-        req.key.input = data ? hashRuntimeData(*data) : 0;
+    Admission adm; // Rejected until proven otherwise
+    if (stopped_.load(std::memory_order_acquire)) {
+        if (admit)
+            rejectedCount_.add(1);
+        return adm;
     }
-    req.key.metric = static_cast<int>(metric);
+
+    Request req;
+    req.id = reqSeq_.fetch_add(1, std::memory_order_relaxed) + 1;
+    req.key = key;
     // Stamped with the version current at probe time; workers restamp
     // from their acquired snapshot before computing, so every cache
     // entry is labeled with the exact weights that produced it.
     req.key.version = version_.load(std::memory_order_acquire);
-    req.metric = metric;
+    req.metric = static_cast<model::Metric>(key.metric);
     req.submitTime = Clock::now();
-}
 
-std::future<model::NumericPrediction>
-PredictionServer::submitAsync(const dfir::DataflowGraph& g,
-                              const dfir::RuntimeData* data,
-                              model::Metric metric)
-{
-    Request req;
-    prepareRequest(req, g, data, metric);
-    auto future = req.promise.get_future();
-
-    if (stopped_.load(std::memory_order_acquire)) {
-        req.promise.set_exception(std::make_exception_ptr(
-            std::runtime_error("PredictionServer is stopped")));
-        return future;
-    }
-
-    // Fast path: answer repeats without queueing or touching the model.
+    // Cache hits bypass the queue entirely, so they are admitted even
+    // under full load — answering a repeat costs no model work.
     model::NumericPrediction cached;
     if (cache_.get(req.key, cached)) {
+        adm.future = req.promise.get_future();
         submitted_.fetch_add(1, std::memory_order_relaxed);
         cacheHits_.fetch_add(1, std::memory_order_relaxed);
         fulfil(req, cached);
-        return future;
+        adm.status = AdmitStatus::Accepted;
+        adm.cacheHit = true;
+        return adm;
+    }
+
+    // Shed when the backlog already reached this class's depth limit.
+    // The depth read and the push are not atomic together; the race
+    // only lets an occasional request through one slot early or late,
+    // which is fine for load-shedding.
+    const size_t k = static_cast<size_t>(priority);
+    if (admit && queue_.depth() >= cfg_.admitDepth[k]) {
+        shedCount_[k]->add(1);
+        adm.status = AdmitStatus::Shed;
+        return adm;
     }
 
     req.graph = g;
@@ -145,16 +136,37 @@ PredictionServer::submitAsync(const dfir::DataflowGraph& g,
         req.data = *data;
         req.hasData = true;
     }
-    if (queue_.push(std::move(req))) {
-        // Counted only once accepted, so submitted == completed holds
-        // after a drain even when a submit races stop().
-        submitted_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        // Lost the race with stop(): the request was never accepted.
-        req.promise.set_exception(std::make_exception_ptr(
-            std::runtime_error("PredictionServer is stopped")));
+    auto future = req.promise.get_future();
+    const bool queued = admit ? queue_.tryPush(std::move(req), priority)
+                              : queue_.push(std::move(req));
+    if (!queued) {
+        // Lost the race for the last slot, or with a concurrent stop().
+        if (admit)
+            rejectedCount_.add(1);
+        return adm;
     }
-    return future;
+    // Counted only once accepted, so submitted == completed holds after
+    // a drain even when a submit races stop().
+    submitted_.fetch_add(1, std::memory_order_relaxed);
+    adm.status = AdmitStatus::Accepted;
+    adm.future = std::move(future);
+    return adm;
+}
+
+std::future<model::NumericPrediction>
+PredictionServer::submitAsync(const dfir::DataflowGraph& g,
+                              const dfir::RuntimeData* data,
+                              model::Metric metric)
+{
+    Admission adm = submit(makeResultKey(g, data, metric), g, data,
+                           Priority::Normal, /*admit=*/false);
+    if (adm.status == AdmitStatus::Accepted)
+        return std::move(adm.future);
+    // The blocking path only refuses a stopped server.
+    std::promise<model::NumericPrediction> refused;
+    refused.set_exception(std::make_exception_ptr(
+        std::runtime_error("PredictionServer is stopped")));
+    return refused.get_future();
 }
 
 model::NumericPrediction
@@ -169,55 +181,17 @@ PredictionServer::submitIfAdmitted(const dfir::DataflowGraph& g,
                                    const dfir::RuntimeData* data,
                                    model::Metric metric, Priority priority)
 {
-    Admission adm;
-    Request req;
-    prepareRequest(req, g, data, metric);
+    return submitIfAdmitted(makeResultKey(g, data, metric), g, data,
+                            priority);
+}
 
-    if (stopped_.load(std::memory_order_acquire)) {
-        rejectedCount_.add(1);
-        adm.status = AdmitStatus::Rejected;
-        return adm;
-    }
-
-    // Cache hits bypass the queue entirely, so they are admitted even
-    // under full load — answering a repeat costs no model work.
-    model::NumericPrediction cached;
-    if (cache_.get(req.key, cached)) {
-        adm.future = req.promise.get_future();
-        submitted_.fetch_add(1, std::memory_order_relaxed);
-        cacheHits_.fetch_add(1, std::memory_order_relaxed);
-        fulfil(req, cached);
-        adm.status = AdmitStatus::Accepted;
-        return adm;
-    }
-
-    // Shed when the backlog already reached this class's depth limit.
-    // The depth read and the push are not atomic together; the race
-    // only lets an occasional request through one slot early or late,
-    // which is fine for load-shedding.
-    const size_t k = static_cast<size_t>(priority);
-    if (queue_.depth() >= cfg_.admitDepth[k]) {
-        shedCount_[k]->add(1);
-        adm.status = AdmitStatus::Shed;
-        return adm;
-    }
-
-    req.graph = g;
-    if (data) {
-        req.data = *data;
-        req.hasData = true;
-    }
-    adm.future = req.promise.get_future();
-    if (queue_.tryPush(std::move(req), priority)) {
-        submitted_.fetch_add(1, std::memory_order_relaxed);
-        adm.status = AdmitStatus::Accepted;
-    } else {
-        // Lost the race for the last slot (or a concurrent stop()).
-        rejectedCount_.add(1);
-        adm.status = AdmitStatus::Rejected;
-        adm.future = std::future<model::NumericPrediction>();
-    }
-    return adm;
+Admission
+PredictionServer::submitIfAdmitted(const ResultKey& key,
+                                   const dfir::DataflowGraph& g,
+                                   const dfir::RuntimeData* data,
+                                   Priority priority)
+{
+    return submit(key, g, data, priority, /*admit=*/true);
 }
 
 void

@@ -21,7 +21,8 @@
  * its documented fast/slow-path tolerance.
  *
  * Finished predictions land in a sharded LRU ResultCache keyed by
- * (program DFIR hash, runtime-input hash, metric); repeated queries are
+ * (canonical program hash, runtime-input hash, metric, model version);
+ * repeated queries are
  * answered without touching the model. Each server owns an always-on
  * obs::Registry (stage histograms under `serve.*`; see obs/metrics.h)
  * — ServerStats is a point-in-time view over it, adding p99 latency,
@@ -31,8 +32,8 @@
  * serve.batch / serve.batch_assembly / serve.forward / serve.decode /
  * serve.cache_fill per micro-batch, correlated by request and batch
  * ids). Telemetry is speed-only: it is never hashed into cache keys
- * and cannot change a result bit. With the default
- * `canonicalCacheKeys`, the program hash is dfir::canonicalHash — the
+ * and cannot change a result bit. Cache keys come from makeResultKey()
+ * (serve/result_cache.h): the program hash is dfir::canonicalHash — the
  * structural hash of the canonicalized graph — and the input hash is
  * taken over the runtime data with scalars renamed into the canonical
  * graph's namespace (dfir::remapRuntimeData), so semantically identical
@@ -40,12 +41,16 @@
  * share one cache entry. The model still encodes each miss's ORIGINAL
  * graph text; equivalent programs therefore share the cached prediction
  * of whichever variant arrived first, exactly as a cache is expected to.
- * Set `canonicalCacheKeys = false` to key on the raw structural hash. Clients use the blocking
- * predict() or the future-based submitAsync(); stats() returns a
- * ServerStats snapshot (throughput, p50/p95 latency, hit rate, queue
- * depth). stop() — also run by the destructor — closes the intake and
- * drains the queue, so every accepted request is answered before the
- * workers exit.
+ *
+ * Clients use the blocking predict(), the future-based submitAsync(), or
+ * the admission-controlled submitIfAdmitted(); all three run one submit
+ * path and differ only in blocking push vs. shed-or-refuse. A caller
+ * that already derived the key (the fleet front-end shards by it) hands
+ * it to submitIfAdmitted(), so the program is canonicalized once per
+ * request. stats() returns a ServerStats snapshot (throughput, p50/p95
+ * latency, hit rate, queue depth). stop() — also run by the destructor
+ * — closes the intake and drains the queue, so every accepted request
+ * is answered before the workers exit.
  *
  * Weights come from the same eval/model_cache registry the bench suite
  * trains into: build the model with harness::trainCostModel (or any
@@ -102,9 +107,6 @@ struct ServeConfig
     size_t cacheCapacity = 4096; //!< result-cache entries; 0 disables
     size_t cacheShards = 8;  //!< result-cache shard count
     int beamWidth = 3;       //!< numeric-head beam width
-    //! Key the result cache by dfir::canonicalHash (+ scalar-remapped
-    //! input hash) so equivalent programs collide; false = raw hashes.
-    bool canonicalCacheKeys = true;
     /**
      * Per-priority admission depth limits for submitIfAdmitted(): a
      * request of class k is *shed* (answered OVERLOADED by the fleet
@@ -133,6 +135,7 @@ struct Admission
 {
     AdmitStatus status = AdmitStatus::Rejected;
     std::future<model::NumericPrediction> future;
+    bool cacheHit = false; //!< the result cache answered at submit
 };
 
 /** Point-in-time server statistics snapshot. */
@@ -231,6 +234,16 @@ class PredictionServer
                                Priority priority = Priority::Normal);
 
     /**
+     * The same, with the key already derived by makeResultKey(g, data,
+     * metric) — the metric is read from it and its version is ignored
+     * (the server stamps its own).
+     */
+    Admission submitIfAdmitted(const ResultKey& key,
+                               const dfir::DataflowGraph& g,
+                               const dfir::RuntimeData* data,
+                               Priority priority = Priority::Normal);
+
+    /**
      * Stop intake, answer everything already queued, join the workers.
      * Idempotent; runs automatically on destruction.
      */
@@ -280,6 +293,9 @@ class PredictionServer
 
     const ServeConfig& config() const { return cfg_; }
 
+    /** The result cache (thread-safe), for snapshot save and restore. */
+    ResultCache& cache() { return cache_; }
+
   private:
     struct Request
     {
@@ -298,10 +314,15 @@ class PredictionServer
                       model::InferenceSession& session,
                       const model::CostModel& m);
     void fulfil(Request& req, const model::NumericPrediction& pred);
-    /** Stamp key (canonical or raw), metric, id, submit time. */
-    void prepareRequest(Request& req, const dfir::DataflowGraph& g,
-                        const dfir::RuntimeData* data,
-                        model::Metric metric);
+    /**
+     * The one submit path: refuse when stopped, answer cache hits on the
+     * spot, else queue a copy of the graph and data — by blocking push,
+     * or with `admit` by submitIfAdmitted()'s shed-or-tryPush rule.
+     * Only the admission path counts refusals.
+     */
+    Admission submit(const ResultKey& key, const dfir::DataflowGraph& g,
+                     const dfir::RuntimeData* data, Priority priority,
+                     bool admit);
 
     ServeConfig cfg_;
     //! RCU write side: the published snapshot, guarded by modelMu_ (the

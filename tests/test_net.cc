@@ -1,14 +1,14 @@
 /**
  * @file
  * Networked fleet front-end tests: the length-prefixed binary protocol
- * (round trips, malformed-payload rejection), the disk-backed
- * persistent result cache (LRU, atomic save/load, corruption and
- * stale-version tolerance), and the FleetServer end to end over real
+ * (round trips, malformed-payload rejection), the result-cache snapshot
+ * (atomic save/load, recency order, corruption and stale-version
+ * tolerance), and the FleetServer end to end over real
  * loopback connections — wire predictions bit-identical to the
  * in-process serving path, canonical-hash shard stability (equivalent
  * mutants hit the same shard's cache), overload answered with an
  * explicit OVERLOADED status under 8 client threads without deadlock
- * (TSan job coverage), and persistent-cache warm restart.
+ * (TSan job coverage), and warm restart from the snapshot.
  *
  * Like test_serve, every suite runs an *untrained* Tiny model: weight
  * initialization is seeded, so two separately constructed models have
@@ -33,7 +33,7 @@
 #include "net/fleet_client.h"
 #include "net/fleet_server.h"
 #include "net/fleet_sim.h"
-#include "net/persist_cache.h"
+#include "net/snapshot.h"
 #include "net/protocol.h"
 #include "serve/server.h"
 #include "synth/generators.h"
@@ -249,11 +249,27 @@ TEST(Protocol, RejectsMalformedPayloads)
 }
 
 // ---------------------------------------------------------------------------
-// Persistent result cache
+// Result-cache snapshot
+
+namespace {
+
+/** The prediction stored under `key`, or a failed test. */
+model::NumericPrediction
+findEntry(const std::vector<serve::ResultCache::Entry>& entries,
+          const serve::ResultKey& key)
+{
+    for (const auto& e : entries)
+        if (e.first == key)
+            return e.second;
+    ADD_FAILURE() << "no entry for program " << key.program;
+    return {};
+}
+
+} // namespace
 
 TEST(PersistentCache, PutGetAndLruEviction)
 {
-    net::PersistentResultCache cache(3);
+    serve::ResultCache cache(3, /*shards=*/1);
     for (uint64_t i = 0; i < 3; ++i)
         cache.put(someKey(i), somePrediction(long(i)));
     EXPECT_EQ(cache.size(), 3u);
@@ -272,99 +288,122 @@ TEST(PersistentCache, PutGetAndLruEviction)
 TEST(PersistentCache, SaveLoadRoundTripIsBitExact)
 {
     std::string path = tempPath("roundtrip");
-    net::PersistentResultCache cache(16);
+    serve::ResultCache cache(16, 4);
     model::NumericPrediction pred = somePrediction(98765);
     pred.digitProbs = {0.3333333333333333, 1e-300};
     pred.logProb = -2.718281828459045;
     cache.put(someKey(11), pred);
     cache.put(someKey(22), somePrediction(4));
-    ASSERT_TRUE(cache.save(path));
+    ASSERT_TRUE(net::saveSnapshot(path, cache.entries()));
 
-    net::PersistentResultCache warm(16);
-    auto ls = warm.load(path, /*modelVersion=*/0);
-    EXPECT_TRUE(ls.fileFound);
-    EXPECT_TRUE(ls.clean);
-    EXPECT_EQ(ls.loaded, 2u);
-    EXPECT_EQ(ls.staleSkipped, 0u);
-    model::NumericPrediction out;
-    ASSERT_TRUE(warm.get(someKey(11), out));
-    expectBitEqual(out, pred);
+    net::Snapshot snap = net::loadSnapshot(path, /*modelVersion=*/0);
+    EXPECT_TRUE(snap.fileFound);
+    EXPECT_TRUE(snap.clean);
+    EXPECT_EQ(snap.entries.size(), 2u);
+    EXPECT_EQ(snap.staleSkipped, 0u);
+    expectBitEqual(findEntry(snap.entries, someKey(11)), pred);
     std::remove(path.c_str());
 }
 
-TEST(PersistentCache, FamilyStatsNeverTouchExactEntriesOrTheSnapshot)
+TEST(PersistentCache, ReloadIntoASmallerCacheKeepsTheMostRecentlyUsed)
 {
-    // recordFamily is statistics-only by contract: interleaving family
-    // probes must not change get/put results, and save() must not
-    // persist family state — a warm-loaded cache starts its family
-    // counters from zero.
-    std::string path = tempPath("family");
-    net::PersistentResultCache cache(8);
-    model::NumericPrediction pred = somePrediction(321);
-    cache.put(someKey(1), pred);
-
-    EXPECT_FALSE(cache.recordFamily(0xfeed)); // first sighting: miss
-    EXPECT_TRUE(cache.recordFamily(0xfeed));  // repeat: hit
-    EXPECT_FALSE(cache.recordFamily(0xbeef));
-    auto fs = cache.familyStats();
-    EXPECT_EQ(fs.probes, 3u);
-    EXPECT_EQ(fs.hits, 1u);
-    EXPECT_EQ(fs.distinct, 2u);
-
-    // Exact-key behavior is unchanged by the probes above.
+    std::string path = tempPath("recency");
+    serve::ResultCache cache(8, /*shards=*/1);
+    for (uint64_t i = 0; i < 4; ++i)
+        cache.put(someKey(i), somePrediction(long(i)));
+    // Use order, oldest to newest: 2, 0, 3, 1.
     model::NumericPrediction out;
-    ASSERT_TRUE(cache.get(someKey(1), out));
-    expectBitEqual(out, pred);
-    EXPECT_FALSE(cache.get(someKey(0xfeed), out)); // families aren't keys
-    EXPECT_EQ(cache.size(), 1u);
+    for (uint64_t i : {2u, 0u, 3u, 1u})
+        ASSERT_TRUE(cache.get(someKey(i), out));
+    ASSERT_TRUE(net::saveSnapshot(path, cache.entries()));
 
-    ASSERT_TRUE(cache.save(path));
-    net::PersistentResultCache warm(8);
-    auto ls = warm.load(path, /*modelVersion=*/0);
-    EXPECT_TRUE(ls.clean);
-    EXPECT_EQ(ls.loaded, 1u);
-    auto warmFs = warm.familyStats();
-    EXPECT_EQ(warmFs.probes, 0u);
-    EXPECT_EQ(warmFs.distinct, 0u);
+    serve::ResultCache small(2, /*shards=*/1);
+    for (const auto& e : net::loadSnapshot(path, 0).entries)
+        small.put(e.first, e.second);
+    EXPECT_EQ(small.size(), 2u);
+    EXPECT_TRUE(small.get(someKey(3), out));
+    EXPECT_TRUE(small.get(someKey(1), out));
+    EXPECT_FALSE(small.get(someKey(0), out));
+    EXPECT_FALSE(small.get(someKey(2), out));
+    std::remove(path.c_str());
+}
+
+TEST(PersistentCache, HandWrittenVersionOneFileLoads)
+{
+    // The LMPC v1 layout spelled out field by field, independent of
+    // saveSnapshot(), so a format drift cannot hide behind a round trip.
+    std::string path = tempPath("v1");
+    std::string bytes;
+    net::wire::putU32(bytes, 0x4C4D5043); // "LMPC"
+    net::wire::putU32(bytes, 1);
+    net::wire::putU64(bytes, 1);          // entry count
+    net::wire::putU64(bytes, 77);         // program
+    net::wire::putU64(bytes, 78);         // input
+    net::wire::putI32(bytes, int(model::Metric::Area));
+    net::wire::putU64(bytes, 3);          // model version
+    net::wire::putI64(bytes, 4242);       // value
+    net::wire::putU32(bytes, 2);          // digits
+    net::wire::putI32(bytes, 4);
+    net::wire::putI32(bytes, 2);
+    net::wire::putU32(bytes, 1);          // digit probabilities
+    net::wire::putF64(bytes, 0.75);
+    net::wire::putF64(bytes, -0.5);       // log-prob
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+
+    net::Snapshot snap = net::loadSnapshot(path, /*modelVersion=*/3);
+    EXPECT_TRUE(snap.clean);
+    ASSERT_EQ(snap.entries.size(), 1u);
+    const serve::ResultKey& key = snap.entries[0].first;
+    EXPECT_EQ(key.program, 77u);
+    EXPECT_EQ(key.input, 78u);
+    EXPECT_EQ(key.metric, int(model::Metric::Area));
+    EXPECT_EQ(key.version, 3u);
+    model::NumericPrediction want;
+    want.value = 4242;
+    want.digits = {4, 2};
+    want.digitProbs = {0.75};
+    want.logProb = -0.5;
+    expectBitEqual(snap.entries[0].second, want);
     std::remove(path.c_str());
 }
 
 TEST(PersistentCache, MissingFileIsACleanColdStart)
 {
-    net::PersistentResultCache cache(4);
-    auto ls = cache.load("/tmp/llm_net_definitely_absent.bin", 0);
-    EXPECT_FALSE(ls.fileFound);
-    EXPECT_TRUE(ls.clean);
-    EXPECT_EQ(ls.loaded, 0u);
+    net::Snapshot snap =
+        net::loadSnapshot("/tmp/llm_net_definitely_absent.bin", 0);
+    EXPECT_FALSE(snap.fileFound);
+    EXPECT_TRUE(snap.clean);
+    EXPECT_TRUE(snap.entries.empty());
 }
 
 TEST(PersistentCache, StaleModelVersionEntriesAreSkipped)
 {
     std::string path = tempPath("stale");
-    net::PersistentResultCache cache(16);
+    serve::ResultCache cache(16, 1);
     cache.put(someKey(1, /*version=*/0), somePrediction(1));
     cache.put(someKey(2, /*version=*/5), somePrediction(2));
     cache.put(someKey(3, /*version=*/5), somePrediction(3));
-    ASSERT_TRUE(cache.save(path));
+    ASSERT_TRUE(net::saveSnapshot(path, cache.entries()));
 
-    net::PersistentResultCache warm(16);
-    auto ls = warm.load(path, /*modelVersion=*/5);
-    EXPECT_TRUE(ls.clean);
-    EXPECT_EQ(ls.loaded, 2u);
-    EXPECT_EQ(ls.staleSkipped, 1u);
-    model::NumericPrediction out;
-    EXPECT_FALSE(warm.get(someKey(1, 0), out));
-    EXPECT_TRUE(warm.get(someKey(2, 5), out));
+    net::Snapshot snap = net::loadSnapshot(path, /*modelVersion=*/5);
+    EXPECT_TRUE(snap.clean);
+    EXPECT_EQ(snap.entries.size(), 2u);
+    EXPECT_EQ(snap.staleSkipped, 1u);
+    for (const auto& e : snap.entries)
+        EXPECT_EQ(e.first.version, 5u);
     std::remove(path.c_str());
 }
 
 TEST(PersistentCache, TruncatedFileKeepsCleanPrefixWithoutCrashing)
 {
     std::string path = tempPath("trunc");
-    net::PersistentResultCache cache(16);
+    serve::ResultCache cache(16, 1);
     for (uint64_t i = 0; i < 4; ++i)
         cache.put(someKey(i), somePrediction(long(i)));
-    ASSERT_TRUE(cache.save(path));
+    ASSERT_TRUE(net::saveSnapshot(path, cache.entries()));
 
     // Chop the file at several points; every prefix must load without
     // crashing and never report clean.
@@ -376,12 +415,10 @@ TEST(PersistentCache, TruncatedFileKeepsCleanPrefixWithoutCrashing)
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out.write(bytes.data(), static_cast<std::streamsize>(cut));
         out.close();
-        net::PersistentResultCache warm(16);
-        auto ls = warm.load(path, 0);
-        EXPECT_TRUE(ls.fileFound);
-        EXPECT_FALSE(ls.clean) << "cut=" << cut;
-        EXPECT_LT(ls.loaded, 4u);
-        EXPECT_EQ(warm.size(), ls.loaded);
+        net::Snapshot snap = net::loadSnapshot(path, 0);
+        EXPECT_TRUE(snap.fileFound);
+        EXPECT_FALSE(snap.clean) << "cut=" << cut;
+        EXPECT_LT(snap.entries.size(), 4u);
     }
     std::remove(path.c_str());
 }
@@ -394,25 +431,23 @@ TEST(PersistentCache, WrongMagicAndFormatVersionLoadNothing)
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << "this is not a cache file at all";
     }
-    net::PersistentResultCache a(4);
-    auto ls = a.load(path, 0);
-    EXPECT_TRUE(ls.fileFound);
-    EXPECT_FALSE(ls.clean);
-    EXPECT_EQ(ls.loaded, 0u);
+    net::Snapshot snap = net::loadSnapshot(path, 0);
+    EXPECT_TRUE(snap.fileFound);
+    EXPECT_FALSE(snap.clean);
+    EXPECT_TRUE(snap.entries.empty());
 
     // Right magic, future format version.
     std::string bytes;
-    net::wire::putU32(bytes, net::PersistentResultCache::kMagic);
-    net::wire::putU32(bytes, net::PersistentResultCache::kFormatVersion + 1);
+    net::wire::putU32(bytes, net::kSnapshotMagic);
+    net::wire::putU32(bytes, net::kSnapshotFormat + 1);
     net::wire::putU64(bytes, 0);
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }
-    net::PersistentResultCache b(4);
-    ls = b.load(path, 0);
-    EXPECT_FALSE(ls.clean);
-    EXPECT_EQ(ls.loaded, 0u);
+    snap = net::loadSnapshot(path, 0);
+    EXPECT_FALSE(snap.clean);
+    EXPECT_TRUE(snap.entries.empty());
     std::remove(path.c_str());
 }
 
@@ -472,6 +507,7 @@ TEST(FleetServer, EquivalentMutantsLandOnTheSameShardCache)
     ASSERT_TRUE(client.predict(g, &d, model::Metric::Cycles,
                                serve::Priority::Normal, first));
     ASSERT_EQ(first.status, net::Status::Ok) << first.error;
+    EXPECT_FALSE(first.cacheHit);
 
     util::Rng rng(2026);
     for (int i = 0; i < 3; ++i) {
@@ -484,6 +520,7 @@ TEST(FleetServer, EquivalentMutantsLandOnTheSameShardCache)
         ASSERT_TRUE(client.predict(mut.graph, &md, model::Metric::Cycles,
                                    serve::Priority::Normal, resp));
         ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
+        EXPECT_TRUE(resp.cacheHit); // the shard cache answered
         expectBitEqual(resp.prediction, first.prediction);
     }
 
@@ -610,15 +647,16 @@ TEST(FleetServer, PersistentCacheSurvivesRestart)
         ASSERT_TRUE(client.predict(g2, nullptr, model::Metric::Area,
                                    serve::Priority::Normal, resp));
         ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
-        fleet.stop(); // snapshots the persistent cache
+        fleet.stop(); // snapshots the shard caches
     }
 
     // A brand-new fleet (fresh model clone of the same seeded config)
-    // must answer the replayed queries from the warm persistent cache
-    // without any model work.
-    {
+    // must answer the replayed queries from its warmed shard caches
+    // without any model work — also with a different shard count, since
+    // the load routes every entry by the shard rule.
+    for (int shards : {2, 3}) {
         net::FleetConfig cfg;
-        cfg.shards = 2;
+        cfg.shards = shards;
         cfg.persistPath = path;
         net::FleetServer fleet(tinyModel(), cfg);
         net::FleetStats cold = fleet.stats();
@@ -637,7 +675,7 @@ TEST(FleetServer, PersistentCacheSurvivesRestart)
                                    serve::Priority::Normal, resp));
         EXPECT_TRUE(resp.cacheHit);
         net::FleetStats warm = fleet.stats();
-        EXPECT_EQ(warm.persistHits, 2u);
+        EXPECT_EQ(warm.shardCacheHits, 2u);
         EXPECT_EQ(warm.shardModelCalls, 0u);
     }
     std::remove(path.c_str());

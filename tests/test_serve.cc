@@ -332,7 +332,7 @@ TEST(PredictionServer, CacheServesRepeatsWithoutModelCalls)
 // Pinned canonical-key behaviour: two semantically identical programs
 // (renamed values, commuted operands, injected dead code) share one
 // cache entry — the second query is a hit with a bitwise-equal
-// prediction — while raw structural keys treat them as distinct.
+// prediction.
 TEST(PredictionServer, CanonicalKeysShareCacheAcrossEquivalentPrograms)
 {
     DataflowGraph g = makeGraph("canon-base", 7);
@@ -343,28 +343,19 @@ TEST(PredictionServer, CanonicalKeysShareCacheAcrossEquivalentPrograms)
     ASSERT_EQ(canonicalHash(g), canonicalHash(mut.graph));
     RuntimeData md = remapRuntimeData(d, mut.scalarRenames);
 
-    {
-        serve::ServeConfig cfg;
-        cfg.workers = 2; // canonicalCacheKeys defaults to true
-        serve::PredictionServer server(tinyModel(), cfg);
-        auto first = server.predict(g, &d, model::Metric::Cycles);
-        EXPECT_EQ(server.stats().modelCalls, 1u);
-        auto second = server.predict(mut.graph, &md, model::Metric::Cycles);
-        auto stats = server.stats();
-        EXPECT_EQ(stats.modelCalls, 1u); // equivalent program never re-ran
-        EXPECT_EQ(stats.cacheHits, 1u);
-        expectSamePrediction(second, first);
-    }
-    {
-        serve::ServeConfig cfg;
-        cfg.workers = 2;
-        cfg.canonicalCacheKeys = false;
-        serve::PredictionServer server(tinyModel(), cfg);
-        server.predict(g, &d, model::Metric::Cycles);
-        server.predict(mut.graph, &md, model::Metric::Cycles);
-        EXPECT_EQ(server.stats().modelCalls, 2u); // raw keys: both miss
-        EXPECT_EQ(server.stats().cacheHits, 0u);
-    }
+    ASSERT_TRUE(serve::makeResultKey(g, &d, model::Metric::Cycles) ==
+                serve::makeResultKey(mut.graph, &md, model::Metric::Cycles));
+
+    serve::ServeConfig cfg;
+    cfg.workers = 2;
+    serve::PredictionServer server(tinyModel(), cfg);
+    auto first = server.predict(g, &d, model::Metric::Cycles);
+    EXPECT_EQ(server.stats().modelCalls, 1u);
+    auto second = server.predict(mut.graph, &md, model::Metric::Cycles);
+    auto stats = server.stats();
+    EXPECT_EQ(stats.modelCalls, 1u); // equivalent program never re-ran
+    EXPECT_EQ(stats.cacheHits, 1u);
+    expectSamePrediction(second, first);
 }
 
 TEST(PredictionServer, ManyConcurrentClientThreads)
@@ -554,6 +545,7 @@ TEST(PredictionServer, AdmissionBypassesQueueOnCacheHit)
         serve::Admission adm = server.submitIfAdmitted(
             g, &d, model::Metric::Cycles, serve::Priority::Low);
         ASSERT_EQ(adm.status, serve::AdmitStatus::Accepted);
+        EXPECT_TRUE(adm.cacheHit);
         expectSamePrediction(adm.future.get(), warm);
     }
     serve::ServerStats stats = server.stats();
