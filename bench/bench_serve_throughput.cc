@@ -30,7 +30,7 @@
  * Multi-worker speedup tracks the machine's core count: on a 1-core
  * host the w4/w8 rows land near 1.0, on CI-class 4-vCPU hosts they
  * exceed the 1-worker baseline. The batch sweep (batchMax 1/4/8 at a
- * fixed worker count) isolates the batch-first forward instead: larger
+ * fixed worker count) isolates the batched forward instead: larger
  * micro-batches mean fewer, bigger forwardPooledBatch calls per worker,
  * so its speedup is visible even on one core.
  */
@@ -212,7 +212,7 @@ main(int argc, char** argv)
     // Phase 1.5 — micro-batch scaling at a fixed worker count: each
     // pop of up to batchMax requests becomes ONE batched encoder
     // forward + per-metric batched decode, so this sweep measures the
-    // batch-first forward path itself.
+    // batched forward path itself.
     eval::Table btable({"batchMax", "req/s", "p95 (ms)", "speedup"});
     double batchBaselineRps = 0;
     for (int batchMax : {1, 4, 8}) {

@@ -2,9 +2,14 @@
  * @file
  * Training-throughput bench for the shared minibatch engine: trains the
  * same cost model on the same corpus at 1/4/8 worker threads and reports
- * samples/sec, epoch time, the 8-vs-1 speedup, and a bit-identical-loss
- * check across the thread counts (the engine's determinism guarantee,
- * measured rather than assumed).
+ * samples/sec, epoch time, the 4- and 8-vs-1 speedups, and a
+ * bit-identical-loss check across every timed run (the engine's
+ * determinism guarantee, measured rather than assumed).
+ *
+ * One untimed warm-up run goes first, so the first timed thread count
+ * does not pay the process's cold start. Each thread count is then
+ * timed three times, interleaved 1/4/8, 1/4/8, 1/4/8, and reports the
+ * median run.
  *
  * The corpus is pre-encoded once outside the timed region and shared by
  * every run (encodings depend only on the tokenizer, not the weights),
@@ -12,16 +17,14 @@
  * otherwise drag every speedup toward 1x by Amdahl's law.
  *
  * CSV lines (name,metric,value):
- *   train_throughput,samples_per_sec_t<T>,<v>
- *   train_throughput,epoch_time_ms_t<T>,<v>
- *   train_throughput,speedup_t4,<v>
- *   train_throughput,speedup_t8,<v>
- *   train_throughput,loss_bitmatch,<1|0>
- *   train_throughput,intra_samples_per_sec_b<B>,<v>   (intra-batch mode)
- *   train_throughput,intra_speedup_b<B>,<v vs 1-thread per-sample at the
- *                                        same batch size>
+ *   train_throughput,samples_per_sec_t<T>,<median of 3 runs>
+ *   train_throughput,epoch_time_ms_t<T>,<median of 3 runs>
+ *   train_throughput,speedup_t4,<median t4 / median t1 samples/sec>
+ *   train_throughput,speedup_t8,<median t8 / median t1 samples/sec>
+ *   train_throughput,loss_bitmatch,<1|0: every timed run's per-epoch
+ *     losses equal the first run's, bit for bit>
  *   train_throughput,nn.*,<GEMM call/FLOP counters and trainer gauges
- *     from one short instrumented epoch, run AFTER the timed sweeps so
+ *     from one short instrumented epoch, run AFTER the timed sweep so
  *     the rows above stay free of telemetry overhead>
  *
  * Speedups depend on the machine: on a single-core container all thread
@@ -29,6 +32,7 @@
  * threads) is meaningful on multicore hardware such as the CI runners.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <vector>
 
@@ -99,61 +103,57 @@ main(int argc, char** argv)
                 ds.samples.size(), tcfg.epochs, tcfg.batchSize,
                 quick ? " (quick)" : "");
 
+    // Untimed warm-up: the first training run in a fresh process is
+    // slower, and it would otherwise be charged to t1.
+    runAt(1, mcfg, ds, encs, tcfg);
+
     const int kThreadCounts[] = {1, 4, 8};
-    RunResult results[3];
+    const int kRepeats = 3;
+    std::vector<RunResult> runs[3];
+    for (int rep = 0; rep < kRepeats; ++rep)
+        for (int i = 0; i < 3; ++i)
+            runs[i].push_back(runAt(kThreadCounts[i], mcfg, ds, encs, tcfg));
+
+    // Determinism cross-check: per-epoch mean losses must agree bitwise
+    // across every timed run, whatever its thread count.
+    const std::vector<double> refLoss = runs[0].front().stats.epochLoss;
+    bool bitmatch = true;
+    for (const auto& perThreads : runs)
+        for (const RunResult& r : perThreads)
+            bitmatch &= r.stats.epochLoss == refLoss;
+
+    double medianSps[3];
     for (int i = 0; i < 3; ++i) {
+        std::vector<RunResult>& rs = runs[i];
+        std::sort(rs.begin(), rs.end(),
+                  [](const RunResult& a, const RunResult& b) {
+                      return a.samplesPerSec < b.samplesPerSec;
+                  });
+        const RunResult& med = rs[rs.size() / 2];
+        medianSps[i] = med.samplesPerSec;
         int t = kThreadCounts[i];
-        results[i] = runAt(t, mcfg, ds, encs, tcfg);
         bench::csv("train_throughput",
                    util::format("samples_per_sec_t%d", t).c_str(),
-                   results[i].samplesPerSec);
+                   med.samplesPerSec);
         bench::csv("train_throughput",
                    util::format("epoch_time_ms_t%d", t).c_str(),
-                   results[i].epochMs);
+                   med.epochMs);
     }
 
     bench::csv("train_throughput", "speedup_t4",
-               results[1].samplesPerSec / results[0].samplesPerSec);
+               medianSps[1] / medianSps[0]);
     bench::csv("train_throughput", "speedup_t8",
-               results[2].samplesPerSec / results[0].samplesPerSec);
+               medianSps[2] / medianSps[0]);
 
-    // Determinism cross-check: per-epoch mean losses must agree bitwise
-    // across every thread count.
-    bool bitmatch = true;
-    for (int i = 1; i < 3; ++i)
-        bitmatch &= results[i].stats.epochLoss ==
-                    results[0].stats.epochLoss;
     bench::csv("train_throughput", "loss_bitmatch", bitmatch ? 1 : 0);
     if (!bitmatch) {
         std::fprintf(stderr,
-                     "ERROR: loss trajectories diverged across thread "
-                     "counts\n");
+                     "ERROR: loss trajectories diverged across timed "
+                     "runs\n");
         return 1;
     }
 
-    // Intra-batch sweep: the batch-first forward (one lossBatch graph
-    // per minibatch) at batch sizes 1/4/8, single-threaded. Each run is
-    // compared against a 1-thread per-sample run at the SAME batch size
-    // — identical optimizer step counts, so the speedup isolates the
-    // batched forward math rather than step-frequency overhead.
-    for (int b : {1, 4, 8}) {
-        harness::TrainConfig pcfg = tcfg;
-        pcfg.batchSize = b;
-        RunResult base = runAt(1, mcfg, ds, encs, pcfg);
-        harness::TrainConfig icfg = pcfg;
-        icfg.intraBatch = true;
-        RunResult r = runAt(1, mcfg, ds, encs, icfg);
-        bench::csv("train_throughput",
-                   util::format("intra_samples_per_sec_b%d", b).c_str(),
-                   r.samplesPerSec);
-        bench::csv("train_throughput",
-                   util::format("intra_speedup_b%d", b).c_str(),
-                   base.samplesPerSec <= 0
-                       ? 0
-                       : r.samplesPerSec / base.samplesPerSec);
-    }
-
-    // Instrumented pass, AFTER every timed sweep so the throughput rows
+    // Instrumented pass, AFTER the timed sweep so the throughput rows
     // above never carry telemetry cost: one short single-threaded epoch
     // with the global metrics gate on, dumping GEMM call/FLOP counters
     // (per kernel per backend) and the trainer step/loss gauges.

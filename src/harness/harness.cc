@@ -163,9 +163,6 @@ cacheKey(const std::string& tag, uint64_t cfg_hash, const synth::Dataset& ds,
     h = util::hashCombine(h, floatBits(tcfg.lr));
     h = util::hashCombine(h, tcfg.seed);
     h = util::hashCombine(h, static_cast<uint64_t>(tcfg.batchSize));
-    // Mixed in only when enabled so every pre-existing key is stable.
-    if (tcfg.intraBatch)
-        h = util::hashCombine(h, util::fnv1a("intra_batch"));
     return util::format("%s_%016llx", tag.c_str(),
                         static_cast<unsigned long long>(h));
 }
@@ -181,7 +178,6 @@ engineConfig(const TrainConfig& tcfg, const std::string& tag,
     tc.seed = tcfg.seed;
     tc.opt.lr = tcfg.lr;
     tc.tag = tag;
-    tc.intraBatch = tcfg.intraBatch;
     return tc;
 }
 
@@ -193,15 +189,11 @@ engineConfig(const TrainConfig& tcfg, const std::string& tag,
  * return a std::function<nn::TensorPtr(size_t)> over sample indices.
  * sample_cost is the engine's optional speed-only claiming estimate.
  */
-using BatchLossFn =
-    std::function<BatchLossResult(const std::vector<size_t>&)>;
-
 template <typename M, typename LossFactory>
 TrainStats
 runEngine(M& master, const LossFactory& make_loss, size_t num_samples,
           const TrainConfig& tcfg, const std::string& tag,
-          int epoch_mult = 1, BatchLossFn batch_loss = nullptr,
-          const std::vector<double>& sample_cost = {})
+          int epoch_mult = 1, const std::vector<double>& sample_cost = {})
 {
     int threads = resolveTrainThreads(tcfg.trainThreads);
     // Workers beyond the batch (or corpus) would never receive a sample;
@@ -210,19 +202,14 @@ runEngine(M& master, const LossFactory& make_loss, size_t num_samples,
     if (num_samples > 0)
         threads =
             std::min<int>(threads, static_cast<int>(num_samples));
-    // Intra-batch mode runs whole batches on the caller's thread, so
-    // worker replicas would be dead weight.
-    if (tcfg.intraBatch && batch_loss)
-        threads = 1;
 
     std::vector<std::unique_ptr<M>> clones;
     std::vector<TrainReplica> replicas;
-    replicas.push_back(
-        {master.parameters(), make_loss(&master), std::move(batch_loss)});
+    replicas.push_back({master.parameters(), make_loss(&master)});
     for (int t = 1; t < threads; ++t) {
         clones.push_back(master.clone());
-        replicas.push_back({clones.back()->parameters(),
-                            make_loss(clones.back().get()), nullptr});
+        replicas.push_back(
+            {clones.back()->parameters(), make_loss(clones.back().get())});
     }
     return trainMinibatch(master.parameters(), replicas, num_samples,
                           engineConfig(tcfg, tag, epoch_mult), sample_cost);
@@ -310,28 +297,8 @@ trainCostModelUncached(model::CostModel& m, const synth::Dataset& ds,
                                     ds.samples[i].targets);
         };
     };
-    // The intra-batch path: one CostModel::lossBatch graph per
-    // minibatch, sharing a single padded-batch encoder forward across
-    // every sample's static and dynamic views.
-    BatchLossFn batch_loss = [&m, &ds, &encs](const std::vector<size_t>&
-                                                  idx) {
-        std::vector<model::CostModel::BatchLossSample> samples;
-        samples.reserve(idx.size());
-        for (size_t i : idx) {
-            const model::TrainingEncoding& e = encs[i];
-            samples.push_back({&e.stat, e.hasDyn ? &e.dyn : nullptr,
-                               &ds.samples[i].targets});
-        }
-        model::CostModel::BatchLoss bl = m.lossBatch(samples);
-        BatchLossResult r;
-        r.total = std::move(bl.total);
-        r.sampleLoss.reserve(bl.perSample.size());
-        for (const auto& p : bl.perSample)
-            r.sampleLoss.push_back(static_cast<double>(p->value[0]));
-        return r;
-    };
     return runEngine(m, make_loss, encs.size(), tcfg, tag, 1,
-                     std::move(batch_loss), sampleCosts(encs));
+                     sampleCosts(encs));
 }
 
 std::unique_ptr<baselines::TlpModel>

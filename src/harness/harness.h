@@ -44,16 +44,6 @@ struct TrainConfig
      * deliberately NOT part of the model-cache key.
      */
     int trainThreads = 0;
-    /**
-     * Opt-in intra-batch training (math-affecting when on): each
-     * minibatch runs as one batch-first forward/backward graph instead
-     * of per-sample passes across threads — see
-     * TrainerConfig::intraBatch. Only the cost model has a batched
-     * loss; the baselines silently fall back to the per-sample path.
-     * Hashed into cache keys only when set, so default-config keys are
-     * unchanged.
-     */
-    bool intraBatch = false;
 };
 
 /**

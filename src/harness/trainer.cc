@@ -8,7 +8,6 @@
 #include <mutex>
 #include <thread>
 
-#include "nn/ops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/common.h"
@@ -136,17 +135,8 @@ trainMinibatch(const std::vector<nn::TensorPtr>& master,
     const int threads = static_cast<int>(replicas.size());
     const size_t batch = static_cast<size_t>(std::max(1, cfg.batchSize));
 
-    // Intra-batch mode: one batched graph per minibatch on the caller's
-    // thread (see TrainerConfig::intraBatch). Requires the batched loss
-    // to update the master parameters directly.
-    const bool intra = cfg.intraBatch && bool(replicas.front().batchLoss);
-    if (intra)
-        for (size_t i = 0; i < master.size(); ++i)
-            LLM_CHECK(replicas.front().params[i] == master[i],
-                      "intra-batch mode needs replica 0 to alias master");
-
     TrainStats stats;
-    stats.threads = intra ? 1 : threads;
+    stats.threads = threads;
     if (num_samples == 0)
         return stats;
 
@@ -166,7 +156,7 @@ trainMinibatch(const std::vector<nn::TensorPtr>& master,
     std::vector<size_t> claimOrder;
     std::atomic<size_t> nextClaim{0};
 
-    WorkerPool pool(intra ? 1 : threads);
+    WorkerPool pool(threads);
 
     // Speed-only telemetry (global registry, gated): step/sample
     // counters plus a per-step gradient-norm gauge. lastGradNorm() is
@@ -194,26 +184,6 @@ trainMinibatch(const std::vector<nn::TensorPtr>& master,
             OBS_SPAN("trainer.minibatch");
             const size_t nb = std::min(batch, num_samples - start);
             const float inv = 1.f / static_cast<float>(nb);
-
-            if (intra) {
-                // One batch-first graph, one backward, one step: the
-                // mean-loss scale node distributes inv into every
-                // sample's gradient, preserving mean-gradient
-                // semantics.
-                std::vector<size_t> idx(order.begin() + start,
-                                        order.begin() + start + nb);
-                nn::clearGrads(master);
-                BatchLossResult bl = replicas.front().batchLoss(idx);
-                nn::TensorPtr mean = nn::scale(bl.total, inv);
-                mean->backward();
-                opt.step();
-                recordStepMetrics(nb);
-                for (double l : bl.sampleLoss)
-                    lossSum += l;
-                ++stats.steps;
-                stats.samples += static_cast<long>(nb);
-                continue;
-            }
 
             // Claim order: largest estimated cost first, so the long
             // samples start early and the short ones fill in behind

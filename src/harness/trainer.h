@@ -48,28 +48,6 @@ struct TrainerConfig
     uint64_t seed = 99;     //!< shuffle seed (math-affecting)
     nn::AdamWConfig opt;    //!< optimizer hyperparameters
     std::string tag;        //!< non-empty: per-epoch progress on stdout
-    /**
-     * Opt-in intra-batch mode (math-affecting when on): instead of B
-     * per-sample forward/backward passes fanned across worker threads,
-     * each minibatch runs as ONE batch-first autograd graph on the
-     * caller's thread (TrainReplica::batchLoss), with a single backward
-     * producing the whole-batch gradient. Forward loss values are
-     * bit-identical to the per-sample path (the batched forward
-     * contract), but the gradient accumulates in batched-tensor order
-     * rather than sample-slot order, so the training trajectory is a
-     * different — still fully deterministic, thread-count-independent —
-     * float sequence. Cache keys must therefore include this flag when
-     * set. Replicas without a batchLoss fall back to the per-sample
-     * path.
-     */
-    bool intraBatch = false;
-};
-
-/** Result of a TrainReplica::batchLoss evaluation. */
-struct BatchLossResult
-{
-    nn::TensorPtr total;            //!< [1,1] sum of per-sample losses
-    std::vector<double> sampleLoss; //!< per-sample loss values, in order
 };
 
 /**
@@ -84,15 +62,6 @@ struct TrainReplica
 {
     std::vector<nn::TensorPtr> params;
     std::function<nn::TensorPtr(size_t)> sampleLoss;
-    /**
-     * Optional batch-first loss for TrainerConfig::intraBatch: builds
-     * one autograd graph over all given sample indices (sharing a
-     * single batched encoder forward) and returns the summed loss node
-     * plus each sample's scalar loss. Only replica 0 — which must alias
-     * the master parameters — is consulted; leave null for models
-     * without a batched forward.
-     */
-    std::function<BatchLossResult(const std::vector<size_t>&)> batchLoss;
 };
 
 /** Deterministic per-run training statistics. */

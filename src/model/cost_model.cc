@@ -81,27 +81,9 @@ CostModel::encode(const dfir::DataflowGraph& g, const dfir::RuntimeData* data,
 nn::TensorPtr
 CostModel::pooledForward(const EncodedProgram& ep) const
 {
-    return pooledForwardBatch({&ep});
-}
-
-nn::TensorPtr
-CostModel::pooledForwardBatch(
-    const std::vector<const EncodedProgram*>& eps) const
-{
-    LLM_CHECK(!eps.empty(), "pooledForwardBatch with no encodings");
-    std::vector<std::vector<int>> seqs;
-    std::vector<nn::TensorPtr> masks;
-    seqs.reserve(eps.size());
-    masks.reserve(eps.size());
-    for (const EncodedProgram* ep : eps) {
-        seqs.push_back(ep->tokens);
-        masks.push_back(cfg_.controlFlowMask ? buildSeparationMask(*ep)
-                                             : nullptr);
-    }
-    nn::PaddedBatch pb =
-        nn::PaddedBatch::pack(seqs, masks, cfg_.enc.maxSeq);
-    nn::TensorPtr hidden = encoder_->forwardBatch(pb);
-    return nn::TransformerEncoder::pooledBatch(hidden, pb);
+    nn::TensorPtr mask =
+        cfg_.controlFlowMask ? buildSeparationMask(ep) : nullptr;
+    return nn::TransformerEncoder::pooled(encoder_->forward(ep.tokens, mask));
 }
 
 NumericPrediction
@@ -136,51 +118,6 @@ CostModel::lossOnSample(const EncodedProgram& ep_static,
     loss = nn::add(loss, heads_[static_cast<int>(Metric::Cycles)]->loss(
                              pooled_cycles, targets.cycles));
     return loss;
-}
-
-CostModel::BatchLoss
-CostModel::lossBatch(const std::vector<BatchLossSample>& samples) const
-{
-    LLM_CHECK(!samples.empty(), "lossBatch with no samples");
-    // Row layout of the shared batched forward: each sample contributes
-    // its static view and, when present, its dynamic view.
-    std::vector<const EncodedProgram*> eps;
-    std::vector<int> statRow(samples.size()), dynRow(samples.size(), -1);
-    eps.reserve(2 * samples.size());
-    for (size_t i = 0; i < samples.size(); ++i) {
-        LLM_CHECK(samples[i].stat && samples[i].targets,
-                  "lossBatch sample " << i << " missing encoding/targets");
-        statRow[i] = static_cast<int>(eps.size());
-        eps.push_back(samples[i].stat);
-        if (samples[i].dyn) {
-            dynRow[i] = static_cast<int>(eps.size());
-            eps.push_back(samples[i].dyn);
-        }
-    }
-    nn::TensorPtr pooled = pooledForwardBatch(eps);
-
-    BatchLoss out;
-    out.perSample.reserve(samples.size());
-    for (size_t i = 0; i < samples.size(); ++i) {
-        const Targets& t = *samples[i].targets;
-        // Identical op sequence to lossOnSample(), on this sample's rows
-        // of the shared pooled matrix.
-        nn::TensorPtr ps = nn::sliceRows(pooled, statRow[i], 1);
-        nn::TensorPtr loss =
-            heads_[static_cast<int>(Metric::Power)]->loss(ps, t.power);
-        loss = nn::add(loss, heads_[static_cast<int>(Metric::Area)]->loss(
-                                 ps, t.area));
-        loss = nn::add(loss,
-                       heads_[static_cast<int>(Metric::FlipFlops)]->loss(
-                           ps, t.flipFlops));
-        nn::TensorPtr pd =
-            dynRow[i] >= 0 ? nn::sliceRows(pooled, dynRow[i], 1) : ps;
-        loss = nn::add(loss, heads_[static_cast<int>(Metric::Cycles)]->loss(
-                                 pd, t.cycles));
-        out.perSample.push_back(loss);
-        out.total = out.total ? nn::add(out.total, loss) : loss;
-    }
-    return out;
 }
 
 nn::TensorPtr

@@ -71,20 +71,12 @@ class CostModel : public nn::Module
                           const std::string& reasoning = "") const;
 
     /**
-     * Encoder forward + mean pooling (mask applied when configured).
-     * A thin B=1 wrapper over pooledForwardBatch().
+     * Encoder forward + mean pooling (mask applied when configured): the
+     * autograd path that training and calibration backpropagate
+     * through, one sequence at a time. Serving batches through the
+     * autograd-free InferenceSession::forwardPooledBatch instead.
      */
     nn::TensorPtr pooledForward(const EncodedProgram& ep) const;
-
-    /**
-     * Batch-first encoder forward: one padded-batch pass over all
-     * encodings, returning [B, dim] pooled rows. Row i is bit-identical
-     * to pooledForward(*eps[i]) — the padded layout guarantees
-     * row-independent reduction order (see nn/batch.h) — so callers can
-     * batch freely without perturbing cached artifacts or predictions.
-     */
-    nn::TensorPtr
-    pooledForwardBatch(const std::vector<const EncodedProgram*>& eps) const;
 
     /** Beam-search numeric prediction for one metric. */
     NumericPrediction predict(const EncodedProgram& ep, Metric m,
@@ -102,36 +94,6 @@ class CostModel : public nn::Module
     nn::TensorPtr lossOnSample(const EncodedProgram& ep_static,
                                const EncodedProgram* ep_dynamic,
                                const Targets& targets) const;
-
-    /** One sample's encodings + labels for lossBatch(). */
-    struct BatchLossSample
-    {
-        const EncodedProgram* stat = nullptr; //!< static {G, Op, Params}
-        const EncodedProgram* dyn = nullptr;  //!< + runtime data, optional
-        const Targets* targets = nullptr;
-    };
-
-    /** lossBatch() result: the combined graph plus per-sample scalars. */
-    struct BatchLoss
-    {
-        nn::TensorPtr total; //!< [1,1] sum of per-sample losses
-        /**
-         * Per-sample [1,1] loss nodes; value[0] of each is bit-identical
-         * to the corresponding lossOnSample() (they share the batched
-         * encoder forward, whose rows match the sequential forward).
-         */
-        std::vector<nn::TensorPtr> perSample;
-    };
-
-    /**
-     * Combined SFT loss over a minibatch, sharing ONE batched encoder
-     * forward across every sample's static and dynamic views — the
-     * intra-batch training mode's hot path. Backward through `total`
-     * accumulates whole-batch gradients; the accumulation order differs
-     * from B independent per-sample backwards (see harness/trainer.h on
-     * why intra-batch mode is a distinct math mode).
-     */
-    BatchLoss lossBatch(const std::vector<BatchLossSample>& samples) const;
 
     /**
      * Teacher-forced digit logits for a metric (rows = digit positions).

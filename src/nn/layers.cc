@@ -1,5 +1,6 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/common.h"
@@ -76,13 +77,6 @@ Embedding::forward(const std::vector<int>& ids) const
     return embedRows(table, ids);
 }
 
-TensorPtr
-Embedding::forwardBatch(const PaddedBatch& pb) const
-{
-    LLM_CHECK(!pb.tokens.empty(), "forwardBatch on a tokenless batch view");
-    return embedRows(table, pb.tokens);
-}
-
 std::vector<TensorPtr>
 Embedding::parameters() const
 {
@@ -122,50 +116,26 @@ TensorPtr
 MultiHeadSelfAttention::forward(const TensorPtr& x,
                                 const TensorPtr& add_mask) const
 {
-    return forwardBatch(x, PaddedBatch::viewOfOne(x->rows, add_mask));
-}
-
-TensorPtr
-MultiHeadSelfAttention::forwardBatch(const TensorPtr& x,
-                                     const PaddedBatch& pb) const
-{
-    LLM_CHECK(x->rows == pb.rows() && x->cols == dim,
-              "attention batch shape " << x->rows << "x" << x->cols);
-    // Whole-batch projections: one GEMM each over all B*maxSeq rows.
+    LLM_CHECK(x->cols == dim,
+              "attention input width " << x->cols << " != " << dim);
     TensorPtr q = wq->forward(x);
     TensorPtr k = wk->forward(x);
     TensorPtr v = wv->forward(x);
     float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(headDim));
 
-    std::vector<TensorPtr> ctxParts;
-    ctxParts.reserve(pb.batch);
-    for (int b = 0; b < pb.batch; ++b) {
-        // Scores stay within the sequence block: queries of sequence b
-        // only ever meet keys/values of sequence b.
-        TensorPtr qb = q, kb = k, vb = v;
-        if (pb.batch > 1) {
-            qb = sliceRows(q, b * pb.maxSeq, pb.maxSeq);
-            kb = sliceRows(k, b * pb.maxSeq, pb.maxSeq);
-            vb = sliceRows(v, b * pb.maxSeq, pb.maxSeq);
-        }
-        const TensorPtr& add_mask = pb.rowMasks[b];
-        TensorPtr ctx; // concatenated head outputs for this sequence
-        for (int h = 0; h < heads; ++h) {
-            TensorPtr qh = sliceCols(qb, h * headDim, headDim);
-            TensorPtr kh = sliceCols(kb, h * headDim, headDim);
-            TensorPtr vh = sliceCols(vb, h * headDim, headDim);
-            TensorPtr scores = scale(matmul(qh, transpose(kh)), inv_sqrt);
-            if (add_mask)
-                scores = add(scores, add_mask);
-            TensorPtr probs = softmaxRows(scores);
-            TensorPtr head_out = matmul(probs, vh);
-            ctx = ctx ? concatCols(ctx, head_out) : head_out;
-        }
-        ctxParts.push_back(std::move(ctx));
+    TensorPtr ctx; // concatenated head outputs
+    for (int h = 0; h < heads; ++h) {
+        TensorPtr qh = sliceCols(q, h * headDim, headDim);
+        TensorPtr kh = sliceCols(k, h * headDim, headDim);
+        TensorPtr vh = sliceCols(v, h * headDim, headDim);
+        TensorPtr scores = scale(matmul(qh, transpose(kh)), inv_sqrt);
+        if (add_mask)
+            scores = add(scores, add_mask);
+        TensorPtr probs = softmaxRows(scores);
+        TensorPtr head_out = matmul(probs, vh);
+        ctx = ctx ? concatCols(ctx, head_out) : head_out;
     }
-    TensorPtr ctxAll =
-        pb.batch == 1 ? ctxParts.front() : concatRows(ctxParts);
-    return wo->forward(ctxAll);
+    return wo->forward(ctx);
 }
 
 std::vector<TensorPtr>
@@ -191,16 +161,7 @@ TransformerBlock::TransformerBlock(int dim, int heads, int ffn,
 TensorPtr
 TransformerBlock::forward(const TensorPtr& x, const TensorPtr& add_mask) const
 {
-    return forwardBatch(x, PaddedBatch::viewOfOne(x->rows, add_mask));
-}
-
-TensorPtr
-TransformerBlock::forwardBatch(const TensorPtr& x,
-                               const PaddedBatch& pb) const
-{
-    // LayerNorm and the FFN are row-wise, so only the attention needs
-    // the batch structure.
-    TensorPtr h = add(x, attn->forwardBatch(ln1->forward(x), pb));
+    TensorPtr h = add(x, attn->forward(ln1->forward(x), add_mask));
     TensorPtr f = ff2->forward(gelu(ff1->forward(ln2->forward(h))));
     return add(h, f);
 }
@@ -241,26 +202,21 @@ TensorPtr
 TransformerEncoder::forward(const std::vector<int>& ids,
                             const TensorPtr& add_mask) const
 {
-    return forwardBatch(PaddedBatch::pack({ids}, {add_mask}, cfg.maxSeq));
-}
+    const int len = std::min<int>(static_cast<int>(ids.size()), cfg.maxSeq);
+    LLM_CHECK(len > 0, "empty token sequence");
+    LLM_CHECK(!add_mask || (add_mask->rows == len && add_mask->cols == len),
+              "attention mask " << add_mask->rows << "x" << add_mask->cols
+                                << " != len " << len);
 
-TensorPtr
-TransformerEncoder::forwardBatch(const PaddedBatch& pb) const
-{
-    LLM_CHECK(!pb.tokens.empty(), "forwardBatch on a tokenless batch view");
-    LLM_CHECK(pb.maxSeq <= cfg.maxSeq,
-              "batch maxSeq " << pb.maxSeq << " > encoder " << cfg.maxSeq);
-
-    TensorPtr x = tok->forwardBatch(pb);
-    // Learned positional embeddings restart at 0 in every block.
-    std::vector<int> pos_ids(pb.rows());
-    for (int b = 0; b < pb.batch; ++b)
-        for (int i = 0; i < pb.maxSeq; ++i)
-            pos_ids[size_t(b) * pb.maxSeq + i] = i;
+    const std::vector<int> trimmed(ids.begin(), ids.begin() + len);
+    TensorPtr x = tok->forward(trimmed);
+    std::vector<int> pos_ids(len);
+    for (int i = 0; i < len; ++i)
+        pos_ids[i] = i;
     x = add(x, embedRows(pos, pos_ids));
 
     for (const auto& blk : blocks)
-        x = blk->forwardBatch(x, pb);
+        x = blk->forward(x, add_mask);
     return lnFinal->forward(x);
 }
 
@@ -268,13 +224,6 @@ TensorPtr
 TransformerEncoder::pooled(const TensorPtr& hidden)
 {
     return meanRows(hidden);
-}
-
-TensorPtr
-TransformerEncoder::pooledBatch(const TensorPtr& hidden,
-                                const PaddedBatch& pb)
-{
-    return blockMeanRows(hidden, pb.batch, pb.maxSeq, pb.lengths);
 }
 
 std::vector<TensorPtr>

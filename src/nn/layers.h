@@ -11,18 +11,16 @@
  * injected: masked (Class-I-operator x data) interactions receive -inf
  * before the softmax so the attention weight is exactly zero.
  *
- * The forward API is batch-first: every layer exposes forwardBatch() over
- * a PaddedBatch (hidden states stacked as [B*maxSeq, dim]), and the
- * single-sequence forward() signatures are thin B=1 wrappers over it.
- * forwardBatch() over B rows is bit-identical to B sequential forward()
- * calls (see nn/batch.h for why the layout guarantees this).
+ * Every forward() runs one sequence and records the autograd tape that
+ * training backpropagates through. Batched inference does not use these
+ * layers: serving runs model::InferenceSession::forwardPooledBatch, an
+ * autograd-free forward over the same weights.
  */
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "nn/batch.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
 #include "util/rng.h"
@@ -75,10 +73,6 @@ class Embedding : public Module
     Embedding(int vocab, int dim, util::Rng& rng);
 
     TensorPtr forward(const std::vector<int>& ids) const;
-
-    /** Stacked lookup over a padded batch: [batch*maxSeq, dim]. */
-    TensorPtr forwardBatch(const PaddedBatch& pb) const;
-
     std::vector<TensorPtr> parameters() const override;
 
     TensorPtr table; //!< [vocab, dim]
@@ -112,14 +106,6 @@ class MultiHeadSelfAttention : public Module
     TensorPtr forward(const TensorPtr& x,
                       const TensorPtr& add_mask = nullptr) const;
 
-    /**
-     * Batched attention over stacked hidden states x [B*maxSeq, dim].
-     * The Q/K/V/output projections run as single whole-batch GEMMs;
-     * score computation is per sequence block (never across blocks),
-     * each with its row's additive mask from the batch.
-     */
-    TensorPtr forwardBatch(const TensorPtr& x, const PaddedBatch& pb) const;
-
     std::vector<TensorPtr> parameters() const override;
 
     int dim;
@@ -136,9 +122,6 @@ class TransformerBlock : public Module
 
     TensorPtr forward(const TensorPtr& x,
                       const TensorPtr& add_mask = nullptr) const;
-
-    /** Batched block over stacked hidden states [B*maxSeq, dim]. */
-    TensorPtr forwardBatch(const TensorPtr& x, const PaddedBatch& pb) const;
 
     std::vector<TensorPtr> parameters() const override;
 
@@ -169,27 +152,16 @@ class TransformerEncoder : public Module
   public:
     TransformerEncoder(const EncoderConfig& cfg, util::Rng& rng);
 
-    /** Full hidden states for a token sequence (truncated to maxSeq). */
+    /**
+     * Full hidden states for a token sequence, truncated to the first
+     * cfg.maxSeq ids. add_mask, when given, must be [len, len] for the
+     * truncated length.
+     */
     TensorPtr forward(const std::vector<int>& ids,
                       const TensorPtr& add_mask = nullptr) const;
 
-    /**
-     * Batched hidden states [batch*maxSeq, dim] for a padded batch
-     * (pb.maxSeq must not exceed cfg.maxSeq). Row block b is
-     * bit-identical to forward(sequence b, its mask).
-     */
-    TensorPtr forwardBatch(const PaddedBatch& pb) const;
-
     /** Mean-pool hidden states into a [1, dim] summary vector. */
     static TensorPtr pooled(const TensorPtr& hidden);
-
-    /**
-     * Length-aware mean pooling of batched hidden states: [batch, dim],
-     * row b pooled over the first pb.lengths[b] rows of block b only —
-     * padding rows never contribute.
-     */
-    static TensorPtr pooledBatch(const TensorPtr& hidden,
-                                 const PaddedBatch& pb);
 
     std::vector<TensorPtr> parameters() const override;
 

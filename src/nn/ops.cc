@@ -558,71 +558,6 @@ sliceCols(const TensorPtr& x, int start, int len)
 }
 
 TensorPtr
-sliceRows(const TensorPtr& x, int start, int len)
-{
-    LLM_CHECK(start >= 0 && len > 0 && start + len <= x->rows,
-              "sliceRows [" << start << "," << start + len << ") of "
-                            << x->rows);
-    int n = x->cols;
-    auto out = Tensor::zeros(len, n);
-    std::copy(x->value.begin() + size_t(start) * n,
-              x->value.begin() + size_t(start + len) * n,
-              out->value.begin());
-    if (anyRequiresGrad(x)) {
-        out->requiresGrad = true;
-        out->parents = {x};
-        Tensor* self = out.get();
-        out->backwardFn = [self, x, start, len]() {
-            x->ensureGrad();
-            int n = x->cols;
-            backend().axpy(1.f, self->grad.data(),
-                           x->grad.data() + size_t(start) * n,
-                           size_t(len) * n);
-        };
-    }
-    return out;
-}
-
-TensorPtr
-concatRows(const std::vector<TensorPtr>& parts)
-{
-    LLM_CHECK(!parts.empty(), "concatRows with no parts");
-    int n = parts.front()->cols;
-    int m = 0;
-    bool needs_grad = false;
-    for (const auto& p : parts) {
-        LLM_CHECK(p->cols == n, "concatRows column mismatch");
-        m += p->rows;
-        needs_grad |= p->requiresGrad;
-    }
-    auto out = Tensor::zeros(m, n);
-    size_t off = 0;
-    for (const auto& p : parts) {
-        std::copy(p->value.begin(), p->value.end(),
-                  out->value.begin() + off);
-        off += p->value.size();
-    }
-    if (needs_grad) {
-        out->requiresGrad = true;
-        out->parents = parts;
-        Tensor* self = out.get();
-        out->backwardFn = [self]() {
-            size_t off = 0;
-            const Backend& be = backend();
-            for (const auto& p : self->parents) {
-                if (p->requiresGrad) {
-                    p->ensureGrad();
-                    be.axpy(1.f, self->grad.data() + off, p->grad.data(),
-                            p->grad.size());
-                }
-                off += p->value.size();
-            }
-        };
-    }
-    return out;
-}
-
-TensorPtr
 meanRows(const TensorPtr& x)
 {
     int m = x->rows, n = x->cols;
@@ -644,51 +579,6 @@ meanRows(const TensorPtr& x)
             for (int i = 0; i < m; ++i)
                 be.axpy(inv, self->grad.data(),
                         x->grad.data() + size_t(i) * n, n);
-        };
-    }
-    return out;
-}
-
-TensorPtr
-blockMeanRows(const TensorPtr& x, int batch, int max_seq,
-              const std::vector<int>& lengths)
-{
-    LLM_CHECK(batch > 0 && max_seq > 0 && x->rows == batch * max_seq,
-              "blockMeanRows shape " << x->rows << " != " << batch << "*"
-                                     << max_seq);
-    LLM_CHECK(lengths.size() == size_t(batch), "blockMeanRows lengths");
-    int n = x->cols;
-    auto out = Tensor::zeros(batch, n);
-    for (int b = 0; b < batch; ++b) {
-        int len = lengths[b];
-        LLM_CHECK(len > 0 && len <= max_seq,
-                  "blockMeanRows length " << len << " of " << max_seq);
-        float* orow = out->value.data() + size_t(b) * n;
-        // Ascending-row accumulation then one division: exactly the
-        // meanRows() float-op sequence over the block's real rows.
-        for (int i = 0; i < len; ++i)
-            for (int j = 0; j < n; ++j)
-                orow[j] += x->at(b * max_seq + i, j);
-        for (int j = 0; j < n; ++j)
-            orow[j] /= len;
-    }
-    if (anyRequiresGrad(x)) {
-        out->requiresGrad = true;
-        out->parents = {x};
-        Tensor* self = out.get();
-        auto lens = lengths;
-        out->backwardFn = [self, x, batch, max_seq, lens]() {
-            x->ensureGrad();
-            int n = x->cols;
-            const Backend& be = backend();
-            for (int b = 0; b < batch; ++b) {
-                float inv = 1.f / lens[b];
-                const float* g = self->grad.data() + size_t(b) * n;
-                for (int i = 0; i < lens[b]; ++i)
-                    be.axpy(inv, g,
-                            x->grad.data() + size_t(b * max_seq + i) * n,
-                            n);
-            }
         };
     }
     return out;

@@ -83,25 +83,8 @@ TensorPtr concatCols(const TensorPtr& a, const TensorPtr& b);
 /** Column slice [start, start+len). */
 TensorPtr sliceCols(const TensorPtr& x, int start, int len);
 
-/** Row slice [start, start+len). Backward scatter-adds into the rows. */
-TensorPtr sliceRows(const TensorPtr& x, int start, int len);
-
-/** Row-wise concatenation of equal-column tensors, in list order. */
-TensorPtr concatRows(const std::vector<TensorPtr>& parts);
-
 /** Column-mean over rows: [m,n] -> [1,n]. */
 TensorPtr meanRows(const TensorPtr& x);
-
-/**
- * Length-aware per-block mean over a padded batch: x is [batch*max_seq, n]
- * (consecutive max_seq-row blocks); out[b,:] is the mean of the first
- * lengths[b] rows of block b. Rows past a block's length (padding) never
- * contribute. Per block this is bit-identical to meanRows() over the
- * block's first lengths[b] rows: the same ascending-row accumulation
- * followed by one division.
- */
-TensorPtr blockMeanRows(const TensorPtr& x, int batch, int max_seq,
-                        const std::vector<int>& lengths);
 
 /** Sum of all elements -> scalar [1,1]. */
 TensorPtr sumAll(const TensorPtr& x);

@@ -30,7 +30,6 @@
 #include "eval/model_cache.h"
 #include "harness/trainer.h"
 #include "nn/backend.h"
-#include "nn/batch.h"
 #include "nn/layers.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
@@ -243,10 +242,11 @@ TEST(NnBackend, RowWiseKernelsBitIdentity)
 }
 
 /**
- * Build a 2-layer encoder + pooled regression graph over a ragged
- * 3-sequence batch, run forward and backward, and return the loss bits
- * plus every parameter gradient. Everything (init, data) is seeded, so
- * the only degree of freedom between calls is the active backend.
+ * Build a 2-layer encoder + pooled regression graph over three sequences
+ * of different lengths, sum their losses, run forward and backward, and
+ * return the loss bits plus every parameter gradient. Everything (init,
+ * data) is seeded, so the only degree of freedom between calls is the
+ * active backend.
  */
 struct GraphResult
 {
@@ -275,16 +275,18 @@ runEncoderGraph(const nn::Backend& be)
         {8, 9, 10},
         {11, 12, 13, 14, 15, 16, 17, 18, 19, 20},
     };
-    auto pb = nn::PaddedBatch::pack(seqs, {nullptr, nullptr, nullptr},
-                                    cfg.maxSeq);
-    TensorPtr hidden = enc.forwardBatch(pb);
-    TensorPtr pooledB = nn::TransformerEncoder::pooledBatch(hidden, pb);
     // One scalar head on top so softmax/gelu/layernorm/GEMM all sit on
     // the gradient path.
     auto head = nn::Tensor::fromData(
         cfg.dim, 1, randVec(cfg.dim, rng, 0.3), true);
-    TensorPtr pred = nn::matmul(pooledB, head);
-    TensorPtr loss = nn::mseLoss(pred, {0.5f, -1.0f, 2.0f});
+    const float targets[] = {0.5f, -1.0f, 2.0f};
+    TensorPtr loss;
+    for (size_t i = 0; i < seqs.size(); ++i) {
+        TensorPtr pooled =
+            nn::TransformerEncoder::pooled(enc.forward(seqs[i]));
+        TensorPtr l = nn::mseLoss(nn::matmul(pooled, head), {targets[i]});
+        loss = loss ? nn::add(loss, l) : l;
+    }
 
     auto params = enc.parameters();
     params.push_back(head);

@@ -122,10 +122,16 @@ TEST(Layers, EncoderShapesAndPooling)
     EXPECT_EQ(p->rows, 1);
     EXPECT_EQ(p->cols, 16);
 
-    // Sequences longer than maxSeq are truncated, not fatal.
-    std::vector<int> long_ids(25, 1);
+    // Sequences longer than maxSeq are truncated to their first maxSeq
+    // ids, not fatal. The ids differ along the sequence, so keeping any
+    // other 10 tokens would change the hidden states.
+    std::vector<int> long_ids(25);
+    for (int i = 0; i < 25; ++i)
+        long_ids[i] = i % cfg.vocab;
     auto h2 = enc.forward(long_ids);
     EXPECT_EQ(h2->rows, 10);
+    std::vector<int> prefix(long_ids.begin(), long_ids.begin() + cfg.maxSeq);
+    EXPECT_EQ(h2->value, enc.forward(prefix)->value);
 }
 
 TEST(Layers, ParameterCountsArePlausible)

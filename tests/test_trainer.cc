@@ -67,8 +67,7 @@ struct TinyRig
                  [net, &p](size_t i) {
                      auto x = nn::Tensor::fromData(1, 2, p.xs[i]);
                      return nn::mseLoss(net->forward(x), {p.ys[i]});
-                 },
-                 nullptr});
+                 }});
         }
     }
 
@@ -251,8 +250,7 @@ TEST(Trainer, OneWorkerClaimsLargestEstimateFirst)
             calls.push_back(i);
             auto x = nn::Tensor::fromData(1, 2, p.xs[i]);
             return nn::mseLoss(net.forward(x), {p.ys[i]});
-        },
-        nullptr};
+        }};
     auto cfg = tinyConfig(/*epochs=*/1, /*batch=*/4);
     harness::trainMinibatch(net.parameters(), {rep}, p.xs.size(), cfg, cost);
     ASSERT_EQ(calls.size(), p.xs.size());
@@ -292,12 +290,11 @@ trainCostModelClaiming(const synth::Dataset& ds,
         };
     };
     std::vector<harness::TrainReplica> replicas;
-    replicas.push_back({master.parameters(), lossFor(&master), nullptr});
+    replicas.push_back({master.parameters(), lossFor(&master)});
     for (int t = 1; t < threads; ++t) {
         clones.push_back(master.clone());
         replicas.push_back(
-            {clones.back()->parameters(), lossFor(clones.back().get()),
-             nullptr});
+            {clones.back()->parameters(), lossFor(clones.back().get())});
     }
     harness::TrainerConfig cfg;
     cfg.epochs = 2;
@@ -366,46 +363,6 @@ TEST(Trainer, ClaimingOrderCannotMoveBits)
                     << " threads, param " << i;
         }
     }
-}
-
-TEST(Trainer, IntraBatchModeIsDeterministicAndLearns)
-{
-    // Intra-batch mode (one batch-first lossBatch graph per minibatch)
-    // is a distinct, deterministic math mode: two runs must agree
-    // bitwise, the loss must actually fall, and the requested thread
-    // count must be irrelevant (it runs on the caller's thread).
-    synth::SynthConfig scfg;
-    scfg.numPrograms = 6;
-    scfg.seed = 17;
-    auto ds = synth::synthesize(scfg);
-
-    auto mcfg = model::configForScale(model::ModelScale::Tiny);
-    mcfg.enc.maxSeq = 128;
-
-    harness::TrainConfig tcfg;
-    tcfg.epochs = 3;
-    tcfg.batchSize = 4;
-    tcfg.intraBatch = true;
-
-    model::CostModel ma(mcfg), mb(mcfg);
-    harness::TrainConfig ca = tcfg, cb = tcfg;
-    ca.trainThreads = 1;
-    cb.trainThreads = 8; // must be ignored by intra-batch mode
-    auto sa = harness::trainCostModelUncached(ma, ds, ca);
-    auto sb = harness::trainCostModelUncached(mb, ds, cb);
-    EXPECT_EQ(sa.threads, 1);
-    EXPECT_EQ(sb.threads, 1);
-    EXPECT_EQ(sa.steps, sb.steps);
-
-    ASSERT_EQ(sa.epochLoss.size(), sb.epochLoss.size());
-    for (size_t e = 0; e < sa.epochLoss.size(); ++e)
-        EXPECT_EQ(sa.epochLoss[e], sb.epochLoss[e]) << "epoch " << e;
-    auto pa = ma.parameters(), pb = mb.parameters();
-    ASSERT_EQ(pa.size(), pb.size());
-    for (size_t i = 0; i < pa.size(); ++i)
-        ASSERT_EQ(pa[i]->value, pb[i]->value) << "param " << i;
-
-    EXPECT_LT(sa.epochLoss.back(), sa.epochLoss.front());
 }
 
 TEST(Trainer, PairEncodingMatchesSeparateEncodes)
