@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "model/fast_encoder.h"
 #include "nn/ops.h"
 #include "util/common.h"
 
@@ -130,8 +131,10 @@ DpoCalibrator::observe(const model::EncodedProgram& ep, long true_cycles)
     t.yw = model::toDigits(true_cycles, head_cfg.base, head_cfg.width);
     t.yl = pred.digits;
     if (t.yw != t.yl) {
-        // One reference forward shared by both sequences.
-        nn::TensorPtr ref_pooled = ref_->pooledForward(t.input);
+        // One reference forward shared by both sequences; the reference
+        // takes no gradient, so it runs the autograd-free forward.
+        nn::TensorPtr ref_pooled =
+            model::InferenceSession(*ref_).forwardPooledBatch({&t.input});
         const model::DigitHead& ref_head = ref_->head(Metric::Cycles);
         auto ref_lw = nn::sequenceLogProb(
             ref_head.teacherForcedLogits(ref_pooled, t.yw), t.yw);

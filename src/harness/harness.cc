@@ -223,7 +223,7 @@ costModelCfgHash(const model::CostModelConfig& cfg)
                   cfg.enc.maxSeq, cfg.head.base, cfg.head.width,
                   cfg.head.digitEmbed, cfg.head.hidden,
                   static_cast<int>(cfg.tok.progressiveNumbers),
-                  static_cast<int>(cfg.controlFlowMask),
+                  1, // the separation mask, once a knob: keys stay put
                   static_cast<int>(cfg.seed)})
         h = util::hashCombine(h, static_cast<uint64_t>(x));
     return h;

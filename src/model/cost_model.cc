@@ -1,5 +1,6 @@
 #include "model/cost_model.h"
 
+#include "model/fast_encoder.h"
 #include "nn/ops.h"
 #include "util/common.h"
 
@@ -81,15 +82,14 @@ CostModel::encode(const dfir::DataflowGraph& g, const dfir::RuntimeData* data,
 nn::TensorPtr
 CostModel::pooledForward(const EncodedProgram& ep) const
 {
-    nn::TensorPtr mask =
-        cfg_.controlFlowMask ? buildSeparationMask(ep) : nullptr;
-    return nn::TransformerEncoder::pooled(encoder_->forward(ep.tokens, mask));
+    return nn::TransformerEncoder::pooled(
+        encoder_->forward(ep.tokens, buildSeparationMask(ep)));
 }
 
 NumericPrediction
 CostModel::predict(const EncodedProgram& ep, Metric m, int beam_width) const
 {
-    nn::TensorPtr pooled = pooledForward(ep);
+    nn::TensorPtr pooled = InferenceSession(*this).forwardPooledBatch({&ep});
     return heads_[static_cast<int>(m)]->decode(pooled, beam_width);
 }
 

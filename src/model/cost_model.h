@@ -49,7 +49,6 @@ struct CostModelConfig
     tokenizer::TokenizerConfig tok;
     nn::EncoderConfig enc;   //!< enc.vocab is overwritten from the tokenizer
     NumericHeadConfig head;
-    bool controlFlowMask = true; //!< enable Section 5.2 masking
     uint64_t seed = 42;
 };
 
@@ -71,14 +70,18 @@ class CostModel : public nn::Module
                           const std::string& reasoning = "") const;
 
     /**
-     * Encoder forward + mean pooling (mask applied when configured): the
-     * autograd path that training and calibration backpropagate
-     * through, one sequence at a time. Serving batches through the
-     * autograd-free InferenceSession::forwardPooledBatch instead.
+     * Encoder forward + mean pooling under the Section 5.2 separation
+     * mask: the autograd graph that training and DPO policy steps
+     * backpropagate through, one sequence at a time. Every forward that
+     * needs no gradient runs InferenceSession's autograd-free forward
+     * instead, which equals this one bit for bit.
      */
     nn::TensorPtr pooledForward(const EncodedProgram& ep) const;
 
-    /** Beam-search numeric prediction for one metric. */
+    /**
+     * Beam-search numeric prediction for one metric, on the
+     * autograd-free forward: equals head(m).decode(pooledForward(ep)).
+     */
     NumericPrediction predict(const EncodedProgram& ep, Metric m,
                               int beam_width = 3) const;
 

@@ -1,7 +1,10 @@
 #include "model/fast_encoder.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "nn/backend.h"
+#include "nn/ops.h"
 #include "util/common.h"
 #include "util/string_util.h"
 
@@ -29,51 +32,55 @@ encodeForTraining(const CostModel& m, const dfir::DataflowGraph& g,
 
 namespace {
 
-/** y[out] (+)= x[in] * W[in,out] + b — row-vector linear, raw floats. */
-void
-linearRow(const float* x, const nn::Tensor& w, const nn::Tensor& b, float* y)
-{
-    int in = w.rows, out = w.cols;
-    for (int j = 0; j < out; ++j)
-        y[j] = b.value[j];
-    for (int k = 0; k < in; ++k) {
-        float xv = x[k];
-        if (xv == 0.f)
-            continue;
-        const float* wrow = w.value.data() + size_t(k) * out;
-        for (int j = 0; j < out; ++j)
-            y[j] += xv * wrow[j];
-    }
-}
+/** Rows per block of every pass but K/V, whose rows all queries read. */
+constexpr int kRowBlock = 16;
 
-/** In-place row layer norm with gain/bias. */
+/** c[rows, w] = a[rows, in] * W + b: gemmAccum into zeros, then + b. */
 void
-layerNormRow(const float* x, const nn::Tensor& gamma, const nn::Tensor& beta,
-             float* y, int n)
+linear(const nn::Backend& be, const float* a, const nn::Linear& lin, int rows,
+       float* c)
 {
-    float mean = 0.f;
-    for (int j = 0; j < n; ++j)
-        mean += x[j];
-    mean /= n;
-    float var = 0.f;
-    for (int j = 0; j < n; ++j) {
-        float d = x[j] - mean;
-        var += d * d;
-    }
-    var /= n;
-    float inv = 1.f / std::sqrt(var + 1e-5f);
-    for (int j = 0; j < n; ++j)
-        y[j] = gamma.value[j] * ((x[j] - mean) * inv) + beta.value[j];
-}
-
-float
-geluScalar(float v)
-{
-    float t = std::tanh(0.7978845608f * (v + 0.044715f * v * v * v));
-    return 0.5f * v * (1.f + t);
+    const int in = lin.weight->rows, w = lin.weight->cols;
+    std::fill(c, c + size_t(rows) * w, 0.f);
+    nn::gemmAccum(be, a, lin.weight->value.data(), c, rows, in, w);
+    const float* b = lin.bias->value.data();
+    for (int r = 0; r < rows; ++r)
+        for (int j = 0; j < w; ++j)
+            c[size_t(r) * w + j] += b[j];
 }
 
 } // namespace
+
+/**
+ * Working memory of one forward, for sequences of up to n rows. Only
+ * the residual stream and the per-head Q, K^T and V panels span all
+ * rows; every other buffer holds one block of kRowBlock rows.
+ */
+struct InferenceSession::Workspace
+{
+    Workspace(int n, const nn::EncoderConfig& cfg)
+        : x(size_t(n) * cfg.dim), q(x.size()), kt(x.size()), v(x.size()),
+          h(size_t(kRowBlock) * cfg.dim), ln(h.size()), xhat(h.size()),
+          proj(h.size()), ctx(h.size()), invstd(kRowBlock),
+          head(size_t(kRowBlock) * (cfg.dim / cfg.heads)),
+          scores(size_t(kRowBlock) * n), probs(scores.size()),
+          mask(scores.size()),
+          mid(size_t(kRowBlock) * cfg.ffn), act(mid.size())
+    {
+        rows.reserve(n);
+    }
+
+    std::vector<int> rows;   //!< recomputed rows, ascending
+    std::vector<float> x;    //!< [n, d] residual stream
+    std::vector<float> q;    //!< [heads][rank in rows][hd] queries
+    std::vector<float> kt;   //!< [d, n] K^T: head h owns rows h*hd..
+    std::vector<float> v;    //!< [heads][n][hd] values
+    std::vector<float> h, ln, xhat, proj, ctx; //!< [block, d]
+    std::vector<float> invstd;                 //!< [block]
+    std::vector<float> head;                   //!< [block, hd]
+    std::vector<float> scores, probs, mask;    //!< [block, n]
+    std::vector<float> mid, act;               //!< [block, ffn]
+};
 
 InferenceSession::InferenceSession(const CostModel& model) : model_(model) {}
 
@@ -86,6 +93,7 @@ InferenceSession::computeLayout(const EncodedProgram& ep) const
     lay.dataRow.assign(lay.n, 0);
     lay.classIRow.assign(lay.n, 0);
     lay.staticLen = lay.n;
+    bool anyClassI = false;
     for (const auto& r : ep.ranges) {
         if (r.kind == SegmentKind::Data) {
             lay.staticLen = std::min(lay.staticLen, r.begin);
@@ -96,6 +104,7 @@ InferenceSession::computeLayout(const EncodedProgram& ep) const
     for (const auto& r : ep.ranges) {
         bool reusable = (r.kind == SegmentKind::Op && r.classI) ||
                         r.kind == SegmentKind::Params;
+        anyClassI |= r.kind == SegmentKind::Op && r.classI;
         for (int i = r.begin; i < r.end && i < lay.n; ++i) {
             if (i < lay.staticLen && reusable)
                 lay.reusable[i] = 1;
@@ -103,6 +112,7 @@ InferenceSession::computeLayout(const EncodedProgram& ep) const
                 lay.classIRow[i] = 1;
         }
     }
+    lay.masked = ep.hasData && anyClassI;
     uint64_t key = 0x12345;
     for (int i = 0; i < lay.staticLen; ++i)
         key = util::hashCombine(key, static_cast<uint64_t>(ep.tokens[i]));
@@ -117,332 +127,213 @@ InferenceSession::blocked(const Layout& lay, int i, int j)
            (lay.dataRow[i] && lay.classIRow[j]);
 }
 
-std::vector<float>
+void
 InferenceSession::forwardPooled(const EncodedProgram& ep, const Layout& lay,
-                                bool partial)
+                                const std::vector<uint8_t>& reuse, bool prime,
+                                Workspace& ws, float* pooled)
 {
-    // NOTE: forwardPooledBatch() is the cache-free batched twin of this
-    // function; keep every per-row float operation in lockstep (see the
-    // note there).
+    // Every step is the backend call the autograd graph makes on the
+    // same values (nn/layers.cc), so each row's float sequence — and
+    // the pooled row — is TransformerEncoder::forward's. Row blocks only
+    // choose which output rows a call computes: kernels fix the
+    // per-element sequence independently of the row count.
+    const nn::Backend& be = nn::backend();
     const nn::TransformerEncoder& enc = model_.encoder();
     const int n = lay.n;
     const int d = enc.cfg.dim;
     const int heads = enc.cfg.heads;
     const int hd = d / heads;
-    const int ffn = enc.cfg.ffn;
     const int layers = static_cast<int>(enc.blocks.size());
+    const float invSqrt = 1.0f / std::sqrt(static_cast<float>(hd));
+    const float eps = 1e-5f; // nn::layerNormRows' default
+    LLM_CHECK(n > 0, "empty token sequence");
 
-    // Row is recomputed unless partial mode can serve it from cache.
-    std::vector<uint8_t> reuse(n, 0);
-    if (partial) {
-        for (int i = 0; i < n && i < cacheLen_; ++i)
-            reuse[i] = lay.reusable[i] && cacheReusable_[i];
-    }
-
-    if (!partial) {
+    ws.rows.clear();
+    for (int i = 0; i < n; ++i)
+        if (reuse.empty() || !reuse[i])
+            ws.rows.push_back(i);
+    const int nr = static_cast<int>(ws.rows.size());
+    stats_.rowsComputed += nr;
+    stats_.rowsReused += n - nr;
+    if (prime) {
         cacheLayers_.assign(layers, {});
         for (auto& lc : cacheLayers_) {
-            lc.k.assign(size_t(n) * d, 0.f);
-            lc.v.assign(size_t(n) * d, 0.f);
-            lc.hout.assign(size_t(n) * d, 0.f);
+            lc.k.resize(size_t(n) * d);
+            lc.v.resize(size_t(n) * d);
+            lc.hout.resize(size_t(n) * d);
         }
-        cacheH0_.assign(size_t(n) * d, 0.f);
     }
 
-    // ---- Embedding + positions ----
-    std::vector<float> h(size_t(n) * d);
-    const nn::Tensor& table = *enc.tok->table;
-    const nn::Tensor& pos = *enc.pos;
+    // Embedding: tok[id] + pos[i].
+    float* x = ws.x.data();
+    const nn::Tensor& tok = *enc.tok->table;
+    const float* pos = enc.pos->value.data();
     for (int i = 0; i < n; ++i) {
-        float* row = h.data() + size_t(i) * d;
-        if (reuse[i]) {
-            const float* src = cacheH0_.data() + size_t(i) * d;
-            std::copy(src, src + d, row);
-            ++stats_.rowsReused;
-            continue;
-        }
-        int tokid = ep.tokens[i];
-        const float* te = table.value.data() + size_t(tokid) * d;
-        const float* pe = pos.value.data() + size_t(i % enc.cfg.maxSeq) * d;
+        const int id = ep.tokens[i];
+        LLM_CHECK(id >= 0 && id < tok.rows,
+                  "embed id " << id << " out of range " << tok.rows);
+        const float* te = tok.value.data() + size_t(id) * d;
+        const float* pe = pos + size_t(i) * d;
+        float* row = x + size_t(i) * d;
         for (int j = 0; j < d; ++j)
             row[j] = te[j] + pe[j];
-        ++stats_.rowsComputed;
-        if (!partial) {
-            float* dst = cacheH0_.data() + size_t(i) * d;
-            std::copy(row, row + d, dst);
-        }
     }
 
-    std::vector<float> ln(size_t(n) * d), q(size_t(n) * d), k(size_t(n) * d),
-        v(size_t(n) * d), ctx(size_t(n) * d), scratch(std::max(d, ffn));
-    float inv_sqrt = 1.f / std::sqrt(static_cast<float>(hd));
+    // Gathers the residual rows of block [c0, c0 + rb) into ws.h.
+    auto gather = [&](int c0, int rb) {
+        for (int r = 0; r < rb; ++r)
+            std::copy_n(x + size_t(ws.rows[c0 + r]) * d, d,
+                        ws.h.data() + size_t(r) * d);
+    };
+    // Scatter row i's key / value ([d] each) into the per-head panels.
+    auto putK = [&](int i, const float* krow) {
+        for (int c = 0; c < d; ++c)
+            ws.kt[size_t(c) * n + i] = krow[c];
+    };
+    auto putV = [&](int i, const float* vrow) {
+        for (int hh = 0; hh < heads; ++hh)
+            std::copy_n(vrow + hh * hd, hd,
+                        ws.v.data() + (size_t(hh) * n + i) * hd);
+    };
 
     for (int l = 0; l < layers; ++l) {
         const nn::TransformerBlock& blk = *enc.blocks[l];
-        LayerCache& lc = cacheLayers_[l];
+        const nn::MultiHeadSelfAttention& attn = *blk.attn;
+        LayerCache* lc = cacheLayers_.empty() ? nullptr : &cacheLayers_[l];
 
-        // LN1 + QKV projections (dirty rows only; cached rows pull K/V).
-        for (int i = 0; i < n; ++i) {
-            float* qrow = q.data() + size_t(i) * d;
-            float* krow = k.data() + size_t(i) * d;
-            float* vrow = v.data() + size_t(i) * d;
-            if (reuse[i]) {
-                const float* ck = lc.k.data() + size_t(i) * d;
-                const float* cv = lc.v.data() + size_t(i) * d;
-                std::copy(ck, ck + d, krow);
-                std::copy(cv, cv + d, vrow);
-                continue;
+        // LN1 and the Q/K/V projections of the recomputed rows. Every
+        // query reads all n keys and values, so they finish before any
+        // residual row of this layer changes.
+        for (int c0 = 0; c0 < nr; c0 += kRowBlock) {
+            const int rb = std::min(kRowBlock, nr - c0);
+            gather(c0, rb);
+            be.layerNormRows(ws.h.data(), blk.ln1->gamma->value.data(),
+                             blk.ln1->beta->value.data(), eps, ws.ln.data(),
+                             ws.xhat.data(), ws.invstd.data(), rb, d);
+            linear(be, ws.ln.data(), *attn.wq, rb, ws.proj.data());
+            for (int r = 0; r < rb; ++r)
+                for (int hh = 0; hh < heads; ++hh)
+                    std::copy_n(ws.proj.data() + size_t(r) * d + hh * hd, hd,
+                                ws.q.data() +
+                                    (size_t(hh) * n + c0 + r) * hd);
+            linear(be, ws.ln.data(), *attn.wk, rb, ws.proj.data());
+            for (int r = 0; r < rb; ++r) {
+                const int i = ws.rows[c0 + r];
+                putK(i, ws.proj.data() + size_t(r) * d);
+                if (prime)
+                    std::copy_n(ws.proj.data() + size_t(r) * d, d,
+                                lc->k.data() + size_t(i) * d);
             }
-            float* lrow = ln.data() + size_t(i) * d;
-            layerNormRow(h.data() + size_t(i) * d, *blk.ln1->gamma,
-                         *blk.ln1->beta, lrow, d);
-            linearRow(lrow, *blk.attn->wq->weight, *blk.attn->wq->bias, qrow);
-            linearRow(lrow, *blk.attn->wk->weight, *blk.attn->wk->bias, krow);
-            linearRow(lrow, *blk.attn->wv->weight, *blk.attn->wv->bias, vrow);
-            if (!partial) {
-                std::copy(krow, krow + d, lc.k.data() + size_t(i) * d);
-                std::copy(vrow, vrow + d, lc.v.data() + size_t(i) * d);
+            linear(be, ws.ln.data(), *attn.wv, rb, ws.proj.data());
+            for (int r = 0; r < rb; ++r) {
+                const int i = ws.rows[c0 + r];
+                putV(i, ws.proj.data() + size_t(r) * d);
+                if (prime)
+                    std::copy_n(ws.proj.data() + size_t(r) * d, d,
+                                lc->v.data() + size_t(i) * d);
             }
         }
-
-        // Attention + FFN per row.
-        std::vector<float> scores(n);
-        for (int i = 0; i < n; ++i) {
-            float* hrow = h.data() + size_t(i) * d;
-            if (reuse[i]) {
-                const float* src = lc.hout.data() + size_t(i) * d;
-                std::copy(src, src + d, hrow);
+        // Reused rows: cached keys, values and block outputs.
+        for (int i = 0; i < n && nr < n; ++i) {
+            if (!reuse[i])
                 continue;
-            }
-            float* crow = ctx.data() + size_t(i) * d;
+            putK(i, lc->k.data() + size_t(i) * d);
+            putV(i, lc->v.data() + size_t(i) * d);
+            std::copy_n(lc->hout.data() + size_t(i) * d, d,
+                        x + size_t(i) * d);
+        }
+
+        // Attention and FFN of the recomputed rows, one block at a time.
+        for (int c0 = 0; c0 < nr; c0 += kRowBlock) {
+            const int rb = std::min(kRowBlock, nr - c0);
+            const size_t cells = size_t(rb) * n;
+            gather(c0, rb);
+            // The block's separation-mask rows, shared by every head.
+            if (lay.masked)
+                for (int r = 0; r < rb; ++r)
+                    for (int j = 0; j < n; ++j)
+                        ws.mask[size_t(r) * n + j] =
+                            blocked(lay, ws.rows[c0 + r], j) ? -1e9f : 0.f;
             for (int hh = 0; hh < heads; ++hh) {
-                const float* qh = q.data() + size_t(i) * d + hh * hd;
-                float mx = -1e30f;
-                for (int jj = 0; jj < n; ++jj) {
-                    if (blocked(lay, i, jj)) {
-                        scores[jj] = -1e30f;
-                        continue;
-                    }
-                    const float* kh = k.data() + size_t(jj) * d + hh * hd;
-                    float s = 0.f;
-                    for (int x = 0; x < hd; ++x)
-                        s += qh[x] * kh[x];
-                    s *= inv_sqrt;
-                    scores[jj] = s;
-                    mx = std::max(mx, s);
-                }
-                float sum = 0.f;
-                for (int jj = 0; jj < n; ++jj) {
-                    scores[jj] = std::exp(scores[jj] - mx);
-                    sum += scores[jj];
-                }
-                float invs = 1.f / sum;
-                float* out = crow + hh * hd;
-                for (int x = 0; x < hd; ++x)
-                    out[x] = 0.f;
-                for (int jj = 0; jj < n; ++jj) {
-                    float w = scores[jj] * invs;
-                    if (w < 1e-9f)
-                        continue;
-                    const float* vh = v.data() + size_t(jj) * d + hh * hd;
-                    for (int x = 0; x < hd; ++x)
-                        out[x] += w * vh[x];
-                }
+                // scores = q_h k_h^T, then x 1/sqrt(hd), then + mask.
+                float* s = ws.scores.data();
+                float* p = ws.probs.data();
+                std::fill_n(s, cells, 0.f);
+                nn::gemmAccum(be, ws.q.data() + (size_t(hh) * n + c0) * hd,
+                              ws.kt.data() + size_t(hh) * hd * n, s, rb, hd,
+                              n);
+                be.scaleElem(invSqrt, s, p, cells);
+                if (lay.masked)
+                    for (size_t e = 0; e < cells; ++e)
+                        p[e] += ws.mask[e];
+                be.softmaxRows(p, s, rb, n);
+                std::fill_n(ws.head.data(), size_t(rb) * hd, 0.f);
+                nn::gemmAccum(be, s, ws.v.data() + size_t(hh) * n * hd,
+                              ws.head.data(), rb, n, hd);
+                for (int r = 0; r < rb; ++r)
+                    std::copy_n(ws.head.data() + size_t(r) * hd, hd,
+                                ws.ctx.data() + size_t(r) * d + hh * hd);
             }
-            // Output projection + residual.
-            linearRow(crow, *blk.attn->wo->weight, *blk.attn->wo->bias,
-                      scratch.data());
-            for (int x = 0; x < d; ++x)
-                hrow[x] += scratch[x];
+            float* h = ws.h.data();
+            const size_t blockSize = size_t(rb) * d;
+            linear(be, ws.ctx.data(), *attn.wo, rb, ws.proj.data());
+            for (size_t e = 0; e < blockSize; ++e)
+                h[e] += ws.proj[e];
 
-            // FFN with pre-LN + residual.
-            std::vector<float> f_in(d), f_mid(ffn);
-            layerNormRow(hrow, *blk.ln2->gamma, *blk.ln2->beta, f_in.data(),
-                         d);
-            linearRow(f_in.data(), *blk.ff1->weight, *blk.ff1->bias,
-                      f_mid.data());
-            for (int x = 0; x < ffn; ++x)
-                f_mid[x] = geluScalar(f_mid[x]);
-            linearRow(f_mid.data(), *blk.ff2->weight, *blk.ff2->bias,
-                      scratch.data());
-            for (int x = 0; x < d; ++x)
-                hrow[x] += scratch[x];
+            be.layerNormRows(h, blk.ln2->gamma->value.data(),
+                             blk.ln2->beta->value.data(), eps, ws.ln.data(),
+                             ws.xhat.data(), ws.invstd.data(), rb, d);
+            linear(be, ws.ln.data(), *blk.ff1, rb, ws.mid.data());
+            be.geluForward(ws.mid.data(), ws.act.data(), nullptr,
+                           size_t(rb) * enc.cfg.ffn);
+            linear(be, ws.act.data(), *blk.ff2, rb, ws.proj.data());
+            for (size_t e = 0; e < blockSize; ++e)
+                h[e] += ws.proj[e];
 
-            if (!partial) {
-                float* dst = lc.hout.data() + size_t(i) * d;
-                std::copy(hrow, hrow + d, dst);
+            for (int r = 0; r < rb; ++r) {
+                const int i = ws.rows[c0 + r];
+                std::copy_n(h + size_t(r) * d, d, x + size_t(i) * d);
+                if (prime)
+                    std::copy_n(h + size_t(r) * d, d,
+                                lc->hout.data() + size_t(i) * d);
             }
         }
     }
 
-    // Final LN + mean pool.
-    std::vector<float> pooled(d, 0.f), lrow(d);
-    for (int i = 0; i < n; ++i) {
-        layerNormRow(h.data() + size_t(i) * d, *enc.lnFinal->gamma,
-                     *enc.lnFinal->beta, lrow.data(), d);
-        for (int j = 0; j < d; ++j)
-            pooled[j] += lrow[j];
+    // Final LN, then the mean over rows in ascending order.
+    std::fill_n(pooled, d, 0.f);
+    for (int r0 = 0; r0 < n; r0 += kRowBlock) {
+        const int rb = std::min(kRowBlock, n - r0);
+        be.layerNormRows(x + size_t(r0) * d, enc.lnFinal->gamma->value.data(),
+                         enc.lnFinal->beta->value.data(), eps, ws.ln.data(),
+                         ws.xhat.data(), ws.invstd.data(), rb, d);
+        for (int r = 0; r < rb; ++r)
+            for (int j = 0; j < d; ++j)
+                pooled[j] += ws.ln[size_t(r) * d + j];
     }
     for (int j = 0; j < d; ++j)
         pooled[j] /= n;
-    return pooled;
 }
 
 nn::TensorPtr
 InferenceSession::forwardPooledBatch(
     const std::vector<const EncodedProgram*>& eps)
 {
-    // NOTE: this is the batched twin of forwardPooled() below, minus
-    // the prefix-cache reuse logic. The two must stay in bitwise
-    // lockstep per row (same kernels, same per-row op order, same
-    // -1e30f mask and w < 1e-9f skip) — any numeric change here must
-    // be mirrored there and vice versa. The contract is pinned by
-    // tests/test_nn_batch.cc (InferenceSessionBatch) and
-    // tests/test_serve.cc.
     LLM_CHECK(!eps.empty(), "forwardPooledBatch with no encodings");
-    const nn::TransformerEncoder& enc = model_.encoder();
+    const nn::EncoderConfig& cfg = model_.encoder().cfg;
     const int B = static_cast<int>(eps.size());
-    const int d = enc.cfg.dim;
-    const int heads = enc.cfg.heads;
-    const int hd = d / heads;
-    const int ffn = enc.cfg.ffn;
-    const int layers = static_cast<int>(enc.blocks.size());
-
-    // Ragged stacking: sequence b owns rows [off[b], off[b+1]) of every
-    // stacked activation buffer. No padding — the fast path has no
-    // fixed-shape tensors to satisfy, so padded rows would be pure waste.
     std::vector<Layout> lays;
-    std::vector<int> off(B + 1, 0);
     lays.reserve(eps.size());
-    for (int b = 0; b < B; ++b) {
-        lays.push_back(computeLayout(*eps[b]));
-        off[b + 1] = off[b] + lays[b].n;
+    int maxN = 0;
+    for (const EncodedProgram* ep : eps) {
+        lays.push_back(computeLayout(*ep));
+        maxN = std::max(maxN, lays.back().n);
     }
-    const int total = off[B];
-
-    // ---- Embedding + positions, all rows ----
-    std::vector<float> h(size_t(total) * d);
-    const nn::Tensor& table = *enc.tok->table;
-    const nn::Tensor& pos = *enc.pos;
-    for (int b = 0; b < B; ++b) {
-        for (int i = 0; i < lays[b].n; ++i) {
-            float* row = h.data() + size_t(off[b] + i) * d;
-            const float* te =
-                table.value.data() + size_t(eps[b]->tokens[i]) * d;
-            const float* pe =
-                pos.value.data() + size_t(i % enc.cfg.maxSeq) * d;
-            for (int j = 0; j < d; ++j)
-                row[j] = te[j] + pe[j];
-        }
-    }
-    stats_.rowsComputed += total;
-
-    std::vector<float> ln(size_t(total) * d), q(size_t(total) * d),
-        k(size_t(total) * d), v(size_t(total) * d), ctx(size_t(total) * d),
-        scratch(std::max(d, ffn));
-    std::vector<float> f_in(d), f_mid(ffn);
-    float inv_sqrt = 1.f / std::sqrt(static_cast<float>(hd));
-
-    for (int l = 0; l < layers; ++l) {
-        const nn::TransformerBlock& blk = *enc.blocks[l];
-
-        // Stage 1 — LN1 + Q/K/V projections across the whole batch: the
-        // projection weights stream through cache once per stage instead
-        // of once per sequence.
-        for (int r = 0; r < total; ++r) {
-            float* lrow = ln.data() + size_t(r) * d;
-            layerNormRow(h.data() + size_t(r) * d, *blk.ln1->gamma,
-                         *blk.ln1->beta, lrow, d);
-            linearRow(lrow, *blk.attn->wq->weight, *blk.attn->wq->bias,
-                      q.data() + size_t(r) * d);
-            linearRow(lrow, *blk.attn->wk->weight, *blk.attn->wk->bias,
-                      k.data() + size_t(r) * d);
-            linearRow(lrow, *blk.attn->wv->weight, *blk.attn->wv->bias,
-                      v.data() + size_t(r) * d);
-        }
-
-        // Stage 2 — attention + FFN, per sequence block (scores never
-        // cross a block boundary).
-        for (int b = 0; b < B; ++b) {
-            const Layout& lay = lays[b];
-            const int n = lay.n;
-            const float* kb = k.data() + size_t(off[b]) * d;
-            const float* vb = v.data() + size_t(off[b]) * d;
-            std::vector<float> scores(n);
-            for (int i = 0; i < n; ++i) {
-                float* hrow = h.data() + size_t(off[b] + i) * d;
-                float* crow = ctx.data() + size_t(off[b] + i) * d;
-                for (int hh = 0; hh < heads; ++hh) {
-                    const float* qh =
-                        q.data() + size_t(off[b] + i) * d + hh * hd;
-                    float mx = -1e30f;
-                    for (int jj = 0; jj < n; ++jj) {
-                        if (blocked(lay, i, jj)) {
-                            scores[jj] = -1e30f;
-                            continue;
-                        }
-                        const float* kh = kb + size_t(jj) * d + hh * hd;
-                        float s = 0.f;
-                        for (int x = 0; x < hd; ++x)
-                            s += qh[x] * kh[x];
-                        s *= inv_sqrt;
-                        scores[jj] = s;
-                        mx = std::max(mx, s);
-                    }
-                    float sum = 0.f;
-                    for (int jj = 0; jj < n; ++jj) {
-                        scores[jj] = std::exp(scores[jj] - mx);
-                        sum += scores[jj];
-                    }
-                    float invs = 1.f / sum;
-                    float* out = crow + hh * hd;
-                    for (int x = 0; x < hd; ++x)
-                        out[x] = 0.f;
-                    for (int jj = 0; jj < n; ++jj) {
-                        float w = scores[jj] * invs;
-                        if (w < 1e-9f)
-                            continue;
-                        const float* vh = vb + size_t(jj) * d + hh * hd;
-                        for (int x = 0; x < hd; ++x)
-                            out[x] += w * vh[x];
-                    }
-                }
-                // Output projection + residual.
-                linearRow(crow, *blk.attn->wo->weight, *blk.attn->wo->bias,
-                          scratch.data());
-                for (int x = 0; x < d; ++x)
-                    hrow[x] += scratch[x];
-
-                // FFN with pre-LN + residual.
-                layerNormRow(hrow, *blk.ln2->gamma, *blk.ln2->beta,
-                             f_in.data(), d);
-                linearRow(f_in.data(), *blk.ff1->weight, *blk.ff1->bias,
-                          f_mid.data());
-                for (int x = 0; x < ffn; ++x)
-                    f_mid[x] = geluScalar(f_mid[x]);
-                linearRow(f_mid.data(), *blk.ff2->weight, *blk.ff2->bias,
-                          scratch.data());
-                for (int x = 0; x < d; ++x)
-                    hrow[x] += scratch[x];
-            }
-        }
-    }
-
-    // Final LN + per-sequence mean pool.
-    auto out = nn::Tensor::zeros(B, d);
-    std::vector<float> lrow(d);
-    for (int b = 0; b < B; ++b) {
-        float* prow = out->value.data() + size_t(b) * d;
-        for (int i = 0; i < lays[b].n; ++i) {
-            layerNormRow(h.data() + size_t(off[b] + i) * d,
-                         *enc.lnFinal->gamma, *enc.lnFinal->beta,
-                         lrow.data(), d);
-            for (int j = 0; j < d; ++j)
-                prow[j] += lrow[j];
-        }
-        for (int j = 0; j < d; ++j)
-            prow[j] /= lays[b].n;
-    }
+    Workspace ws(maxN, cfg);
+    auto out = nn::Tensor::zeros(B, cfg.dim);
+    for (int b = 0; b < B; ++b)
+        forwardPooled(*eps[b], lays[b], {}, /*prime=*/false, ws,
+                      out->value.data() + size_t(b) * cfg.dim);
     stats_.fullForwards += B;
     return out;
 }
@@ -453,7 +344,16 @@ InferenceSession::pooled(const EncodedProgram& ep, bool use_cache)
     Layout lay = computeLayout(ep);
     bool partial = use_cache && cacheValid_ && cacheKey_ == lay.staticKey &&
                    cacheLen_ >= lay.staticLen;
-    std::vector<float> pooled = forwardPooled(ep, lay, partial);
+    // Rows served from the cache; a miss recomputes every row.
+    std::vector<uint8_t> reuse;
+    if (partial) {
+        reuse.assign(lay.n, 0);
+        for (int i = 0; i < lay.n && i < cacheLen_; ++i)
+            reuse[i] = lay.reusable[i] && cacheReusable_[i];
+    }
+    Workspace ws(lay.n, model_.encoder().cfg);
+    auto out = nn::Tensor::zeros(1, model_.encoder().cfg.dim);
+    forwardPooled(ep, lay, reuse, /*prime=*/!partial, ws, out->value.data());
     if (partial) {
         ++stats_.cachedForwards;
     } else {
@@ -463,8 +363,7 @@ InferenceSession::pooled(const EncodedProgram& ep, bool use_cache)
         cacheLen_ = lay.n;
         cacheReusable_ = lay.reusable;
     }
-    int dim = static_cast<int>(pooled.size());
-    return nn::Tensor::fromData(1, dim, std::move(pooled));
+    return out;
 }
 
 NumericPrediction

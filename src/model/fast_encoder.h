@@ -60,7 +60,16 @@ struct SessionStats
     long rowsReused = 0;     //!< transformer rows served from cache
 };
 
-/** Cached, autograd-free inference over a trained CostModel. */
+/**
+ * Cached, autograd-free inference over a trained CostModel.
+ *
+ * Every no-gradient encoder forward in the tree runs here: serving,
+ * CostModel::predict (eval, the examples, calibration's predict) and the
+ * DPO reference forward. It is one function over the nn::Backend
+ * kernels in the autograd graph's op order, so each pooled row equals
+ * CostModel::pooledForward bit for bit, on every backend. Prefix reuse
+ * is a per-row mask of that same function.
+ */
 class InferenceSession
 {
   public:
@@ -79,19 +88,19 @@ class InferenceSession
      * DigitHead::decode. This is the forward half of predict(),
      * exposed so callers querying several metrics for one encoding —
      * the batched prediction server — can share a single forward
-     * across the per-metric decodes.
+     * across the per-metric decodes. Without a cache hit the row equals
+     * CostModel::pooledForward(ep) bit for bit.
      */
     nn::TensorPtr pooled(const EncodedProgram& ep, bool use_cache);
 
     /**
      * Batched autograd-free pooled forward: one pass over B encodings,
-     * returning pooled rows [B, dim]. Row i is bit-identical to
-     * pooled(*eps[i], use_cache=false) — sequences never interact,
-     * and every row runs the exact per-row float-op sequence of the
-     * sequential fast path. The prefix cache is neither consulted nor
-     * re-primed (batch traffic has no single "previous" program), so
-     * interleaving batched and cached calls is safe. This is the
-     * serving workers' per-micro-batch entry point.
+     * returning pooled rows [B, dim]. Row i equals
+     * CostModel::pooledForward(*eps[i]) and pooled(*eps[i], false) bit
+     * for bit — sequences never interact. The prefix cache is neither
+     * consulted nor re-primed (batch traffic has no single "previous"
+     * program), so interleaving batched and cached calls is safe. This
+     * is the serving workers' per-micro-batch entry point.
      */
     nn::TensorPtr
     forwardPooledBatch(const std::vector<const EncodedProgram*>& eps);
@@ -109,7 +118,6 @@ class InferenceSession
     bool cacheValid_ = false;
     uint64_t cacheKey_ = 0;
     int cacheLen_ = 0; //!< rows covered by the cache (static prefix)
-    std::vector<float> cacheH0_; //!< embedding+position rows
     struct LayerCache
     {
         std::vector<float> k, v;  //!< projected keys/values [len, dim]
@@ -124,6 +132,7 @@ class InferenceSession
         int n = 0;
         int staticLen = 0;
         uint64_t staticKey = 0;
+        bool masked = false;           //!< buildSeparationMask != nullptr
         std::vector<uint8_t> reusable; //!< ClassI-op / Params rows
         std::vector<uint8_t> dataRow;  //!< rows inside the data segment
         std::vector<uint8_t> classIRow;//!< rows inside Class I operators
@@ -133,13 +142,18 @@ class InferenceSession
     /** Separation-mask predicate (mirrors buildSeparationMask). */
     static bool blocked(const Layout& lay, int i, int j);
 
+    struct Workspace;
+
     /**
-     * Forward pass. When 'partial' is true, rows flagged reusable are
-     * served from the cache; otherwise everything is computed and the
-     * cache re-primed.
+     * The one forward: writes ep's pooled row to `pooled` (dim floats).
+     * Rows flagged in `reuse` (empty = none) take their keys, values
+     * and block outputs from the cache; all others are recomputed.
+     * With `prime`, every row's keys, values and block outputs are
+     * stored as the new cache.
      */
-    std::vector<float> forwardPooled(const EncodedProgram& ep,
-                                     const Layout& lay, bool partial);
+    void forwardPooled(const EncodedProgram& ep, const Layout& lay,
+                       const std::vector<uint8_t>& reuse, bool prime,
+                       Workspace& ws, float* pooled);
 };
 
 } // namespace model

@@ -43,7 +43,13 @@ namespace llmulator {
 namespace net {
 
 constexpr uint32_t kSnapshotMagic = 0x4C4D5043; // "LMPC"
-constexpr uint32_t kSnapshotFormat = 1;
+/**
+ * Bumped whenever served answers change bits under an unchanged (key,
+ * model version) pair, so an older file loads nothing instead of
+ * replaying stale answers as current. 2: serving moved onto the
+ * autograd graph's float sequence.
+ */
+constexpr uint32_t kSnapshotFormat = 2;
 
 /** What loadSnapshot() found on disk. */
 struct Snapshot

@@ -106,8 +106,12 @@ struct Backend
                           const float* beta, float eps, float* y,
                           float* xhat, float* invstd, int m, int n);
 
-    /** GELU forward (tanh approximation), y[i] = gelu(x[i]). */
-    void (*geluForward)(const float* x, float* y, std::size_t n);
+    /**
+     * GELU forward (tanh approximation), y[i] = gelu(x[i]). When t is
+     * non-null it also receives the tanh value each y[i] was built
+     * from, which the backward pass reuses instead of recomputing.
+     */
+    void (*geluForward)(const float* x, float* y, float* t, std::size_t n);
 
     /** y[i] = a[i] + b[i]. */
     void (*addElem)(const float* a, const float* b, float* y,

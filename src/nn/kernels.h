@@ -39,7 +39,7 @@ void softmaxRows(const float* x, float* y, int m, int n);
 void layerNormRows(const float* x, const float* gamma, const float* beta,
                    float eps, float* y, float* xhat, float* invstd,
                    int m, int n);
-void geluForward(const float* x, float* y, std::size_t n);
+void geluForward(const float* x, float* y, float* t, std::size_t n);
 void addElem(const float* a, const float* b, float* y, std::size_t n);
 void subElem(const float* a, const float* b, float* y, std::size_t n);
 void mulElem(const float* a, const float* b, float* y, std::size_t n);
@@ -60,7 +60,7 @@ void softmaxRows(const float* x, float* y, int m, int n);
 void layerNormRows(const float* x, const float* gamma, const float* beta,
                    float eps, float* y, float* xhat, float* invstd,
                    int m, int n);
-void geluForward(const float* x, float* y, std::size_t n);
+void geluForward(const float* x, float* y, float* t, std::size_t n);
 void addElem(const float* a, const float* b, float* y, std::size_t n);
 void subElem(const float* a, const float* b, float* y, std::size_t n);
 void mulElem(const float* a, const float* b, float* y, std::size_t n);

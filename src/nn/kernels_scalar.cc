@@ -117,12 +117,14 @@ layerNormRows(const float* x, const float* gamma, const float* beta,
 }
 
 void
-geluForward(const float* x, float* y, std::size_t n)
+geluForward(const float* x, float* y, float* t, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i) {
         float v = x[i];
-        float t = std::tanh(kGeluC * (v + kGeluA * v * v * v));
-        y[i] = 0.5f * v * (1.f + t);
+        float th = std::tanh(kGeluC * (v + kGeluA * v * v * v));
+        y[i] = 0.5f * v * (1.f + th);
+        if (t)
+            t[i] = th;
     }
 }
 

@@ -497,7 +497,7 @@ layerNormRows(const float* x, const float* gamma, const float* beta,
 }
 
 void
-geluForward(const float* x, float* y, std::size_t n)
+geluForward(const float* x, float* y, float* t, std::size_t n)
 {
     // tanh() is a scalar libm call, so this matches the scalar kernel;
     // it lives here (not shared) so a future backend with a vector math
@@ -505,8 +505,10 @@ geluForward(const float* x, float* y, std::size_t n)
     // results, which rules out polynomial tanh approximations.
     for (std::size_t i = 0; i < n; ++i) {
         float v = x[i];
-        float t = std::tanh(kGeluC * (v + kGeluA * v * v * v));
-        y[i] = 0.5f * v * (1.f + t);
+        float th = std::tanh(kGeluC * (v + kGeluA * v * v * v));
+        y[i] = 0.5f * v * (1.f + th);
+        if (t)
+            t[i] = th;
     }
 }
 

@@ -12,9 +12,10 @@
  * before the softmax so the attention weight is exactly zero.
  *
  * Every forward() runs one sequence and records the autograd tape that
- * training backpropagates through. Batched inference does not use these
- * layers: serving runs model::InferenceSession::forwardPooledBatch, an
- * autograd-free forward over the same weights.
+ * training backpropagates through. Forwards that need no gradient do not
+ * use these layers: model::InferenceSession makes the same backend calls
+ * in the same order without a tape, so its pooled rows equal
+ * TransformerEncoder::forward's bit for bit.
  */
 
 #include <memory>

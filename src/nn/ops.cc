@@ -67,6 +67,14 @@ countGemm(GemmKernel kernel, const Backend& be, uint64_t flops)
 
 } // namespace
 
+void
+gemmAccum(const Backend& be, const float* a, const float* b, float* c, int m,
+          int k, int n)
+{
+    be.gemmAccum(a, b, c, m, k, n);
+    countGemm(kGemmAccum, be, 2ull * uint64_t(m) * uint64_t(k) * uint64_t(n));
+}
+
 TensorPtr
 matmul(const TensorPtr& a, const TensorPtr& b)
 {
@@ -74,14 +82,8 @@ matmul(const TensorPtr& a, const TensorPtr& b)
               "matmul shape mismatch " << a->rows << "x" << a->cols << " * "
                                        << b->rows << "x" << b->cols);
     auto out = Tensor::zeros(a->rows, b->cols);
-    {
-        const Backend& be = backend();
-        be.gemmAccum(a->value.data(), b->value.data(), out->value.data(),
-                     a->rows, a->cols, b->cols);
-        countGemm(kGemmAccum, be,
-                  2ull * uint64_t(a->rows) * uint64_t(a->cols) *
-                      uint64_t(b->cols));
-    }
+    gemmAccum(backend(), a->value.data(), b->value.data(), out->value.data(),
+              a->rows, a->cols, b->cols);
     if (anyRequiresGrad(a, b)) {
         out->requiresGrad = true;
         out->parents = {a, b};
@@ -292,18 +294,21 @@ TensorPtr
 gelu(const TensorPtr& x)
 {
     auto out = Tensor::zeros(x->rows, x->cols);
+    // The forward's tanh values stay on the tape for the backward.
+    std::shared_ptr<std::vector<float>> tanhs;
+    if (anyRequiresGrad(x))
+        tanhs = std::make_shared<std::vector<float>>(x->value.size());
     backend().geluForward(x->value.data(), out->value.data(),
-                          x->value.size());
+                          tanhs ? tanhs->data() : nullptr, x->value.size());
     if (anyRequiresGrad(x)) {
         out->requiresGrad = true;
         out->parents = {x};
         Tensor* self = out.get();
-        out->backwardFn = [self, x]() {
+        out->backwardFn = [self, x, tanhs]() {
             x->ensureGrad();
             for (size_t i = 0; i < x->grad.size(); ++i) {
                 float v = x->value[i];
-                float inner = kGeluC * (v + kGeluA * v * v * v);
-                float t = std::tanh(inner);
+                float t = (*tanhs)[i];
                 float dinner = kGeluC * (1.f + 3.f * kGeluA * v * v);
                 float d = 0.5f * (1.f + t) + 0.5f * v * (1.f - t * t) * dinner;
                 x->grad[i] += self->grad[i] * d;

@@ -20,6 +20,17 @@
 namespace llmulator {
 namespace nn {
 
+struct Backend;
+
+/**
+ * Raw C[m,n] += A[m,k] * B[k,n] on backend `be`, counted in the
+ * nn.gemm_accum.<backend>.{calls,flops} registry rows (gated by
+ * LLMULATOR_METRICS). matmul's forward and the autograd-free encoder
+ * forward both run their GEMMs through it.
+ */
+void gemmAccum(const Backend& be, const float* a, const float* b, float* c,
+               int m, int k, int n);
+
 /** C[m,n] = A[m,k] * B[k,n]. */
 TensorPtr matmul(const TensorPtr& a, const TensorPtr& b);
 

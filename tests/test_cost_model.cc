@@ -5,7 +5,9 @@
  * truth, and cache consistency of the fast inference path.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -13,9 +15,11 @@
 #include "dfir/builder.h"
 #include "model/cost_model.h"
 #include "model/fast_encoder.h"
+#include "nn/backend.h"
 #include "nn/optim.h"
 #include "nn/ops.h"
 #include "sim/profiler.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -73,6 +77,75 @@ tinyConfig()
     cfg.head.width = 6;
     return cfg;
 }
+
+/**
+ * Every parameter drawn from N(0, 0.3). Fresh models have zero biases
+ * and unit layer-norm gains, under which an op-order slip (say, a bias
+ * added before its GEMM instead of after) changes no bit.
+ */
+void
+randomizeWeights(CostModel& m, uint64_t seed)
+{
+    util::Rng rng(seed);
+    for (const auto& p : m.parameters())
+        for (float& v : p->value)
+            v = static_cast<float>(rng.normal(0.0, 0.3));
+}
+
+/**
+ * A hand-built encoding of exactly `len` tokens: graph, Class I op,
+ * Class II op and a tail quarter that is runtime data (masked) or
+ * hardware parameters (unmasked, so no separation mask applies).
+ */
+model::EncodedProgram
+syntheticEncoding(int len, bool masked, int vocab)
+{
+    model::EncodedProgram ep;
+    for (int i = 0; i < len; ++i)
+        ep.tokens.push_back((len + 7 * i) % vocab);
+    const int q1 = len / 4, q2 = len / 2, q3 = 3 * len / 4;
+    auto range = [&ep](int begin, int end, model::SegmentKind kind,
+                       bool classI) {
+        model::TokenRange r;
+        r.begin = begin;
+        r.end = end;
+        r.kind = kind;
+        r.classI = classI;
+        ep.ranges.push_back(r);
+    };
+    range(0, q1, model::SegmentKind::Graph, false);
+    range(q1, q2, model::SegmentKind::Op, true);
+    range(q2, q3, model::SegmentKind::Op, false);
+    range(q3, len,
+          masked ? model::SegmentKind::Data : model::SegmentKind::Params,
+          false);
+    ep.hasData = masked;
+    return ep;
+}
+
+void
+expectSamePrediction(const model::NumericPrediction& got,
+                     const model::NumericPrediction& want)
+{
+    EXPECT_EQ(got.value, want.value);
+    EXPECT_EQ(got.digits, want.digits);
+    EXPECT_EQ(got.digitProbs, want.digitProbs);
+    EXPECT_EQ(got.logProb, want.logProb);
+}
+
+/** Installs a backend for one scope. */
+class BackendGuard
+{
+  public:
+    explicit BackendGuard(const nn::Backend& be) : prev_(nn::backend())
+    {
+        nn::setBackend(be);
+    }
+    ~BackendGuard() { nn::setBackend(prev_); }
+
+  private:
+    const nn::Backend& prev_;
+};
 
 TEST(CostModel, EncodeProducesSegmentsInOrder)
 {
@@ -252,19 +325,76 @@ TEST(Calibration, ReplayBufferSlidingWindow)
 
 TEST(FastEncoder, MatchesAutogradForwardWithoutCache)
 {
-    auto cfg = tinyConfig();
-    cfg.controlFlowMask = true;
-    CostModel m(cfg);
+    CostModel m(tinyConfig());
+    randomizeWeights(m, 3);
     auto g = makeGraph({makeScale(8), makeThreshold()});
     RuntimeData data;
     data.scalars["N"] = 16;
     auto ep = m.encode(g, &data);
+    ASSERT_NE(model::buildSeparationMask(ep), nullptr);
 
-    auto slow = m.predict(ep, Metric::Cycles, 3);
+    nn::TensorPtr slowPooled = m.pooledForward(ep);
+    auto slow = m.head(Metric::Cycles).decode(slowPooled, 3);
     model::InferenceSession session(m);
-    auto fast = session.predict(ep, Metric::Cycles, false, 3);
-    EXPECT_EQ(fast.value, slow.value);
-    EXPECT_NEAR(fast.confidence(), slow.confidence(), 1e-4);
+    EXPECT_EQ(session.pooled(ep, false)->value, slowPooled->value);
+    expectSamePrediction(session.predict(ep, Metric::Cycles, false, 3), slow);
+    expectSamePrediction(m.predict(ep, Metric::Cycles, 3), slow);
+}
+
+// The no-grad forward runs attention and the FFN in 16-row blocks:
+// lengths on both sides of the block edges, with and without the
+// separation mask, one at a time and in a mixed-length batch, under
+// both backends, must all reproduce the autograd graph bit for bit.
+TEST(FastEncoder, EveryForwardEqualsAutogradAcrossRowBlockEdges)
+{
+    auto cfg = tinyConfig();
+    cfg.enc.layers = 2;
+    cfg.enc.maxSeq = 40;
+    CostModel m(cfg);
+    randomizeWeights(m, 5);
+    std::vector<model::EncodedProgram> eps;
+    for (int len : {1, 15, 16, 17, 31, 33, cfg.enc.maxSeq})
+        for (bool masked : {false, true})
+            eps.push_back(
+                syntheticEncoding(len, masked, m.config().enc.vocab));
+
+    std::vector<std::vector<float>> scalarRows;
+    for (const nn::Backend* be :
+         {&nn::scalarBackend(), &nn::vectorBackend()}) {
+        BackendGuard guard(*be);
+        model::InferenceSession session(m);
+        std::vector<std::vector<float>> rows;
+        for (const auto& ep : eps) {
+            const std::string what = std::string(be->name) + " len " +
+                                     std::to_string(ep.length()) +
+                                     (ep.hasData ? " masked" : "");
+            nn::TensorPtr ref = m.pooledForward(ep);
+            EXPECT_EQ(session.forwardPooledBatch({&ep})->value, ref->value)
+                << what;
+            const model::DigitHead& head = m.head(Metric::Cycles);
+            expectSamePrediction(m.predict(ep, Metric::Cycles, 3),
+                                 head.decode(ref, 3));
+            rows.push_back(ref->value);
+        }
+        for (size_t first : {size_t(0), eps.size() - 8}) {
+            std::vector<const model::EncodedProgram*> batch;
+            for (size_t i = first; i < first + 8; ++i)
+                batch.push_back(&eps[i]);
+            nn::TensorPtr out = session.forwardPooledBatch(batch);
+            ASSERT_EQ(out->rows, 8);
+            for (int b = 0; b < 8; ++b)
+                EXPECT_EQ(std::vector<float>(
+                              out->value.begin() + size_t(b) * out->cols,
+                              out->value.begin() +
+                                  size_t(b + 1) * out->cols),
+                          rows[first + b])
+                    << be->name << " B=8 row " << b;
+        }
+        if (scalarRows.empty())
+            scalarRows = rows;
+        else
+            EXPECT_EQ(rows, scalarRows) << "vector != scalar";
+    }
 }
 
 TEST(FastEncoder, CacheHitReusesRowsAndKeepsPrediction)
@@ -290,10 +420,48 @@ TEST(FastEncoder, CacheHitReusesRowsAndKeepsPrediction)
     // Cached prediction must agree with an uncached prediction on the same
     // input up to the documented Class-I approximation; with a freshly
     // initialized model the digit outputs are diffuse, so only check the
-    // mechanism here (exactness is covered by the masked-row test below).
+    // mechanism here (exactness on an unchanged input is pinned by
+    // CacheHitOnIdenticalEncodingReturnsUncachedBits).
     model::InferenceSession fresh(m);
     auto exact = fresh.predict(ep2, Metric::Cycles, false);
     EXPECT_EQ(exact.digits.size(), cached.digits.size());
+}
+
+TEST(FastEncoder, CacheHitOnIdenticalEncodingReturnsUncachedBits)
+{
+    CostModel m(tinyConfig());
+    randomizeWeights(m, 9);
+    auto g = makeGraph({makeScale(8), makeThreshold()});
+    RuntimeData data;
+    data.scalars["N"] = 16;
+    auto ep = m.encode(g, &data);
+
+    // Rows a hit may serve: Class I operator and hardware-parameter rows
+    // ahead of the data segment.
+    int staticLen = ep.length();
+    for (const auto& r : ep.ranges)
+        if (r.kind == model::SegmentKind::Data)
+            staticLen = std::min(staticLen, r.begin);
+    std::vector<uint8_t> reusable(ep.length(), 0);
+    for (const auto& r : ep.ranges)
+        if ((r.kind == model::SegmentKind::Op && r.classI) ||
+            r.kind == model::SegmentKind::Params)
+            for (int i = r.begin; i < std::min(r.end, staticLen); ++i)
+                reusable[i] = 1;
+    long nReusable = 0;
+    for (uint8_t f : reusable)
+        nReusable += f;
+    ASSERT_GT(nReusable, 0);
+    ASSERT_LT(nReusable, ep.length());
+
+    model::InferenceSession session(m);
+    nn::TensorPtr primed = session.pooled(ep, true);
+    nn::TensorPtr hit = session.pooled(ep, true);
+    EXPECT_EQ(session.stats().cachedForwards, 1);
+    EXPECT_EQ(session.stats().rowsReused, nReusable);
+    EXPECT_EQ(session.stats().rowsComputed, 2L * ep.length() - nReusable);
+    EXPECT_EQ(hit->value, primed->value);
+    EXPECT_EQ(hit->value, m.pooledForward(ep)->value);
 }
 
 TEST(FastEncoder, StaticPrefixChangeInvalidatesCache)

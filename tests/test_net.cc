@@ -328,30 +328,36 @@ TEST(PersistentCache, ReloadIntoASmallerCacheKeepsTheMostRecentlyUsed)
     std::remove(path.c_str());
 }
 
-TEST(PersistentCache, HandWrittenVersionOneFileLoads)
+TEST(PersistentCache, HandWrittenVersionTwoFileLoads)
 {
-    // The LMPC v1 layout spelled out field by field, independent of
+    // The LMPC v2 layout spelled out field by field, independent of
     // saveSnapshot(), so a format drift cannot hide behind a round trip.
-    std::string path = tempPath("v1");
-    std::string bytes;
-    net::wire::putU32(bytes, 0x4C4D5043); // "LMPC"
-    net::wire::putU32(bytes, 1);
-    net::wire::putU64(bytes, 1);          // entry count
-    net::wire::putU64(bytes, 77);         // program
-    net::wire::putU64(bytes, 78);         // input
-    net::wire::putI32(bytes, int(model::Metric::Area));
-    net::wire::putU64(bytes, 3);          // model version
-    net::wire::putI64(bytes, 4242);       // value
-    net::wire::putU32(bytes, 2);          // digits
-    net::wire::putI32(bytes, 4);
-    net::wire::putI32(bytes, 2);
-    net::wire::putU32(bytes, 1);          // digit probabilities
-    net::wire::putF64(bytes, 0.75);
-    net::wire::putF64(bytes, -0.5);       // log-prob
-    {
+    // v1 had the same fields, but its answers came from a forward whose
+    // bits differ from today's serving, so a v1 file must load nothing.
+    auto fileBytes = [](uint32_t format) {
+        std::string bytes;
+        net::wire::putU32(bytes, 0x4C4D5043); // "LMPC"
+        net::wire::putU32(bytes, format);
+        net::wire::putU64(bytes, 1);          // entry count
+        net::wire::putU64(bytes, 77);         // program
+        net::wire::putU64(bytes, 78);         // input
+        net::wire::putI32(bytes, int(model::Metric::Area));
+        net::wire::putU64(bytes, 3);          // model version
+        net::wire::putI64(bytes, 4242);       // value
+        net::wire::putU32(bytes, 2);          // digits
+        net::wire::putI32(bytes, 4);
+        net::wire::putI32(bytes, 2);
+        net::wire::putU32(bytes, 1);          // digit probabilities
+        net::wire::putF64(bytes, 0.75);
+        net::wire::putF64(bytes, -0.5);       // log-prob
+        return bytes;
+    };
+    auto writeFile = [](const std::string& path, const std::string& bytes) {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
+    };
+    std::string path = tempPath("v2");
+    writeFile(path, fileBytes(2));
 
     net::Snapshot snap = net::loadSnapshot(path, /*modelVersion=*/3);
     EXPECT_TRUE(snap.clean);
@@ -367,6 +373,12 @@ TEST(PersistentCache, HandWrittenVersionOneFileLoads)
     want.digitProbs = {0.75};
     want.logProb = -0.5;
     expectBitEqual(snap.entries[0].second, want);
+
+    writeFile(path, fileBytes(1));
+    snap = net::loadSnapshot(path, /*modelVersion=*/3);
+    EXPECT_TRUE(snap.fileFound);
+    EXPECT_FALSE(snap.clean);
+    EXPECT_TRUE(snap.entries.empty());
     std::remove(path.c_str());
 }
 

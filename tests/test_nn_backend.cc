@@ -214,9 +214,15 @@ TEST(NnBackend, RowWiseKernelsBitIdentity)
         EXPECT_TRUE(bitEqual(xh1, xh2)) << "layerNorm xhat " << m << "x" << n;
         EXPECT_TRUE(bitEqual(is1, is2)) << "layerNorm invstd " << m;
 
-        sc.geluForward(x.data(), o1.data(), sz);
-        ve.geluForward(x.data(), o2.data(), sz);
+        std::vector<float> t1(sz), t2(sz), o3(sz);
+        sc.geluForward(x.data(), o1.data(), t1.data(), sz);
+        ve.geluForward(x.data(), o2.data(), t2.data(), sz);
         EXPECT_TRUE(bitEqual(o1, o2)) << "gelu " << sz;
+        EXPECT_TRUE(bitEqual(t1, t2)) << "gelu tanh " << sz;
+        for (size_t i = 0; i < sz; ++i) // the tanh y was built from
+            ASSERT_EQ(o1[i], 0.5f * x[i] * (1.f + t1[i])) << "gelu " << i;
+        ve.geluForward(x.data(), o3.data(), nullptr, sz); // tanh optional
+        EXPECT_TRUE(bitEqual(o1, o3)) << "gelu without tanh " << sz;
 
         sc.addElem(x.data(), y.data(), o1.data(), sz);
         ve.addElem(x.data(), y.data(), o2.data(), sz);

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dfir/builder.h"
 #include "model/cost_model.h"
 #include "model/fast_encoder.h"
@@ -127,6 +129,36 @@ TEST(InferenceSessionBatch, ForwardPooledBatchMatchesSequential)
         EXPECT_EQ(rowSpan(batch, i, 1), rowSpan(ref, 0, 1))
             << "fast-path pooled row " << i;
     }
+}
+
+// The forward's GEMMs go through the counted entry point matmul uses,
+// so the nn.* FLOP rows see serving: one forward counts exactly the
+// encoder's shape formula (per layer: Q/K/V/O projections, scores and
+// P.V, two FFN matmuls; 2 FLOPs per multiply-add).
+TEST(InferenceSessionBatch, CountedFlopsOfOneForwardMatchShapeFormula)
+{
+    model::CostModel m(tinyModelConfig());
+    RuntimeData d = makeData(20);
+    auto ep = m.encode(makeGraph("f", 2), &d);
+    const nn::EncoderConfig& enc = m.config().enc;
+    const uint64_t n = uint64_t(std::min(ep.length(), enc.maxSeq));
+    const uint64_t dim = uint64_t(enc.dim), ffn = uint64_t(enc.ffn);
+
+    model::InferenceSession session(m);
+    obs::registry().reset();
+    obs::setMetricsEnabled(true);
+    session.forwardPooledBatch({&ep});
+    obs::setMetricsEnabled(false);
+    double flops = 0;
+    for (const auto& row : obs::registry().rows("nn."))
+        if (row.name.size() > 6 &&
+            row.name.compare(row.name.size() - 6, 6, ".flops") == 0)
+            flops += row.value;
+    obs::registry().reset();
+
+    EXPECT_EQ(flops, double(uint64_t(enc.layers) *
+                            (8 * n * dim * dim + 4 * n * n * dim +
+                             4 * n * dim * ffn)));
 }
 
 TEST(DigitHeadBatch, DecodeBatchMatchesSequentialDecode)
