@@ -31,6 +31,17 @@
  * backend is byte-identical to one trained under the other
  * (tests/test_nn_backend.cc pins all of this).
  *
+ * FP contraction is off in the kernel translation units, so no mul+add
+ * is ever fused behind the code's back. The transcendentals are not libm
+ * calls: softmax's exp and GELU's tanh are fixed operation sequences
+ * copied from glibc (expf, and fdlibm's tanhf over expm1f; see
+ * src/nn/transcendentals.h), which both backends evaluate — per element
+ * in scalar, 8 lanes at a time in vector. The exp sequence's fused
+ * multiply-adds are explicit fma steps of the sequence, in both
+ * backends. Results therefore do not depend on the host's libm either:
+ * on glibc 2.36 they equal std::exp/std::tanh on every float input, and
+ * elsewhere trained bits are still those of that glibc.
+ *
  * ## Finite-input contract
  *
  * The GEMM kernels skip zero multiplier elements (`a == 0.0f`, which is
@@ -92,7 +103,9 @@ struct Backend
 
     /**
      * Row-wise softmax, y[i,:] = softmax(x[i,:]): per row, subtract the
-     * row max, exponentiate, normalize by the ascending-j sum of exps.
+     * row max, exponentiate with the owned expf sequence
+     * (kernels::scalar::expSeq), normalize by the ascending-j sum of
+     * exps.
      */
     void (*softmaxRows)(const float* x, float* y, int m, int n);
 
@@ -107,8 +120,9 @@ struct Backend
                           float* xhat, float* invstd, int m, int n);
 
     /**
-     * GELU forward (tanh approximation), y[i] = gelu(x[i]). When t is
-     * non-null it also receives the tanh value each y[i] was built
+     * GELU forward (tanh approximation), y[i] = gelu(x[i]), with tanh
+     * the owned fdlibm tanhf sequence (kernels::scalar::tanhSeq). When t
+     * is non-null it also receives the tanh value each y[i] was built
      * from, which the backward pass reuses instead of recomputing.
      */
     void (*geluForward)(const float* x, float* y, float* t, std::size_t n);

@@ -14,7 +14,14 @@
  * but not the other — or one target clone but not another — would
  * silently break the bitwise contract. With contraction pinned off,
  * every per-element operation sequence is plain IEEE mul/add in both
- * backends on every architecture.
+ * backends on every architecture. The one exception is explicit: the
+ * exp sequence (transcendentals.h) calls fma at five fixed steps, in
+ * both backends, because glibc's expf does.
+ *
+ * The exp and tanh sequences are exposed raw (expSeq/tanhSeq per
+ * element, exp8/tanh8 per 8 lanes) so tests can pin them directly. The
+ * scalar softmax and GELU kernels call expSeq/tanhSeq; the vector ones
+ * inline the same lane functions exp8/tanh8 wrap.
  */
 
 #include <cstddef>
@@ -28,6 +35,11 @@ inline constexpr float kGeluC = 0.7978845608028654f; // sqrt(2/pi)
 inline constexpr float kGeluA = 0.044715f;
 
 namespace scalar {
+
+/** glibc's expf as a fixed sequence: bitwise std::exp on glibc 2.36. */
+float expSeq(float x);
+/** fdlibm's tanhf as a fixed sequence: bitwise std::tanh on glibc 2.36. */
+float tanhSeq(float x);
 
 void gemmAccum(const float* a, const float* b, float* c, int m, int k,
                int n);
@@ -49,6 +61,11 @@ void scaleElem(float alpha, const float* x, float* y, std::size_t n);
 } // namespace scalar
 
 namespace vec {
+
+/** y[l] = scalar::expSeq(x[l]) for the 8 lanes l = 0..7. */
+void exp8(const float* x, float* y);
+/** y[l] = scalar::tanhSeq(x[l]) for the 8 lanes l = 0..7. */
+void tanh8(const float* x, float* y);
 
 void gemmAccum(const float* a, const float* b, float* c, int m, int k,
                int n);

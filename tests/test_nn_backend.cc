@@ -18,11 +18,17 @@
  *     exists only relative to an unskipped evaluation.
  *  4. Selection: setBackendByName / the LLMULATOR_NN_BACKEND contract
  *     ("auto"/empty resolve to vector, unknown names are rejected).
+ *  5. The owned transcendentals (src/nn/transcendentals.h): softmax's
+ *     exp and GELU's tanh are fixed sequences copied from glibc, so
+ *     their results are pinned as bits on edge inputs — through the raw
+ *     sequences, their 8-lane forms and both backends' kernels — and
+ *     scalar == vector over a strided sweep of all float bit patterns.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -30,6 +36,7 @@
 #include "eval/model_cache.h"
 #include "harness/trainer.h"
 #include "nn/backend.h"
+#include "nn/kernels.h"
 #include "nn/layers.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
@@ -203,6 +210,20 @@ TEST(NnBackend, RowWiseKernelsBitIdentity)
         ve.softmaxRows(x.data(), o2.data(), m, n);
         EXPECT_TRUE(bitEqual(o1, o2)) << "softmaxRows " << m << "x" << n;
 
+        // Attention-shaped rows: every third cell masked by -1e9 (exp
+        // underflows to 0), and a range wide enough that x - max reaches
+        // exp's underflow band below -103.
+        auto masked = x;
+        for (size_t e = 0; e < sz; e += 3)
+            masked[e] += -1e9f;
+        sc.softmaxRows(masked.data(), o1.data(), m, n);
+        ve.softmaxRows(masked.data(), o2.data(), m, n);
+        EXPECT_TRUE(bitEqual(o1, o2)) << "masked softmax " << m << "x" << n;
+        auto wide = randVec(sz, rng, 40.0);
+        sc.softmaxRows(wide.data(), o1.data(), m, n);
+        ve.softmaxRows(wide.data(), o2.data(), m, n);
+        EXPECT_TRUE(bitEqual(o1, o2)) << "wide softmax " << m << "x" << n;
+
         auto gamma = randVec(n, rng);
         auto beta = randVec(n, rng);
         std::vector<float> xh1(sz), xh2(sz), is1(m), is2(m);
@@ -214,15 +235,23 @@ TEST(NnBackend, RowWiseKernelsBitIdentity)
         EXPECT_TRUE(bitEqual(xh1, xh2)) << "layerNorm xhat " << m << "x" << n;
         EXPECT_TRUE(bitEqual(is1, is2)) << "layerNorm invstd " << m;
 
-        std::vector<float> t1(sz), t2(sz), o3(sz);
-        sc.geluForward(x.data(), o1.data(), t1.data(), sz);
-        ve.geluForward(x.data(), o2.data(), t2.data(), sz);
-        EXPECT_TRUE(bitEqual(o1, o2)) << "gelu " << sz;
-        EXPECT_TRUE(bitEqual(t1, t2)) << "gelu tanh " << sz;
-        for (size_t i = 0; i < sz; ++i) // the tanh y was built from
-            ASSERT_EQ(o1[i], 0.5f * x[i] * (1.f + t1[i])) << "gelu " << i;
-        ve.geluForward(x.data(), o3.data(), nullptr, sz); // tanh optional
-        EXPECT_TRUE(bitEqual(o1, o3)) << "gelu without tanh " << sz;
+        // GELU over N(0, 2) and over [-30, 30]: the wide inputs reach
+        // tanh's k > 1 reductions and its |u| >= 22 saturation.
+        auto geluWide = x;
+        for (auto& v : geluWide)
+            v = static_cast<float>(rng.uniform(-30.0, 30.0));
+        for (const auto* in : {&x, &geluWide}) {
+            std::vector<float> t1(sz), t2(sz), o3(sz);
+            sc.geluForward(in->data(), o1.data(), t1.data(), sz);
+            ve.geluForward(in->data(), o2.data(), t2.data(), sz);
+            EXPECT_TRUE(bitEqual(o1, o2)) << "gelu " << sz;
+            EXPECT_TRUE(bitEqual(t1, t2)) << "gelu tanh " << sz;
+            for (size_t i = 0; i < sz; ++i) // the tanh y was built from
+                ASSERT_EQ(o1[i], 0.5f * (*in)[i] * (1.f + t1[i]))
+                    << "gelu " << i;
+            ve.geluForward(in->data(), o3.data(), nullptr, sz); // t optional
+            EXPECT_TRUE(bitEqual(o1, o3)) << "gelu without tanh " << sz;
+        }
 
         sc.addElem(x.data(), y.data(), o1.data(), sz);
         ve.addElem(x.data(), y.data(), o2.data(), sz);
@@ -245,6 +274,253 @@ TEST(NnBackend, RowWiseKernelsBitIdentity)
         ve.scaleElem(-1.7f, x.data(), o2.data(), sz);
         EXPECT_TRUE(bitEqual(o1, o2)) << "scaleElem " << sz;
     }
+}
+
+TEST(NnBackend, SoftmaxRowGroupsBitIdentity)
+{
+    // The vector kernel sums four rows' chains in one loop and runs the
+    // rows left over one at a time: m = 1..9 covers zero, one and two
+    // groups with every leftover count, at widths across the 8-lane exp
+    // groups and their tails.
+    util::Rng rng(606);
+    for (int m = 1; m <= 9; ++m) {
+        for (int n : {1, 5, 8, 13, 37, 64}) {
+            const size_t sz = size_t(m) * n;
+            auto x = randVec(sz, rng, 3.0);
+            std::vector<float> o1(sz), o2(sz);
+            nn::scalarBackend().softmaxRows(x.data(), o1.data(), m, n);
+            nn::vectorBackend().softmaxRows(x.data(), o2.data(), m, n);
+            EXPECT_TRUE(bitEqual(o1, o2)) << "softmaxRows " << m << "x" << n;
+        }
+    }
+}
+
+std::uint32_t
+bitsOf(float x)
+{
+    std::uint32_t u;
+    std::memcpy(&u, &x, sizeof(u));
+    return u;
+}
+
+float
+floatOf(std::uint32_t u)
+{
+    float x;
+    std::memcpy(&x, &u, sizeof(x));
+    return x;
+}
+
+/** A float input (as bits) and the bits glibc 2.36's libm returns. */
+struct EdgeCase
+{
+    std::uint32_t in, want;
+};
+
+/**
+ * exp: the two inputs where mul+add instead of fma changes the result,
+ * the underflow/overflow thresholds and their outer neighbours, +-0,
+ * +-inf, the smallest subnormals, a -1e9 masked attention cell, a
+ * subnormal result and a tiny negative. Expected bits are std::exp's on
+ * x86-64 glibc 2.36.
+ */
+const EdgeCase kExpEdges[] = {
+    {0xc27c65d9u, 0x11fa2993u}, // -0x1.f8cbb2p+5 (fma-sensitive)
+    {0x4202422fu, 0x56fc9f1cu}, // 0x1.04845ep+5 (fma-sensitive)
+    {0xc2cff1b4u, 0x00000001u}, // -0x1.9fe368p+6: underflow threshold
+    {0xc2cff1b5u, 0x00000000u}, // -0x1.9fe36ap+6: below it, +0
+    {0xc2ce8ecfu, 0x00000001u}, // -0x1.9d1d9ep+6: 0x1p-149 threshold
+    {0xc2ce8ed0u, 0x00000001u}, // -0x1.9d1dap+6
+    {0x42b17217u, 0x7f7fff84u}, // 0x1.62e42ep+6: overflow threshold
+    {0x42b17218u, 0x7f800000u}, // 0x1.62e43p+6: +inf
+    {0x00000000u, 0x3f800000u}, // +0
+    {0x80000000u, 0x3f800000u}, // -0
+    {0xff800000u, 0x00000000u}, // -inf
+    {0x7f800000u, 0x7f800000u}, // +inf
+    {0x00000001u, 0x3f800000u}, // 0x1p-149
+    {0x80000001u, 0x3f800000u}, // -0x1p-149
+    {0xce6e6b28u, 0x00000000u}, // -1e9f - 2.5f: a masked cell minus max
+    {0xc2b00000u, 0x0041edc4u}, // -88: a subnormal result
+    {0xb0800000u, 0x3f800000u}, // -0x1p-30
+};
+
+/**
+ * tanh: both sides of every band edge — tanhf's 2^-55, 1 and 22, and
+ * expm1f's 2^-25, 0.5*ln2 and 1.5*ln2 (at argument/2), its 27*ln2
+ * filter, and the inputs where its k reaches 23 and passes 56 — plus
+ * +-inf, +-0 and a nan. Expected bits are std::tanh's on x86-64 glibc
+ * 2.36.
+ */
+const EdgeCase kTanhEdges[] = {
+    {0x24000000u, 0x24000000u}, // 0x1p-55
+    {0x23ffffffu, 0x23ffffffu}, // 0x1.fffffep-56
+    {0xa4000000u, 0xa4000000u}, // -0x1p-55
+    {0xa3ffffffu, 0xa3ffffffu}, // -0x1.fffffep-56
+    {0x32800000u, 0x32800000u}, // 0x1p-26: expm1 argument 2^-25
+    {0x327fffffu, 0x327fffffu}, // 0x1.fffffep-27
+    {0x3e317218u, 0x3e2fb0cdu}, // expm1 argument 0.5*ln2
+    {0x3e317219u, 0x3e2fb0cdu}, // one ulp above
+    {0xbe317219u, 0xbe2fb0cdu},
+    {0x3f051591u, 0x3ef486f8u}, // one ulp below expm1 argument 1.5*ln2
+    {0x3f051592u, 0x3ef486f8u}, // expm1 argument 1.5*ln2
+    {0x3f400000u, 0x3f22991fu}, // 0.75: expm1's k <= -2
+    {0x3f800000u, 0x3f42f7d6u}, // 1.0
+    {0x3f7fffffu, 0x3f42f7d5u}, // 0x1.fffffep-1
+    {0xbf800000u, 0xbf42f7d6u}, // -1.0
+    {0x4115b843u, 0x3f800000u}, // one ulp below 27*ln2/2
+    {0x4115b844u, 0x3f800000u}, // 27*ln2/2
+    {0x40f98871u, 0x3f7ffffau}, // expm1's k = 22
+    {0x40f98872u, 0x3f7ffffau}, // k = 23
+    {0xc0f98872u, 0xbf7ffffau},
+    {0x419ca6b8u, 0x3f800000u}, // k = 56
+    {0x419ca6b9u, 0x3f800000u}, // k = 57
+    {0x41afffffu, 0x3f800000u}, // one ulp below 22
+    {0x41b00000u, 0x3f800000u}, // 22
+    {0xc1b00000u, 0xbf800000u}, // -22
+    {0x7f800000u, 0x3f800000u}, // +inf
+    {0xff800000u, 0xbf800000u}, // -inf
+    {0x00000000u, 0x00000000u}, // +0
+    {0x80000000u, 0x80000000u}, // -0
+    {0x7fc00000u, 0x7fc00000u}, // nan
+};
+
+/**
+ * Check one sequence on a table: the per-element form, and the 8-lane
+ * form with the input in each lane among neighbours from another band.
+ */
+template <size_t N>
+void
+checkEdgeTable(const EdgeCase (&table)[N], float (*seq)(float),
+               void (*lanes)(const float*, float*), const char* name)
+{
+    for (const EdgeCase& c : table) {
+        const float x = floatOf(c.in);
+        EXPECT_EQ(c.want, bitsOf(seq(x)))
+            << name << " scalar, input 0x" << std::hex << c.in;
+        for (int l = 0; l < 8; ++l) {
+            float in[8], out[8];
+            for (int k = 0; k < 8; ++k)
+                in[k] = 0.5f * float(k - 4);
+            in[l] = x;
+            lanes(in, out);
+            EXPECT_EQ(c.want, bitsOf(out[l]))
+                << name << " lane " << l << ", input 0x" << std::hex << c.in;
+        }
+    }
+}
+
+TEST(NnBackend, ExpSequenceMatchesGlibcOnEdgeInputs)
+{
+    checkEdgeTable(kExpEdges, nn::kernels::scalar::expSeq,
+                   nn::kernels::vec::exp8, "exp");
+}
+
+TEST(NnBackend, TanhSequenceMatchesGlibcOnEdgeInputs)
+{
+    checkEdgeTable(kTanhEdges, nn::kernels::scalar::tanhSeq,
+                   nn::kernels::vec::tanh8, "tanh");
+}
+
+TEST(NnBackend, TranscendentalEdgesThroughKernels)
+{
+    // softmaxRows: rows of the exp table's non-positive inputs plus a 0,
+    // so the row max is 0 and each cell exponentiates its edge input
+    // exactly. The 11-wide rows are one 8-lane group plus a 3-lane tail;
+    // each of the 5 rows is the list rotated by another offset, so every
+    // edge lands in lanes and in the tail, in a 4-row group and in the
+    // leftover row.
+    std::vector<EdgeCase> cells = {{0u, 0x3f800000u}};
+    for (const EdgeCase& c : kExpEdges)
+        if ((c.in >> 31) && c.in != 0x80000000u)
+            cells.push_back(c);
+    const int n = static_cast<int>(cells.size());
+    ASSERT_EQ(11, n);
+    const int m = 5;
+    std::vector<float> x(size_t(m) * n), want(x.size());
+    for (int r = 0; r < m; ++r) {
+        const int rot = r * 3;
+        float sum = 0.f;
+        for (int j = 0; j < n; ++j) {
+            const EdgeCase& c = cells[size_t((j + rot) % n)];
+            x[size_t(r) * n + j] = floatOf(c.in);
+            sum += floatOf(c.want);
+        }
+        const float inv = 1.f / sum;
+        for (int j = 0; j < n; ++j)
+            want[size_t(r) * n + j] =
+                floatOf(cells[size_t((j + rot) % n)].want) * inv;
+    }
+    for (const nn::Backend* be :
+         {&nn::scalarBackend(), &nn::vectorBackend()}) {
+        std::vector<float> y(x.size());
+        be->softmaxRows(x.data(), y.data(), m, n);
+        EXPECT_TRUE(bitEqual(want, y)) << be->name << " softmaxRows";
+    }
+
+    // geluForward: the finite tanh edges as GELU inputs, plus +-1e13,
+    // whose cube overflows so tanh's argument is +-inf and must give
+    // +-1. 29 elements: three 8-lane groups and a 5-lane tail, at two
+    // offsets.
+    std::vector<float> g;
+    for (const EdgeCase& c : kTanhEdges)
+        if (std::isfinite(floatOf(c.in)))
+            g.push_back(floatOf(c.in));
+    g.push_back(1e13f);
+    g.push_back(-1e13f);
+    ASSERT_EQ(29u, g.size());
+    for (int rot : {0, 5}) {
+        std::vector<float> in(g.size());
+        for (size_t i = 0; i < g.size(); ++i)
+            in[i] = g[(i + size_t(rot)) % g.size()];
+        std::vector<float> y1(in.size()), t1(in.size()), y2(in.size()),
+            t2(in.size());
+        nn::scalarBackend().geluForward(in.data(), y1.data(), t1.data(),
+                                        in.size());
+        nn::vectorBackend().geluForward(in.data(), y2.data(), t2.data(),
+                                        in.size());
+        EXPECT_TRUE(bitEqual(y1, y2)) << "gelu, offset " << rot;
+        EXPECT_TRUE(bitEqual(t1, t2)) << "gelu tanh, offset " << rot;
+        for (size_t i = 0; i < in.size(); ++i) {
+            if (std::fabs(in[i]) == 1e13f) {
+                EXPECT_EQ(std::copysign(1.f, in[i]), t1[i]);
+                EXPECT_EQ(std::copysign(1.f, in[i]), t2[i]);
+            }
+            EXPECT_EQ(bitsOf(nn::kernels::scalar::tanhSeq(
+                          nn::kernels::kGeluC *
+                          (in[i] + nn::kernels::kGeluA * in[i] * in[i] *
+                                       in[i]))),
+                      bitsOf(t1[i]))
+                << "gelu tanh argument of " << in[i];
+        }
+    }
+}
+
+TEST(NnBackend, TranscendentalSequencesScalarEqualsVectorStrided)
+{
+    // ~1M bit patterns spread over all 2^32 (an odd stride, so the low
+    // mantissa bits cycle through every residue): scalar == 8-lane,
+    // bitwise, nans and infinities included.
+    const std::uint64_t stride = 4099;
+    size_t expBad = 0, tanhBad = 0, checked = 0;
+    float in[8], e8[8], t8[8];
+    int lanes = 0;
+    for (std::uint64_t u = 0; u < (std::uint64_t(1) << 32); u += stride) {
+        in[lanes] = floatOf(static_cast<std::uint32_t>(u));
+        if (++lanes < 8)
+            continue;
+        lanes = 0;
+        nn::kernels::vec::exp8(in, e8);
+        nn::kernels::vec::tanh8(in, t8);
+        for (int l = 0; l < 8; ++l) {
+            expBad += bitsOf(e8[l]) != bitsOf(nn::kernels::scalar::expSeq(in[l]));
+            tanhBad +=
+                bitsOf(t8[l]) != bitsOf(nn::kernels::scalar::tanhSeq(in[l]));
+        }
+        checked += 8;
+    }
+    EXPECT_GT(checked, 1000000u);
+    EXPECT_EQ(0u, expBad);
+    EXPECT_EQ(0u, tanhBad);
 }
 
 /**
