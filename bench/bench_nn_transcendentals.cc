@@ -6,7 +6,10 @@
  *
  *  - speed: ns per element over a 4096-element block, for libm, the
  *    scalar reference's per-element sequence (scalar::expSeq/tanhSeq)
- *    and the vector backend's 8-lane form (vec::exp8/tanh8);
+ *    and the vector backend's 8-lane form (vec::exp8/tanh8); and ns per
+ *    cell of both backends' softmaxRows on an attention-shaped block,
+ *    16 rows x 271 cells with a band of cells masked by -1e9, which
+ *    adds the row max, sum and normalize around the exp lanes;
  *  - distance: the number of float inputs on which either sequence
  *    differs from libm bitwise. The full run sweeps all 2^32 bit
  *    patterns (NaNs and infinities included) on 4 threads; --quick
@@ -15,8 +18,9 @@
  *    how far that libm is from the sequences, which changes nothing in
  *    the model: the backends never call libm for these.
  *
- * CSV rows: nn_transcendentals,{exp,tanh}_ns_{libm,scalar,vector},<v>
- * and nn_transcendentals,{exp,tanh}_mismatch_vs_libm,<count>.
+ * CSV rows: nn_transcendentals,{exp,tanh}_ns_{libm,scalar,vector},<v>,
+ * nn_transcendentals,softmax_ns_per_cell_{scalar,vector},<v> and
+ * nn_transcendentals,{exp,tanh}_mismatch_vs_libm,<count>.
  */
 
 #include <algorithm>
@@ -65,12 +69,12 @@ vectorSeq(Fn f, const float* x, float* y)
 }
 
 /**
- * Median over 5 windows of ns per element for one way of evaluating f
- * over the block; each window runs whole blocks for `seconds`.
+ * Median over 5 windows of ns per element for `run`, which evaluates
+ * `elements` elements; each window runs it whole for `seconds`.
  */
 template <class Run>
 double
-nsPerElement(Run run, double seconds)
+nsPerElement(Run run, double seconds, size_t elements = kBlock)
 {
     run(); // warm-up: faults the buffers, primes the clone dispatch
     std::vector<double> ns;
@@ -84,7 +88,7 @@ nsPerElement(Run run, double seconds)
             elapsed =
                 std::chrono::duration<double>(Clock::now() - t0).count();
         } while (elapsed < seconds);
-        ns.push_back(elapsed * 1e9 / (double(reps) * kBlock));
+        ns.push_back(elapsed * 1e9 / (double(reps) * double(elements)));
     }
     std::sort(ns.begin(), ns.end());
     return ns[2];
@@ -129,6 +133,41 @@ timeRows(Fn f, const char* name, double seconds)
     bench::csv("nn_transcendentals", (base + "_ns_libm").c_str(), tLibm);
     bench::csv("nn_transcendentals", (base + "_ns_scalar").c_str(), tScalar);
     bench::csv("nn_transcendentals", (base + "_ns_vector").c_str(), tVector);
+}
+
+/**
+ * Both backends' softmaxRows on one attention-shaped block: 16 rows (the
+ * encoder forward's row block) x 271 cells, scores ~ N(0, 2) and the
+ * last 71 cells of every row masked by -1e9, as the separation mask
+ * blocks a data segment.
+ */
+void
+timeSoftmax(double seconds)
+{
+    constexpr int kRows = 16, kCells = 271, kMaskedFrom = 200;
+    util::Rng rng(2025);
+    std::vector<float> x(size_t(kRows) * kCells), y(x.size());
+    for (int r = 0; r < kRows; ++r)
+        for (int j = 0; j < kCells; ++j)
+            x[size_t(r) * kCells + j] =
+                static_cast<float>(rng.normal(0.0, 2.0)) +
+                (j >= kMaskedFrom ? -1e9f : 0.f);
+    volatile float sink = 0.f;
+    auto time = [&](void (*softmax)(const float*, float*, int, int)) {
+        return nsPerElement(
+            [&] {
+                softmax(x.data(), y.data(), kRows, kCells);
+                sink = y.back();
+            },
+            seconds, x.size());
+    };
+    const double tScalar = time(kn::scalar::softmaxRows);
+    const double tVector = time(kn::vec::softmaxRows);
+    (void)sink;
+    std::printf("softmax ns/cell (%dx%d): scalar %.2f  vector %.2f\n", kRows,
+                kCells, tScalar, tVector);
+    bench::csv("nn_transcendentals", "softmax_ns_per_cell_scalar", tScalar);
+    bench::csv("nn_transcendentals", "softmax_ns_per_cell_vector", tVector);
 }
 
 std::uint32_t
@@ -200,6 +239,7 @@ main(int argc, char** argv)
 
     timeRows(Fn::Exp, "exp", seconds);
     timeRows(Fn::Tanh, "tanh", seconds);
+    timeSoftmax(seconds);
     for (Fn f : {Fn::Exp, Fn::Tanh}) {
         const char* name = f == Fn::Exp ? "exp" : "tanh";
         const std::uint64_t bad = mismatches(f, stride);

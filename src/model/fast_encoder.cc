@@ -64,7 +64,7 @@ struct InferenceSession::Workspace
           proj(h.size()), ctx(h.size()), invstd(kRowBlock),
           head(size_t(kRowBlock) * (cfg.dim / cfg.heads)),
           scores(size_t(kRowBlock) * n), probs(scores.size()),
-          mask(scores.size()),
+          mask(scores.size()), dataCols(n), classICols(n),
           mid(size_t(kRowBlock) * cfg.ffn), act(mid.size())
     {
         rows.reserve(n);
@@ -79,6 +79,8 @@ struct InferenceSession::Workspace
     std::vector<float> invstd;                 //!< [block]
     std::vector<float> head;                   //!< [block, hd]
     std::vector<float> scores, probs, mask;    //!< [block, n]
+    std::vector<float> dataCols;   //!< [n] a Class I row's mask row
+    std::vector<float> classICols; //!< [n] a data row's mask row
     std::vector<float> mid, act;               //!< [block, ffn]
 };
 
@@ -196,6 +198,14 @@ InferenceSession::forwardPooled(const EncodedProgram& ep, const Layout& lay,
                         ws.v.data() + (size_t(hh) * n + i) * hd);
     };
 
+    // The separation mask has two kinds of rows: a Class I row blocks
+    // the data columns, a data row the Class I columns. Build each once.
+    if (lay.masked)
+        for (int j = 0; j < n; ++j) {
+            ws.dataCols[j] = lay.dataRow[j] ? -1e9f : 0.f;
+            ws.classICols[j] = lay.classIRow[j] ? -1e9f : 0.f;
+        }
+
     for (int l = 0; l < layers; ++l) {
         const nn::TransformerBlock& blk = *enc.blocks[l];
         const nn::MultiHeadSelfAttention& attn = *blk.attn;
@@ -248,12 +258,22 @@ InferenceSession::forwardPooled(const EncodedProgram& ep, const Layout& lay,
             const int rb = std::min(kRowBlock, nr - c0);
             const size_t cells = size_t(rb) * n;
             gather(c0, rb);
-            // The block's separation-mask rows, shared by every head.
+            // The block's separation-mask rows, shared by every head. A
+            // row that is both Class I and data keeps the per-cell test.
             if (lay.masked)
-                for (int r = 0; r < rb; ++r)
-                    for (int j = 0; j < n; ++j)
-                        ws.mask[size_t(r) * n + j] =
-                            blocked(lay, ws.rows[c0 + r], j) ? -1e9f : 0.f;
+                for (int r = 0; r < rb; ++r) {
+                    const int i = ws.rows[c0 + r];
+                    float* mrow = ws.mask.data() + size_t(r) * n;
+                    if (lay.classIRow[i] && lay.dataRow[i])
+                        for (int j = 0; j < n; ++j)
+                            mrow[j] = blocked(lay, i, j) ? -1e9f : 0.f;
+                    else if (lay.classIRow[i])
+                        std::copy_n(ws.dataCols.data(), n, mrow);
+                    else if (lay.dataRow[i])
+                        std::copy_n(ws.classICols.data(), n, mrow);
+                    else
+                        std::fill_n(mrow, n, 0.f);
+                }
             for (int hh = 0; hh < heads; ++hh) {
                 // scores = q_h k_h^T, then x 1/sqrt(hd), then + mask.
                 float* s = ws.scores.data();

@@ -25,11 +25,18 @@
  * sequence is FIXED — k-accumulation (and any other reduction) visits
  * terms in the same order as the scalar loops, and vectorization only
  * happens across independent output elements (columns/rows), never by
- * reordering a reduction. Because backends are interchangeable bit for
- * bit, backend choice is deliberately NOT hashed into model-cache or
- * trainer cache keys, and never needs to be: a model trained under one
- * backend is byte-identical to one trained under the other
- * (tests/test_nn_backend.cc pins all of this).
+ * reordering a reduction. The one exception is softmax's row max, which
+ * a backend may scan in any order: on finite inputs max does not depend
+ * on order except for the sign of a zero max, and x - (+0) and x - (-0)
+ * differ only in the sign of a zero, which exp maps to the same 1, so
+ * every softmax output keeps its bits. (With a NaN in a row, the max can
+ * differ; NaN rows are outside the finite-input contract below.)
+ *
+ * Because backends are interchangeable bit for bit, backend choice is
+ * deliberately NOT hashed into model-cache or trainer cache keys, and
+ * never needs to be: a model trained under one backend is byte-identical
+ * to one trained under the other (tests/test_nn_backend.cc pins all of
+ * this).
  *
  * FP contraction is off in the kernel translation units, so no mul+add
  * is ever fused behind the code's back. The transcendentals are not libm

@@ -8,7 +8,9 @@
  * operation sequence is exactly the scalar kernel's — reductions visit
  * terms in the same (ascending) order and keep the same zero-skip
  * predicate. All speed comes from restructuring ACROSS independent
- * output elements. All three GEMMs run on one register tile (`tile`):
+ * output elements. The one reduction exempt is softmax's row max,
+ * which is exact in any order on finite inputs (`rowMax` says why). All
+ * three GEMMs run on one register tile (`tile`):
  * 4 output rows by 16 columns, or one fused 8+4, 8- or 4-wide tile for
  * what a row has left (the 12-wide head-dim outputs of attention), with
  * the accumulators held in registers across the whole reduction:
@@ -31,10 +33,16 @@
  * Softmax's exp and GELU's tanh are the fixed glibc/fdlibm sequences of
  * transcendentals.h, evaluated 8 lanes at a time (`expLanes`,
  * `tanhLanes`): every lane runs the scalar sequence's operations, and a
- * branch of the scalar code becomes a per-lane blend. A row's softmax
- * sum must stay j-ascending, so it stays one add chain per row; four
- * rows' chains advance in one loop so they overlap in the adder.
- * bench/bench_nn_transcendentals.cc has the per-element timings.
+ * branch of the scalar code becomes a per-lane blend. exp runs its
+ * double-precision steps on one 8-double vector. Its table lookup is the
+ * one step that depends on the ISA: the x86-64-v4 clone holds the table
+ * in four registers and looks it up with two-source permutes, and every
+ * other clone and compiler loads per lane (`expTable`, chosen from the
+ * CPU by `permuteLookup`). The softmax row max runs on four 8-lane
+ * accumulators. A row's softmax sum must stay j-ascending, so it stays
+ * one add chain per row; four rows' chains advance in one loop so they
+ * overlap in the adder. bench/bench_nn_transcendentals.cc has the
+ * per-element and per-cell timings.
  *
  * On x86-64/glibc (GCC) the hot kernels are compiled via target_clones
  * into x86-64-v4/x86-64-v3/default variants with runtime dispatch, so a
@@ -72,7 +80,9 @@
 // The x86-64-v3/v4 levels include FMA, which the exp lanes need as an
 // instruction (avx2/avx512f alone do not enable it). Clang only learned
 // arch=x86-64-vN clones recently, so it keeps the ISA-extension clones
-// and takes libm's fma for those lanes.
+// and takes libm's fma for those lanes. LLM_KERNEL_CLONES_V4 marks the
+// builds with an x86-64-v4 clone, the one exp's permute table lookup
+// runs in (permuteLookup).
 #if !defined(LLM_NO_KERNEL_CLONES) && defined(__x86_64__) && \
     defined(__gnu_linux__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
@@ -83,6 +93,7 @@
 #define LLM_KERNEL_CLONES                                          \
     __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", \
                                  "default")))
+#define LLM_KERNEL_CLONES_V4
 #endif
 #endif
 #endif
@@ -126,9 +137,13 @@ typedef float v4f __attribute__((vector_size(16)));
 typedef std::int32_t v8i __attribute__((vector_size(32)));
 /** Float bit patterns, for exponent-field arithmetic without UB. */
 typedef std::uint32_t v8u __attribute__((vector_size(32)));
-/** The double lanes exp runs its reduction and polynomial in. */
-typedef double v4d __attribute__((vector_size(32)));
-typedef std::uint64_t v4q __attribute__((vector_size(32)));
+/**
+ * The double lanes exp runs its reduction and polynomial in: one zmm on
+ * the x86-64-v4 clone, two ymm on x86-64-v3, four SSE registers on the
+ * baseline.
+ */
+typedef double v8d __attribute__((vector_size(64)));
+typedef std::uint64_t v8q __attribute__((vector_size(64)));
 
 __attribute__((always_inline)) inline v8f
 load8(const float* p)
@@ -184,28 +199,6 @@ lo4(v8f v)
 #endif
 }
 
-/** High four lanes of v. */
-__attribute__((always_inline)) inline v4f
-hi4(v8f v)
-{
-#if defined(__has_builtin) && __has_builtin(__builtin_shufflevector)
-    return __builtin_shufflevector(v, v, 4, 5, 6, 7);
-#else
-    return v4f{v[4], v[5], v[6], v[7]};
-#endif
-}
-
-/** The 8 lanes lo[0..4) then hi[0..4). */
-__attribute__((always_inline)) inline v8f
-concat(v4f lo, v4f hi)
-{
-#if defined(__has_builtin) && __has_builtin(__builtin_shufflevector)
-    return __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7);
-#else
-    return v8f{lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]};
-#endif
-}
-
 /** Every lane s (constants fold to one broadcast). */
 template <class V, class T>
 __attribute__((always_inline)) inline V
@@ -217,7 +210,7 @@ splat(T s)
     return v;
 }
 
-/** Reinterpret the bits of one 32-byte vector as another lane type. */
+/** Reinterpret the bits of a vector as another lane type of its size. */
 template <class To, class From>
 __attribute__((always_inline)) inline To
 bitcast(From v)
@@ -229,50 +222,100 @@ bitcast(From v)
 }
 
 /** Lanes of a where mask is set (all ones), lanes of b elsewhere. */
-template <class V>
+template <class M, class V>
 __attribute__((always_inline)) inline V
-blend(v8i mask, V a, V b)
+blend(M mask, V a, V b)
 {
-    return bitcast<V>((bitcast<v8i>(a) & mask) | (bitcast<v8i>(b) & ~mask));
+    return bitcast<V>((bitcast<M>(a) & mask) | (bitcast<M>(b) & ~mask));
 }
 
 /** fma per lane: one rounding, an FMA instruction where the clone has one. */
-__attribute__((always_inline)) inline v4d
-fma4(v4d a, v4d b, v4d c)
+__attribute__((always_inline)) inline v8d
+fma8(v8d a, v8d b, v8d c)
 {
-    return v4d{__builtin_fma(a[0], b[0], c[0]), __builtin_fma(a[1], b[1], c[1]),
-               __builtin_fma(a[2], b[2], c[2]), __builtin_fma(a[3], b[3], c[3])};
+    v8d r{};
+    for (int l = 0; l < 8; ++l)
+        r[l] = __builtin_fma(a[l], b[l], c[l]);
+    return r;
 }
 
-/** scalar::expSeq's main path on 4 double lanes (no special cases). */
-__attribute__((always_inline)) inline v4f
-expCore(v4d xd)
+/** kExpTable[k .. k+8) as one vector. */
+__attribute__((always_inline)) inline v8q
+expTableRow(int k)
+{
+    v8q v;
+    std::memcpy(&v, seq::kExpTable + k, sizeof(v));
+    return v;
+}
+
+/**
+ * r[l] = the entry of the 16 lanes a[0..8), b[0..8) at idx[l] (< 16):
+ * one two-source permute (vpermt2q on the x86-64-v4 clone).
+ */
+__attribute__((always_inline)) inline v8q
+permute16(v8q a, v8q b, v8q idx)
+{
+#if defined(__GNUC__) && !defined(__clang__)
+    return __builtin_shuffle(a, b, idx);
+#else
+    v8q r{};
+    for (int l = 0; l < 8; ++l)
+        r[l] = idx[l] < 8 ? a[idx[l]] : b[idx[l] - 8];
+    return r;
+#endif
+}
+
+/**
+ * kExpTable[ki & 31] per lane. Permute holds the table in four 8-entry
+ * registers: two two-source permutes pick entry ki & 15 from each half,
+ * and bit 4 of ki picks the half. Otherwise each lane loads its entry.
+ * Only a clone with 512-bit two-source permutes runs the first form
+ * fast; elsewhere its permutes lower to a slow emulation.
+ */
+template <bool Permute>
+__attribute__((always_inline)) inline v8q
+expTable(v8q ki)
+{
+    if constexpr (Permute) {
+        const v8q low = ki & splat<v8q>(std::uint64_t(15));
+        return blend((ki & splat<v8q>(std::uint64_t(16))) != 0,
+                     permute16(expTableRow(16), expTableRow(24), low),
+                     permute16(expTableRow(0), expTableRow(8), low));
+    } else {
+        v8q t{};
+        for (int l = 0; l < 8; ++l)
+            t[l] = seq::kExpTable[ki[l] & 31];
+        return t;
+    }
+}
+
+/** scalar::expSeq's main path on 8 double lanes (no special cases). */
+template <bool Permute>
+__attribute__((always_inline)) inline v8f
+expCore(v8d xd)
 {
     using namespace seq;
-    const v4d invLn2N = splat<v4d>(kExpInvLn2N);
-    const v4d shift = splat<v4d>(kExpShift);
-    v4d kd = fma4(invLn2N, xd, shift);
-    const v4q ki = bitcast<v4q>(kd);
+    const v8d invLn2N = splat<v8d>(kExpInvLn2N);
+    const v8d shift = splat<v8d>(kExpShift);
+    v8d kd = fma8(invLn2N, xd, shift);
+    const v8q ki = bitcast<v8q>(kd);
     kd -= shift;
-    const v4d r = fma4(invLn2N, xd, -kd);
-    const v4q idx = ki & splat<v4q>(std::uint64_t(31));
-    const v4q t = v4q{kExpTable[idx[0]], kExpTable[idx[1]],
-                      kExpTable[idx[2]], kExpTable[idx[3]]} +
-                  (ki << splat<v4q>(std::uint64_t(47)));
-    const v4d s = bitcast<v4d>(t);
-    const v4d z = fma4(splat<v4d>(kExpC0), r, splat<v4d>(kExpC1));
-    v4d y = fma4(r, splat<v4d>(kExpC2), splat<v4d>(1.0));
-    y = fma4(z, r * r, y);
-    return __builtin_convertvector(y * s, v4f);
+    const v8d r = fma8(invLn2N, xd, -kd);
+    const v8q t = expTable<Permute>(ki) + (ki << splat<v8q>(std::uint64_t(47)));
+    const v8d s = bitcast<v8d>(t);
+    const v8d z = fma8(splat<v8d>(kExpC0), r, splat<v8d>(kExpC1));
+    v8d y = fma8(r, splat<v8d>(kExpC2), splat<v8d>(1.0));
+    y = fma8(z, r * r, y);
+    return __builtin_convertvector(y * s, v8f);
 }
 
 /** scalar::expSeq on 8 lanes: the main path, then its special cases. */
+template <bool Permute>
 __attribute__((always_inline)) inline v8f
 expLanes(v8f x)
 {
     using namespace seq;
-    v8f y = concat(expCore(__builtin_convertvector(lo4(x), v4d)),
-                   expCore(__builtin_convertvector(hi4(x), v4d)));
+    v8f y = expCore<Permute>(__builtin_convertvector(x, v8d));
     y = blend(x < splat<v8f>(kExpMayUnderflow), splat<v8f>(0x1p-149f), y);
     y = blend(x < splat<v8f>(kExpUnderflow), splat<v8f>(0.f), y);
     y = blend(x > splat<v8f>(kExpOverflow),
@@ -659,12 +702,47 @@ gemmAccumAt(const float* a, const float* dc, float* out, int m, int k, int n)
 
 namespace {
 
-/** The row's max, scanned like the scalar kernel. */
+/**
+ * std::max per lane: b where a < b, else a. The select lowers to maxps,
+ * where the and/or blend form costs a compare and a blend.
+ */
+__attribute__((always_inline)) inline v8f
+max8(v8f a, v8f b)
+{
+    return a < b ? b : a;
+}
+
+/**
+ * The row's max. Rows of 32 or more scan with four 8-lane accumulators,
+ * 32 elements a step, then 8 a step; the lanes reduce to one float and
+ * the scalar loop finishes the last n % 8. Shorter rows take the scalar
+ * loop throughout. This is not the scalar kernel's order, and it need
+ * not be: on finite inputs max does not depend on order except for the
+ * sign of a zero max, and x - (+0) and x - (-0) differ only in the sign
+ * of a zero, which exp maps to the same 1.
+ */
 __attribute__((always_inline)) inline float
 rowMax(const float* __restrict in, int n)
 {
     float mx = in[0];
-    for (int j = 1; j < n; ++j)
+    int j = 1;
+    if (n >= 32) {
+        v8f m0 = load8(in), m1 = load8(in + 8);
+        v8f m2 = load8(in + 16), m3 = load8(in + 24);
+        for (j = 32; j + 32 <= n; j += 32) {
+            m0 = max8(m0, load8(in + j));
+            m1 = max8(m1, load8(in + j + 8));
+            m2 = max8(m2, load8(in + j + 16));
+            m3 = max8(m3, load8(in + j + 24));
+        }
+        for (; j + 8 <= n; j += 8)
+            m0 = max8(m0, load8(in + j));
+        m0 = max8(max8(m0, m1), max8(m2, m3));
+        mx = m0[0];
+        for (int l = 1; l < 8; ++l)
+            mx = std::max(mx, m0[l]);
+    }
+    for (; j < n; ++j)
         mx = std::max(mx, in[j]);
     return mx;
 }
@@ -673,6 +751,7 @@ rowMax(const float* __restrict in, int n)
  * out[j] = exp(in[j] - mx) for j in [0, n), 8 lanes at a time; the last
  * n % 8 elements run as one group of lanes padded with zeros.
  */
+template <bool Permute>
 __attribute__((always_inline)) inline void
 expShifted(const float* __restrict in, float mx, float* __restrict out,
            int n)
@@ -680,11 +759,11 @@ expShifted(const float* __restrict in, float mx, float* __restrict out,
     const v8f m = bcast8(mx);
     int j = 0;
     for (; j + 8 <= n; j += 8)
-        store8(out + j, expLanes(load8(in + j) - m));
+        store8(out + j, expLanes<Permute>(load8(in + j) - m));
     if (j < n) {
         float buf[8] = {};
         std::memcpy(buf, in + j, size_t(n - j) * sizeof(float));
-        store8(buf, expLanes(load8(buf) - m));
+        store8(buf, expLanes<Permute>(load8(buf) - m));
         std::memcpy(out + j, buf, size_t(n - j) * sizeof(float));
     }
 }
@@ -697,38 +776,26 @@ normalize(float* __restrict out, float sum, int n)
         out[j] *= inv;
 }
 
-} // namespace
-
-LLM_KERNEL_CLONES void
-exp8(const float* x, float* y)
+/**
+ * Per row: max scan and exp lanes, then the j-ascending sum of exps and
+ * the normalize step. Each row's sum is one dependent add chain; four
+ * rows' chains advance in the same loop so they overlap in the adder,
+ * each still strictly j-ascending.
+ */
+template <bool Permute>
+__attribute__((always_inline)) inline void
+softmaxBody(const float* x, float* y, int m, int n)
 {
-    store8(y, expLanes(load8(x)));
-}
-
-LLM_KERNEL_CLONES void
-tanh8(const float* x, float* y)
-{
-    store8(y, tanhLanes(load8(x)));
-}
-
-LLM_KERNEL_CLONES void
-softmaxRows(const float* x, float* y, int m, int n)
-{
-    // Per row: max scan, exp lanes, then the j-ascending sum of exps and
-    // the normalize step. Each row's sum is one dependent add chain;
-    // four rows' chains advance in the same loop so they overlap in the
-    // adder, each still strictly j-ascending.
+    for (int i = 0; i < m; ++i) {
+        const float* row = x + size_t(i) * n;
+        expShifted<Permute>(row, rowMax(row, n), y + size_t(i) * n, n);
+    }
     int i = 0;
     for (; i + 4 <= m; i += 4) {
-        const float* in = x + size_t(i) * n;
         float* o0 = y + size_t(i) * n;
         float* o1 = o0 + n;
         float* o2 = o1 + n;
         float* o3 = o2 + n;
-        for (int r = 0; r < 4; ++r) {
-            const float* row = in + size_t(r) * n;
-            expShifted(row, rowMax(row, n), o0 + size_t(r) * n, n);
-        }
         float s0 = 0.f, s1 = 0.f, s2 = 0.f, s3 = 0.f;
         for (int j = 0; j < n; ++j) {
             s0 += o0[j];
@@ -742,14 +809,77 @@ softmaxRows(const float* x, float* y, int m, int n)
         normalize(o3, s3, n);
     }
     for (; i < m; ++i) {
-        const float* row = x + size_t(i) * n;
         float* out = y + size_t(i) * n;
-        expShifted(row, rowMax(row, n), out, n);
         float sum = 0.f;
         for (int j = 0; j < n; ++j)
             sum += out[j];
         normalize(out, sum, n);
     }
+}
+
+/**
+ * Whether exp looks its table up by permutes: exactly when the
+ * dispatcher runs the x86-64-v4 clone, the only one with 512-bit
+ * two-source permutes. Read once, from the CPU.
+ */
+#if defined(LLM_KERNEL_CLONES_V4)
+bool
+permuteLookup()
+{
+    static const bool v4 = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("x86-64-v4") != 0;
+    }();
+    return v4;
+}
+#else
+constexpr bool
+permuteLookup()
+{
+    return false;
+}
+#endif
+
+} // namespace
+
+LLM_KERNEL_CLONES void
+exp8(const float* x, float* y)
+{
+    store8(y, permuteLookup() ? expLanes<true>(load8(x))
+                              : expLanes<false>(load8(x)));
+}
+
+LLM_KERNEL_CLONES void
+expTable8Permute(const std::uint64_t* ki, std::uint64_t* t)
+{
+    v8q k;
+    std::memcpy(&k, ki, sizeof(k));
+    const v8q r = expTable<true>(k);
+    std::memcpy(t, &r, sizeof(r));
+}
+
+LLM_KERNEL_CLONES void
+expTable8Loads(const std::uint64_t* ki, std::uint64_t* t)
+{
+    v8q k;
+    std::memcpy(&k, ki, sizeof(k));
+    const v8q r = expTable<false>(k);
+    std::memcpy(t, &r, sizeof(r));
+}
+
+LLM_KERNEL_CLONES void
+tanh8(const float* x, float* y)
+{
+    store8(y, tanhLanes(load8(x)));
+}
+
+LLM_KERNEL_CLONES void
+softmaxRows(const float* x, float* y, int m, int n)
+{
+    if (permuteLookup())
+        softmaxBody<true>(x, y, m, n);
+    else
+        softmaxBody<false>(x, y, m, n);
 }
 
 LLM_KERNEL_CLONES void

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -357,6 +358,20 @@ TEST(FastEncoder, EveryForwardEqualsAutogradAcrossRowBlockEdges)
         for (bool masked : {false, true})
             eps.push_back(
                 syntheticEncoding(len, masked, m.config().enc.vocab));
+    // The longest masked encoding has Class I rows and data rows in more
+    // than one 16-row block, so the mask rows of every kind are built in
+    // more than one block.
+    std::set<int> classIBlocks, dataBlocks;
+    ASSERT_TRUE(eps.back().hasData);
+    for (const auto& r : eps.back().ranges)
+        for (int i = r.begin; i < r.end; ++i) {
+            if (r.kind == model::SegmentKind::Op && r.classI)
+                classIBlocks.insert(i / 16);
+            if (r.kind == model::SegmentKind::Data)
+                dataBlocks.insert(i / 16);
+        }
+    EXPECT_GT(classIBlocks.size(), 1u);
+    EXPECT_GT(dataBlocks.size(), 1u);
 
     std::vector<std::vector<float>> scalarRows;
     for (const nn::Backend* be :

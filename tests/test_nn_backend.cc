@@ -295,6 +295,62 @@ TEST(NnBackend, SoftmaxRowGroupsBitIdentity)
     }
 }
 
+TEST(NnBackend, SoftmaxMaxScanBitIdentity)
+{
+    // The vector kernel scans a row's max with four 8-lane accumulators
+    // over 32-element steps, then 8-element steps, then a scalar tail
+    // (rows under 32 take the scalar loop): not the scalar kernel's
+    // order. That is exact on finite inputs. Max is order-free but for
+    // the sign of a zero max, and x - (+0) and x - (-0) feed exp the
+    // same value up to the sign of a zero. Widths 1..80 and 271 cross
+    // every split of steps and tail, and each row set plants its max at
+    // every position in turn, so some rows hold it only in the tail.
+    // The cells below it include -1e9 masked cells and -inf. The zero
+    // rows plant +0 among -0 cells, and -0 among +0 cells: the one case
+    // where the order shows.
+    util::Rng rng(707);
+    std::vector<int> widths;
+    for (int n = 1; n <= 80; ++n)
+        widths.push_back(n);
+    widths.push_back(271);
+    enum Rows { Planted, PlusZeroMax, MinusZeroMax };
+    for (int m : {1, 4, 5}) {
+        for (int n : widths) {
+            const size_t sz = size_t(m) * n;
+            std::vector<float> x(sz), o1(sz), o2(sz);
+            for (int at = 0; at < n; ++at) {
+                for (Rows rows : {Planted, PlusZeroMax, MinusZeroMax}) {
+                    for (int r = 0; r < m; ++r) {
+                        float* row = x.data() + size_t(r) * n;
+                        for (int j = 0; j < n; ++j) {
+                            float v = static_cast<float>(
+                                rng.uniform(-6.0, rows == Planted ? 2.0
+                                                                  : -0.1));
+                            if ((j + r) % 5 == 2)
+                                v += -1e9f;
+                            else if (j % 11 == 4)
+                                v = -std::numeric_limits<float>::infinity();
+                            else if (rows != Planted && j % 3 == 1)
+                                v = rows == PlusZeroMax ? -0.f : 0.f;
+                            row[j] = v;
+                        }
+                        row[at] = rows == Planted       ? 3.f + float(r)
+                                  : rows == PlusZeroMax ? 0.f
+                                                        : -0.f;
+                    }
+                    nn::scalarBackend().softmaxRows(x.data(), o1.data(), m,
+                                                    n);
+                    nn::vectorBackend().softmaxRows(x.data(), o2.data(), m,
+                                                    n);
+                    ASSERT_TRUE(bitEqual(o1, o2))
+                        << "softmaxRows " << m << "x" << n << ", rows "
+                        << rows << ", max at " << at;
+                }
+            }
+        }
+    }
+}
+
 std::uint32_t
 bitsOf(float x)
 {
@@ -413,6 +469,63 @@ TEST(NnBackend, ExpSequenceMatchesGlibcOnEdgeInputs)
 {
     checkEdgeTable(kExpEdges, nn::kernels::scalar::expSeq,
                    nn::kernels::vec::exp8, "exp");
+}
+
+TEST(NnBackend, ExpTableEveryIndexInEveryLane)
+{
+    // exp looks up 2^(i/32) for i = k & 31, where k is x * 32/ln2
+    // rounded. Inputs x = k * ln2/32: lane l of call c takes the index
+    // (c + 5*l) % 32 at exponent e, so every lane meets every index,
+    // on both sides of 0.
+    const double ln2 = std::log(2.0);
+    bool seen[8][32] = {};
+    for (int sign : {-1, 1}) {
+        for (int c = 0; c < 32; ++c) {
+            float in[8], out[8];
+            for (int l = 0; l < 8; ++l) {
+                const long long i = (c + 5 * l) % 32, e = l + c % 4;
+                in[l] = static_cast<float>(double(sign * (i + 32 * e)) *
+                                           ln2 / 32.0);
+                seen[l][std::llround(double(in[l]) * 32.0 / ln2) & 31] =
+                    true;
+            }
+            nn::kernels::vec::exp8(in, out);
+            for (int l = 0; l < 8; ++l)
+                EXPECT_EQ(bitsOf(nn::kernels::scalar::expSeq(in[l])),
+                          bitsOf(out[l]))
+                    << "exp lane " << l << ", input " << in[l];
+        }
+    }
+    for (int l = 0; l < 8; ++l)
+        for (int i = 0; i < 32; ++i)
+            EXPECT_TRUE(seen[l][i]) << "lane " << l << " never met index " << i;
+}
+
+TEST(NnBackend, ExpTableLookupsAgreeOnEveryIndexAndLane)
+{
+    // exp's two table lookups, from four table registers by two-source
+    // permutes and by a load per lane, whichever clone runs them here.
+    // Lane l of call c asks for index (c + 3*l) % 32 under high bits
+    // like those of exp's k (the shifter's exponent plus a multiple of
+    // 32), which both must ignore. Each entry plus i << 47 is 2^(i/32).
+    for (int c = 0; c < 32; ++c) {
+        std::uint64_t ki[8], perm[8], loads[8];
+        for (int l = 0; l < 8; ++l)
+            ki[l] = 0x4338000000000000ull +
+                    std::uint64_t(4099 * l + 7 * c) * 32 + (c + 3 * l) % 32;
+        nn::kernels::vec::expTable8Permute(ki, perm);
+        nn::kernels::vec::expTable8Loads(ki, loads);
+        for (int l = 0; l < 8; ++l) {
+            const std::uint64_t i = ki[l] & 31;
+            EXPECT_EQ(loads[l], perm[l]) << "index " << i << ", lane " << l;
+            const std::uint64_t bits = loads[l] + (i << 47);
+            double v;
+            std::memcpy(&v, &bits, sizeof(v));
+            const double want = std::exp2(double(i) / 32.0);
+            EXPECT_LE(std::fabs(v - want), 0x1p-52 * want)
+                << "index " << i << ", lane " << l;
+        }
+    }
 }
 
 TEST(NnBackend, TanhSequenceMatchesGlibcOnEdgeInputs)
