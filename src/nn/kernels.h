@@ -25,7 +25,6 @@
  */
 
 #include <cstddef>
-#include <cstdint>
 
 namespace llmulator {
 namespace nn {
@@ -65,15 +64,6 @@ namespace vec {
 
 /** y[l] = scalar::expSeq(x[l]) for the 8 lanes l = 0..7. */
 void exp8(const float* x, float* y);
-/**
- * t[l] = seq::kExpTable[ki[l] & 31] for the 8 lanes, by exp's two table
- * lookups: from four table registers by two-source permutes (the one
- * the x86-64-v4 clone takes), and by a load per lane (every other
- * clone). exp8 and softmaxRows take the one the dispatched clone runs
- * fast; these expose both on every host.
- */
-void expTable8Permute(const std::uint64_t* ki, std::uint64_t* t);
-void expTable8Loads(const std::uint64_t* ki, std::uint64_t* t);
 /** y[l] = scalar::tanhSeq(x[l]) for the 8 lanes l = 0..7. */
 void tanh8(const float* x, float* y);
 

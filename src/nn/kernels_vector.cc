@@ -34,15 +34,12 @@
  * transcendentals.h, evaluated 8 lanes at a time (`expLanes`,
  * `tanhLanes`): every lane runs the scalar sequence's operations, and a
  * branch of the scalar code becomes a per-lane blend. exp runs its
- * double-precision steps on one 8-double vector. Its table lookup is the
- * one step that depends on the ISA: the x86-64-v4 clone holds the table
- * in four registers and looks it up with two-source permutes, and every
- * other clone and compiler loads per lane (`expTable`, chosen from the
- * CPU by `permuteLookup`). The softmax row max runs on four 8-lane
- * accumulators. A row's softmax sum must stay j-ascending, so it stays
- * one add chain per row; four rows' chains advance in one loop so they
- * overlap in the adder. bench/bench_nn_transcendentals.cc has the
- * per-element and per-cell timings.
+ * double-precision steps on one 8-double vector, and each lane loads its
+ * table entry. The softmax row max runs on four 8-lane accumulators. A
+ * row's softmax sum must stay j-ascending, so it stays one add chain per
+ * row; four rows' chains advance in one loop so they overlap in the
+ * adder. bench/bench_nn_transcendentals.cc has the per-element and
+ * per-cell timings.
  *
  * On x86-64/glibc (GCC) the hot kernels are compiled via target_clones
  * into x86-64-v4/x86-64-v3/default variants with runtime dispatch, so a
@@ -80,9 +77,7 @@
 // The x86-64-v3/v4 levels include FMA, which the exp lanes need as an
 // instruction (avx2/avx512f alone do not enable it). Clang only learned
 // arch=x86-64-vN clones recently, so it keeps the ISA-extension clones
-// and takes libm's fma for those lanes. LLM_KERNEL_CLONES_V4 marks the
-// builds with an x86-64-v4 clone, the one exp's permute table lookup
-// runs in (permuteLookup).
+// and takes libm's fma for those lanes.
 #if !defined(LLM_NO_KERNEL_CLONES) && defined(__x86_64__) && \
     defined(__gnu_linux__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
@@ -93,7 +88,6 @@
 #define LLM_KERNEL_CLONES                                          \
     __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", \
                                  "default")))
-#define LLM_KERNEL_CLONES_V4
 #endif
 #endif
 #endif
@@ -222,11 +216,11 @@ bitcast(From v)
 }
 
 /** Lanes of a where mask is set (all ones), lanes of b elsewhere. */
-template <class M, class V>
+template <class V>
 __attribute__((always_inline)) inline V
-blend(M mask, V a, V b)
+blend(v8i mask, V a, V b)
 {
-    return bitcast<V>((bitcast<M>(a) & mask) | (bitcast<M>(b) & ~mask));
+    return bitcast<V>((bitcast<v8i>(a) & mask) | (bitcast<v8i>(b) & ~mask));
 }
 
 /** fma per lane: one rounding, an FMA instruction where the clone has one. */
@@ -239,58 +233,7 @@ fma8(v8d a, v8d b, v8d c)
     return r;
 }
 
-/** kExpTable[k .. k+8) as one vector. */
-__attribute__((always_inline)) inline v8q
-expTableRow(int k)
-{
-    v8q v;
-    std::memcpy(&v, seq::kExpTable + k, sizeof(v));
-    return v;
-}
-
-/**
- * r[l] = the entry of the 16 lanes a[0..8), b[0..8) at idx[l] (< 16):
- * one two-source permute (vpermt2q on the x86-64-v4 clone).
- */
-__attribute__((always_inline)) inline v8q
-permute16(v8q a, v8q b, v8q idx)
-{
-#if defined(__GNUC__) && !defined(__clang__)
-    return __builtin_shuffle(a, b, idx);
-#else
-    v8q r{};
-    for (int l = 0; l < 8; ++l)
-        r[l] = idx[l] < 8 ? a[idx[l]] : b[idx[l] - 8];
-    return r;
-#endif
-}
-
-/**
- * kExpTable[ki & 31] per lane. Permute holds the table in four 8-entry
- * registers: two two-source permutes pick entry ki & 15 from each half,
- * and bit 4 of ki picks the half. Otherwise each lane loads its entry.
- * Only a clone with 512-bit two-source permutes runs the first form
- * fast; elsewhere its permutes lower to a slow emulation.
- */
-template <bool Permute>
-__attribute__((always_inline)) inline v8q
-expTable(v8q ki)
-{
-    if constexpr (Permute) {
-        const v8q low = ki & splat<v8q>(std::uint64_t(15));
-        return blend((ki & splat<v8q>(std::uint64_t(16))) != 0,
-                     permute16(expTableRow(16), expTableRow(24), low),
-                     permute16(expTableRow(0), expTableRow(8), low));
-    } else {
-        v8q t{};
-        for (int l = 0; l < 8; ++l)
-            t[l] = seq::kExpTable[ki[l] & 31];
-        return t;
-    }
-}
-
 /** scalar::expSeq's main path on 8 double lanes (no special cases). */
-template <bool Permute>
 __attribute__((always_inline)) inline v8f
 expCore(v8d xd)
 {
@@ -301,8 +244,10 @@ expCore(v8d xd)
     const v8q ki = bitcast<v8q>(kd);
     kd -= shift;
     const v8d r = fma8(invLn2N, xd, -kd);
-    const v8q t = expTable<Permute>(ki) + (ki << splat<v8q>(std::uint64_t(47)));
-    const v8d s = bitcast<v8d>(t);
+    v8q t{}; // kExpTable[ki & 31], one load per lane
+    for (int l = 0; l < 8; ++l)
+        t[l] = kExpTable[ki[l] & 31];
+    const v8d s = bitcast<v8d>(t + (ki << splat<v8q>(std::uint64_t(47))));
     const v8d z = fma8(splat<v8d>(kExpC0), r, splat<v8d>(kExpC1));
     v8d y = fma8(r, splat<v8d>(kExpC2), splat<v8d>(1.0));
     y = fma8(z, r * r, y);
@@ -310,12 +255,11 @@ expCore(v8d xd)
 }
 
 /** scalar::expSeq on 8 lanes: the main path, then its special cases. */
-template <bool Permute>
 __attribute__((always_inline)) inline v8f
 expLanes(v8f x)
 {
     using namespace seq;
-    v8f y = expCore<Permute>(__builtin_convertvector(x, v8d));
+    v8f y = expCore(__builtin_convertvector(x, v8d));
     y = blend(x < splat<v8f>(kExpMayUnderflow), splat<v8f>(0x1p-149f), y);
     y = blend(x < splat<v8f>(kExpUnderflow), splat<v8f>(0.f), y);
     y = blend(x > splat<v8f>(kExpOverflow),
@@ -751,7 +695,6 @@ rowMax(const float* __restrict in, int n)
  * out[j] = exp(in[j] - mx) for j in [0, n), 8 lanes at a time; the last
  * n % 8 elements run as one group of lanes padded with zeros.
  */
-template <bool Permute>
 __attribute__((always_inline)) inline void
 expShifted(const float* __restrict in, float mx, float* __restrict out,
            int n)
@@ -759,11 +702,11 @@ expShifted(const float* __restrict in, float mx, float* __restrict out,
     const v8f m = bcast8(mx);
     int j = 0;
     for (; j + 8 <= n; j += 8)
-        store8(out + j, expLanes<Permute>(load8(in + j) - m));
+        store8(out + j, expLanes(load8(in + j) - m));
     if (j < n) {
         float buf[8] = {};
         std::memcpy(buf, in + j, size_t(n - j) * sizeof(float));
-        store8(buf, expLanes<Permute>(load8(buf) - m));
+        store8(buf, expLanes(load8(buf) - m));
         std::memcpy(out + j, buf, size_t(n - j) * sizeof(float));
     }
 }
@@ -776,19 +719,30 @@ normalize(float* __restrict out, float sum, int n)
         out[j] *= inv;
 }
 
-/**
- * Per row: max scan and exp lanes, then the j-ascending sum of exps and
- * the normalize step. Each row's sum is one dependent add chain; four
- * rows' chains advance in the same loop so they overlap in the adder,
- * each still strictly j-ascending.
- */
-template <bool Permute>
-__attribute__((always_inline)) inline void
-softmaxBody(const float* x, float* y, int m, int n)
+} // namespace
+
+LLM_KERNEL_CLONES void
+exp8(const float* x, float* y)
 {
+    store8(y, expLanes(load8(x)));
+}
+
+LLM_KERNEL_CLONES void
+tanh8(const float* x, float* y)
+{
+    store8(y, tanhLanes(load8(x)));
+}
+
+LLM_KERNEL_CLONES void
+softmaxRows(const float* x, float* y, int m, int n)
+{
+    // Per row: max scan and exp lanes, then the j-ascending sum of exps
+    // and the normalize step. Each row's sum is one dependent add chain;
+    // four rows' chains advance in the same loop so they overlap in the
+    // adder, each still strictly j-ascending.
     for (int i = 0; i < m; ++i) {
         const float* row = x + size_t(i) * n;
-        expShifted<Permute>(row, rowMax(row, n), y + size_t(i) * n, n);
+        expShifted(row, rowMax(row, n), y + size_t(i) * n, n);
     }
     int i = 0;
     for (; i + 4 <= m; i += 4) {
@@ -815,71 +769,6 @@ softmaxBody(const float* x, float* y, int m, int n)
             sum += out[j];
         normalize(out, sum, n);
     }
-}
-
-/**
- * Whether exp looks its table up by permutes: exactly when the
- * dispatcher runs the x86-64-v4 clone, the only one with 512-bit
- * two-source permutes. Read once, from the CPU.
- */
-#if defined(LLM_KERNEL_CLONES_V4)
-bool
-permuteLookup()
-{
-    static const bool v4 = [] {
-        __builtin_cpu_init();
-        return __builtin_cpu_supports("x86-64-v4") != 0;
-    }();
-    return v4;
-}
-#else
-constexpr bool
-permuteLookup()
-{
-    return false;
-}
-#endif
-
-} // namespace
-
-LLM_KERNEL_CLONES void
-exp8(const float* x, float* y)
-{
-    store8(y, permuteLookup() ? expLanes<true>(load8(x))
-                              : expLanes<false>(load8(x)));
-}
-
-LLM_KERNEL_CLONES void
-expTable8Permute(const std::uint64_t* ki, std::uint64_t* t)
-{
-    v8q k;
-    std::memcpy(&k, ki, sizeof(k));
-    const v8q r = expTable<true>(k);
-    std::memcpy(t, &r, sizeof(r));
-}
-
-LLM_KERNEL_CLONES void
-expTable8Loads(const std::uint64_t* ki, std::uint64_t* t)
-{
-    v8q k;
-    std::memcpy(&k, ki, sizeof(k));
-    const v8q r = expTable<false>(k);
-    std::memcpy(t, &r, sizeof(r));
-}
-
-LLM_KERNEL_CLONES void
-tanh8(const float* x, float* y)
-{
-    store8(y, tanhLanes(load8(x)));
-}
-
-LLM_KERNEL_CLONES void
-softmaxRows(const float* x, float* y, int m, int n)
-{
-    if (permuteLookup())
-        softmaxBody<true>(x, y, m, n);
-    else
-        softmaxBody<false>(x, y, m, n);
 }
 
 LLM_KERNEL_CLONES void

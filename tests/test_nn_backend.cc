@@ -501,33 +501,6 @@ TEST(NnBackend, ExpTableEveryIndexInEveryLane)
             EXPECT_TRUE(seen[l][i]) << "lane " << l << " never met index " << i;
 }
 
-TEST(NnBackend, ExpTableLookupsAgreeOnEveryIndexAndLane)
-{
-    // exp's two table lookups, from four table registers by two-source
-    // permutes and by a load per lane, whichever clone runs them here.
-    // Lane l of call c asks for index (c + 3*l) % 32 under high bits
-    // like those of exp's k (the shifter's exponent plus a multiple of
-    // 32), which both must ignore. Each entry plus i << 47 is 2^(i/32).
-    for (int c = 0; c < 32; ++c) {
-        std::uint64_t ki[8], perm[8], loads[8];
-        for (int l = 0; l < 8; ++l)
-            ki[l] = 0x4338000000000000ull +
-                    std::uint64_t(4099 * l + 7 * c) * 32 + (c + 3 * l) % 32;
-        nn::kernels::vec::expTable8Permute(ki, perm);
-        nn::kernels::vec::expTable8Loads(ki, loads);
-        for (int l = 0; l < 8; ++l) {
-            const std::uint64_t i = ki[l] & 31;
-            EXPECT_EQ(loads[l], perm[l]) << "index " << i << ", lane " << l;
-            const std::uint64_t bits = loads[l] + (i << 47);
-            double v;
-            std::memcpy(&v, &bits, sizeof(v));
-            const double want = std::exp2(double(i) / 32.0);
-            EXPECT_LE(std::fabs(v - want), 0x1p-52 * want)
-                << "index " << i << ", lane " << l;
-        }
-    }
-}
-
 TEST(NnBackend, TanhSequenceMatchesGlibcOnEdgeInputs)
 {
     checkEdgeTable(kTanhEdges, nn::kernels::scalar::tanhSeq,
