@@ -1,27 +1,22 @@
 /**
  * @file
  * DFIR canonicalization benchmark: throughput of the full pass pipeline
- * over the workload corpus, canonical-hash latency, and the serve
+ * over the workload corpus, canonical-hash latency, the serve
  * result-cache hit-rate delta between raw structural keys and canonical
- * keys on a stream of semantically equivalent program mutants
- * (renamed values, commuted operands, injected dead code, and
- * proven-legal loop interchanges), plus the schedule-family hit rate
- * (distinct dfir::scheduleFamilyHash values, counted here) on the same
- * stream — the family key also collapses the
- * interchange mutants that exact canonical keys must miss — and the
- * synthesizer dataset redundancy under both keys (synth::datasetStats).
+ * keys on a stream of semantically equivalent program mutants (renamed
+ * values, commuted operands, injected dead code), and the synthesizer
+ * dataset redundancy under canonical keys (synth::datasetStats).
  *
  * Emits `name,metric,value` CSV lines; `--quick` shrinks the mutant
  * stream and timing repetitions for CI smoke runs.
  */
 
 #include <chrono>
-#include <unordered_set>
+#include <map>
 #include <vector>
 
 #include "bench_common.h"
 #include "dfir/passes.h"
-#include "dfir/schedule.h"
 #include "serve/result_cache.h"
 #include "synth/dataset.h"
 #include "synth/generators.h"
@@ -122,14 +117,10 @@ main(int argc, char** argv)
 
     // Serve-cache hit rates on the equivalent-mutation stream: every
     // base query followed by semantically identical rewrites. Canonical
-    // keys should collapse each family to one entry; raw keys miss on
-    // every rename. Legal-interchange mutants are part of the stream
-    // too: exact canonical keys miss them by design (the schedule moved,
-    // so cycles moved), which is exactly the gap the family rows below
-    // measure.
+    // keys should collapse each base and its mutants to one entry; raw
+    // keys miss on every rename.
     std::vector<Query> stream;
     util::Rng rng(20260809);
-    size_t interchanges = 0;
     for (const auto& w : corpus) {
         stream.push_back({w.graph, w.canonicalData});
         for (int m = 0; m < mutants_per_base; ++m) {
@@ -144,48 +135,17 @@ main(int argc, char** argv)
                 {std::move(mut.graph),
                  dfir::remapRuntimeData(w.canonicalData, fwd)});
         }
-        for (int m = 0; m < mutants_per_base; ++m) {
-            synth::ScheduleMutant mut = synth::scheduleMutant(w.graph, rng);
-            if (!mut.changed)
-                break; // no legal interchange in this workload
-            interchanges += static_cast<size_t>(mut.interchanges);
-            // No renames: the base's runtime data is valid as-is.
-            stream.push_back({std::move(mut.graph), w.canonicalData});
-        }
     }
 
     double hit_raw = replayHitRate(stream, false);
     double hit_canon = replayHitRate(stream, true);
     bench::csv("bench_dfir_canon", "stream_queries",
                double(stream.size()));
-    bench::csv("bench_dfir_canon", "stream_interchanges",
-               double(interchanges));
     bench::csv("bench_dfir_canon", "hit_rate_raw", hit_raw);
     bench::csv("bench_dfir_canon", "hit_rate_canonical", hit_canon);
     bench::csv("bench_dfir_canon", "hit_rate_delta", hit_canon - hit_raw);
 
-    // Family hit rate on the same stream: a query is a family hit when
-    // an earlier query had the same scheduleFamilyHash. Families are
-    // statistics only — they never key a cache — but on this stream the
-    // family key also collapses the interchange mutants, so
-    // hit_rate_family >= hit_rate_canonical.
-    {
-        std::unordered_set<uint64_t> families;
-        size_t familyHits = 0;
-        for (const auto& q : stream)
-            if (!families.insert(dfir::scheduleFamilyHash(q.graph)).second)
-                ++familyHits;
-        const double hit_family =
-            stream.empty() ? 0.0
-                           : double(familyHits) / double(stream.size());
-        bench::csv("bench_dfir_canon", "hit_rate_family", hit_family);
-        bench::csv("bench_dfir_canon", "family_distinct",
-                   double(families.size()));
-        bench::csv("bench_dfir_canon", "hit_rate_family_delta",
-                   hit_family - hit_canon);
-    }
-
-    // Synthesizer dataset redundancy under exact vs family keys.
+    // Synthesizer dataset redundancy under canonical keys.
     {
         synth::SynthConfig cfg;
         cfg.numPrograms = quick ? 12 : 48;
@@ -195,8 +155,6 @@ main(int argc, char** argv)
                    double(ds.samples));
         bench::csv("bench_dfir_canon", "dataset_distinct_canonical",
                    double(ds.distinctCanonical));
-        bench::csv("bench_dfir_canon", "dataset_distinct_families",
-                   double(ds.distinctFamilies));
     }
     return 0;
 }

@@ -11,8 +11,8 @@
  *   ./profile_cli --trace out.json ...  # export trace spans
  *                                       # (chrome://tracing JSON)
  *   ./profile_cli --schedule ...        # dependence-analysis report
- *                                       # (nests, legal interchanges,
- *                                       # canonical vs family hash)
+ *                                       # (program key, nests, legal
+ *                                       # interchanges, reductions)
  *
  * Scalar runtime inputs can be appended to the program text as
  * "name = value" lines.
@@ -139,9 +139,9 @@ main(int argc, char** argv)
                     class_i ? "I (static)" : "II (input-dependent)");
     }
 
-    // --schedule: static dependence-analysis diagnostic (nest shapes,
-    // affinity, legal interchange pairs, reductions) plus the exact
-    // cache key next to the analysis-only schedule-family key.
+    // --schedule: the program key (dfir::canonicalHash) and a static
+    // dependence-analysis line per nest (shape, affinity, legal
+    // interchange pairs, reductions).
     if (schedule) {
         std::printf("\nschedule analysis:\n%s",
                     dfir::scheduleReport(res.graph).str().c_str());

@@ -1,6 +1,7 @@
 #include "dfir/parser.h"
 
 #include <cctype>
+#include <limits>
 #include <set>
 
 #include "dfir/builder.h"
@@ -17,6 +18,7 @@ struct Tok
     enum Kind { Ident, Number, Punct, HwParam, End } kind = End;
     std::string text;
     long value = 0;
+    bool outOfRange = false; //!< Number literal above LONG_MAX
     int line = 1;
 };
 
@@ -71,13 +73,20 @@ class Lexer
         if (std::isdigit(static_cast<unsigned char>(ch))) {
             size_t j = pos_;
             long v = 0;
+            bool outOfRange = false;
             while (j < src_.size() &&
                    std::isdigit(static_cast<unsigned char>(src_[j]))) {
-                v = v * 10 + (src_[j] - '0');
+                long digit = src_[j] - '0';
+                outOfRange = outOfRange ||
+                             v > (std::numeric_limits<long>::max() - digit) /
+                                     10;
+                if (!outOfRange)
+                    v = v * 10 + digit;
                 ++j;
             }
             cur_.kind = Tok::Number;
             cur_.value = v;
+            cur_.outOfRange = outOfRange;
             cur_.text = src_.substr(pos_, j - pos_);
             pos_ = j;
             return;
@@ -219,6 +228,15 @@ class Parser
             fail("expected number, got '" + lex_.peek().text + "'");
             return 0;
         }
+        return takeNumber();
+    }
+
+    /** Consume a Number token; a literal above LONG_MAX fails the parse. */
+    long
+    takeNumber()
+    {
+        if (lex_.peek().outOfRange)
+            fail("integer literal '" + lex_.peek().text + "' out of range");
         return lex_.next().value;
     }
 
@@ -486,7 +504,7 @@ class Parser
             return c(0);
         const Tok& t = lex_.peek();
         if (t.kind == Tok::Number)
-            return c(lex_.next().value);
+            return c(takeNumber());
         if (t.text == "(") {
             lex_.next();
             ExprPtr e = parseExpression();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
@@ -17,7 +18,6 @@ namespace dfir {
 namespace {
 
 using util::fnv1a;
-using util::hashCombine;
 
 /**
  * Direction-set enumeration is 3^depth per access pair; beyond this
@@ -25,24 +25,6 @@ using util::hashCombine;
  * workload comes close — the deepest corpus nest is depth 4).
  */
 constexpr int kMaxBandDepth = 8;
-
-bool
-commutative(BinOp op)
-{
-    switch (op) {
-    case BinOp::Add:
-    case BinOp::Mul:
-    case BinOp::Min:
-    case BinOp::Max:
-    case BinOp::And:
-    case BinOp::Or:
-    case BinOp::Eq:
-    case BinOp::Ne:
-        return true;
-    default:
-        return false;
-    }
-}
 
 /** Any LoopVar/Param leaf whose name is in 'names'? */
 bool
@@ -126,6 +108,23 @@ nonAffineForm()
     return f;
 }
 
+/**
+ * *out = a op b for op in {Add, Sub, Mul}; false when the exact result
+ * leaves [-LONG_MAX, LONG_MAX]. Subscripts come from untrusted program
+ * text, so every coefficient and offset goes through here: an
+ * overflowing linearization is NonAffine, and excluding LONG_MIN (whose
+ * negation overflows) lets pairSets divide by and take |c| of any
+ * kept coefficient.
+ */
+bool
+checkedOp(BinOp op, long a, long b, long* out)
+{
+    bool overflow = op == BinOp::Add   ? __builtin_add_overflow(a, b, out)
+                    : op == BinOp::Sub ? __builtin_sub_overflow(a, b, out)
+                                       : __builtin_mul_overflow(a, b, out);
+    return !overflow && *out != std::numeric_limits<long>::min();
+}
+
 LinForm
 scaleForm(LinForm f, long k)
 {
@@ -134,8 +133,10 @@ scaleForm(LinForm f, long k)
     if (k == 0)
         return LinForm{};
     for (auto& kv : f.coeff)
-        kv.second *= k;
-    f.c0 *= k;
+        if (!checkedOp(BinOp::Mul, kv.second, k, &kv.second))
+            return nonAffineForm();
+    if (!checkedOp(BinOp::Mul, f.c0, k, &f.c0))
+        return nonAffineForm();
     f.sym *= static_cast<uint64_t>(k);
     return f;
 }
@@ -179,11 +180,15 @@ linearize(const ExprPtr& e, const std::set<std::string>& band,
             bool add = e->op == BinOp::Add;
             LinForm f;
             f.coeff = a.coeff;
-            for (const auto& kv : b.coeff)
-                f.coeff[kv.first] += add ? kv.second : -kv.second;
+            for (const auto& kv : b.coeff) {
+                long& c = f.coeff[kv.first];
+                if (!checkedOp(e->op, c, kv.second, &c))
+                    return nonAffineForm();
+            }
             for (auto it = f.coeff.begin(); it != f.coeff.end();)
                 it = it->second == 0 ? f.coeff.erase(it) : std::next(it);
-            f.c0 = add ? a.c0 + b.c0 : a.c0 - b.c0;
+            if (!checkedOp(e->op, a.c0, b.c0, &f.c0))
+                return nonAffineForm();
             f.hasSym = a.hasSym || b.hasSym;
             f.sym = add ? a.sym + b.sym : a.sym - b.sym;
             return f;
@@ -212,7 +217,6 @@ struct Access
     bool scalar = false; //!< 0-dim: a scalar temp touched in the nest
     bool affine = true;  //!< all subscripts linearized
     std::vector<LinForm> subs;
-    std::vector<ExprPtr> subExprs; //!< raw subscripts (for var presence)
 };
 
 /**
@@ -246,7 +250,6 @@ struct Collector
             if (!f.affine)
                 a.affine = false;
             a.subs.push_back(std::move(f));
-            a.subExprs.push_back(i);
         }
         accesses.push_back(std::move(a));
     }
@@ -372,7 +375,9 @@ pairSets(const Access& a, const Access& b,
         const LinForm& f = a.subs[d];
         const LinForm& g = b.subs[d];
         bool symEq = f.hasSym == g.hasSym && f.sym == g.sym;
-        long diff = f.c0 - g.c0;
+        long diff = 0;
+        if (!checkedOp(BinOp::Sub, f.c0, g.c0, &diff))
+            continue; // offsets too far apart to subtract: no info
         if (f.coeff == g.coeff) {
             if (!symEq)
                 continue; // incomparable symbolic offsets: no info
@@ -611,26 +616,18 @@ analyzeNest(const StmtPtr& for_stmt, const std::set<std::string>& invariant)
 
     std::vector<Access> accesses = collectAccesses(inner, bandSet, invariant);
 
-    // Footprints + affinity counts and notes.
-    std::map<std::string, Footprint> fp;
+    // Affinity counts and notes.
     std::set<std::string> written;
     std::set<std::string> notedNonAffine;
     for (const Access& a : accesses) {
-        Footprint& f = fp[a.name];
-        f.tensor = a.name;
-        if (a.write) {
-            ++f.writes;
+        if (a.write)
             written.insert(a.name);
-        } else {
-            ++f.reads;
-        }
         if (a.scalar)
             continue; // 0-dim accesses have no subscripts to classify
         if (a.affine) {
             ++n.affineAccesses;
         } else {
             ++n.nonAffineAccesses;
-            ++f.nonAffineRefs;
             if (notedNonAffine.insert(a.name).second)
                 n.notes.push_back("non-affine subscript on '" + a.name +
                                   "': analyzed conservatively");
@@ -638,8 +635,6 @@ analyzeNest(const StmtPtr& for_stmt, const std::set<std::string>& invariant)
                 n.conservative = true;
         }
     }
-    for (auto& kv : fp)
-        n.footprints.push_back(kv.second);
 
     // A band bound reading a tensor written in the nest makes trip
     // counts data-dependent; give up on precision.
@@ -719,7 +714,7 @@ interchangeLegal(const NestInfo& nest, int i, int j)
     }
 
     // FP accumulation order: swapping two reduced-over dimensions
-    // reorders the per-cell sum; canonicalization must not move bits.
+    // reorders the per-cell sum; a legal interchange must not move bits.
     for (const Reduction& r : nest.reductions) {
         bool fi = std::find(r.freeLevels.begin(), r.freeLevels.end(), i) !=
                   r.freeLevels.end();
@@ -731,15 +726,6 @@ interchangeLegal(const NestInfo& nest, int i, int j)
     return true;
 }
 
-bool
-interchangeLegal(const Operator& op, int nest_index, int i, int j)
-{
-    std::vector<NestInfo> nests = analyzeOperator(op);
-    if (nest_index < 0 || nest_index >= static_cast<int>(nests.size()))
-        return false;
-    return interchangeLegal(nests[static_cast<size_t>(nest_index)], i, j);
-}
-
 AccessClass
 classifySubscript(const ExprPtr& idx, const std::vector<std::string>& loop_vars,
                   const std::set<std::string>& invariant)
@@ -749,528 +735,11 @@ classifySubscript(const ExprPtr& idx, const std::vector<std::string>& loop_vars,
                                                   : AccessClass::NonAffine;
 }
 
-// ---------------------------------------------------------------------------
-// Schedule-family canonical form
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/**
- * Structural hash that is blind to tensor names and commutative operand
- * order (child hashes sorted at commutative nodes). Loop-variable and
- * scalar names are kept — by the time the family pipeline uses this
- * they are canonical. Drives both tensor first-use order and the final
- * symmetric-operand tie-break, so both are independent of the original
- * tensor names.
- */
-uint64_t
-blindHash(const ExprPtr& e)
-{
-    if (!e)
-        return 0;
-    uint64_t h = fnv1a("blind");
-    h = hashCombine(h, static_cast<uint64_t>(e->kind));
-    h = hashCombine(h, static_cast<uint64_t>(e->constVal));
-    if (e->kind != ExprKind::ArrayRef)
-        h = hashCombine(h, fnv1a(e->name));
-    if (e->kind == ExprKind::Binary)
-        h = hashCombine(h, static_cast<uint64_t>(e->op));
-    std::vector<uint64_t> ch;
-    ch.reserve(e->args.size());
-    for (const ExprPtr& a : e->args)
-        ch.push_back(blindHash(a));
-    if (e->kind == ExprKind::Binary && commutative(e->op) && ch.size() == 2)
-        std::sort(ch.begin(), ch.end());
-    for (uint64_t c : ch)
-        h = hashCombine(h, c);
-    return h;
-}
-
-/**
- * Tensor first-use positions under a traversal whose child order at
- * commutative nodes follows blindHash (ties keep source order): the
- * resulting positions do not depend on the tensors' own names.
- */
-struct FirstUse
-{
-    std::map<std::string, int> pos;
-
-    void touch(const std::string& n)
-    {
-        if (!pos.count(n)) {
-            int k = static_cast<int>(pos.size());
-            pos[n] = k;
-        }
-    }
-
-    void expr(const ExprPtr& e)
-    {
-        if (!e)
-            return;
-        if (e->kind == ExprKind::ArrayRef)
-            touch(e->name);
-        if (e->kind == ExprKind::Binary && commutative(e->op) &&
-            e->args.size() == 2 && blindHash(e->args[1]) < blindHash(e->args[0])) {
-            expr(e->args[1]);
-            expr(e->args[0]);
-            return;
-        }
-        for (const ExprPtr& a : e->args)
-            expr(a);
-    }
-
-    void stmts(const std::vector<StmtPtr>& body)
-    {
-        for (const StmtPtr& s : body)
-            stmt(s);
-    }
-
-    void stmt(const StmtPtr& s)
-    {
-        if (!s)
-            return;
-        switch (s->kind) {
-        case StmtKind::Assign:
-            if (!s->targetIdx.empty())
-                touch(s->target);
-            for (const ExprPtr& i : s->targetIdx)
-                expr(i);
-            expr(s->rhs);
-            break;
-        case StmtKind::If:
-            expr(s->cond);
-            stmts(s->thenBody);
-            stmts(s->elseBody);
-            break;
-        case StmtKind::For:
-            expr(s->loop.lower);
-            expr(s->loop.upper);
-            stmts(s->body);
-            break;
-        }
-    }
-
-    void run(const DataflowGraph& g)
-    {
-        for (const Operator& op : g.ops)
-            stmts(op.body);
-        for (const Operator& op : g.ops) // declared-but-unused tensors
-            for (const TensorDecl& t : op.tensors)
-                touch(t.name);
-    }
-};
-
-/** Generic expression rewriter over a statement tree. */
-template <typename Fn>
-StmtPtr
-rewriteStmt(const StmtPtr& s, Fn&& fn)
-{
-    if (!s)
-        return s;
-    auto c = std::make_shared<Stmt>(*s);
-    switch (c->kind) {
-    case StmtKind::Assign:
-        for (ExprPtr& i : c->targetIdx)
-            i = fn(i);
-        c->rhs = fn(c->rhs);
-        break;
-    case StmtKind::If:
-        c->cond = fn(c->cond);
-        for (StmtPtr& b : c->thenBody)
-            b = rewriteStmt(b, fn);
-        for (StmtPtr& b : c->elseBody)
-            b = rewriteStmt(b, fn);
-        break;
-    case StmtKind::For:
-        c->loop.lower = fn(c->loop.lower);
-        c->loop.upper = fn(c->loop.upper);
-        for (StmtPtr& b : c->body)
-            b = rewriteStmt(b, fn);
-        break;
-    }
-    return c;
-}
-
-/** Neutralize unroll/parallel pragmas on every loop. */
-StmtPtr
-eraseKnobsStmt(const StmtPtr& s)
-{
-    if (!s)
-        return s;
-    auto c = std::make_shared<Stmt>(*s);
-    if (c->kind == StmtKind::For) {
-        c->loop.unroll = 1;
-        c->loop.parallel = false;
-        for (StmtPtr& b : c->body)
-            b = eraseKnobsStmt(b);
-    } else if (c->kind == StmtKind::If) {
-        for (StmtPtr& b : c->thenBody)
-            b = eraseKnobsStmt(b);
-        for (StmtPtr& b : c->elseBody)
-            b = eraseKnobsStmt(b);
-    }
-    return c;
-}
-
-/**
- * Name-free per-tensor fingerprint for the band-sort keys: declared
- * shape plus whole-operator read/write counts. Symmetric operands
- * (same shape, same usage) deliberately collide — their loops tie and
- * keep source order.
- */
-std::map<std::string, uint64_t>
-tensorFingerprints(const Operator& op)
-{
-    std::map<std::string, std::pair<size_t, size_t>> rw; // reads, writes
-    struct Walk
-    {
-        std::map<std::string, std::pair<size_t, size_t>>& rw;
-        void expr(const ExprPtr& e)
-        {
-            if (!e)
-                return;
-            if (e->kind == ExprKind::ArrayRef)
-                ++rw[e->name].first;
-            for (const ExprPtr& a : e->args)
-                expr(a);
-        }
-        void stmts(const std::vector<StmtPtr>& body)
-        {
-            for (const StmtPtr& s : body) {
-                if (!s)
-                    continue;
-                switch (s->kind) {
-                case StmtKind::Assign:
-                    if (!s->targetIdx.empty())
-                        ++rw[s->target].second;
-                    for (const ExprPtr& i : s->targetIdx)
-                        expr(i);
-                    expr(s->rhs);
-                    break;
-                case StmtKind::If:
-                    expr(s->cond);
-                    stmts(s->thenBody);
-                    stmts(s->elseBody);
-                    break;
-                case StmtKind::For:
-                    expr(s->loop.lower);
-                    expr(s->loop.upper);
-                    stmts(s->body);
-                    break;
-                }
-            }
-        }
-    };
-    Walk w{rw};
-    w.stmts(op.body);
-
-    std::map<std::string, uint64_t> out;
-    for (const TensorDecl& t : op.tensors) {
-        uint64_t h = fnv1a("tensor-fp");
-        h = hashCombine(h, t.dims.size());
-        for (const ExprPtr& d : t.dims)
-            h = hashCombine(h, fnv1a(printExpr(d)));
-        h = hashCombine(h, rw[t.name].first);
-        h = hashCombine(h, rw[t.name].second);
-        out[t.name] = h;
-    }
-    return out;
-}
-
-void
-swapNestLevels(NestInfo& n, int i, int j)
-{
-    std::swap(n.loops[static_cast<size_t>(i)],
-              n.loops[static_cast<size_t>(j)]);
-    for (DirectionVector& dv : n.deps)
-        std::swap(dv.dirs[static_cast<size_t>(i)],
-                  dv.dirs[static_cast<size_t>(j)]);
-    for (Reduction& r : n.reductions)
-        for (int& l : r.freeLevels)
-            l = l == i ? j : (l == j ? i : l);
-}
-
-StmtPtr
-buildChain(const std::vector<Loop>& band, std::vector<StmtPtr> inner)
-{
-    for (size_t l = band.size(); l-- > 0;) {
-        auto f = std::make_shared<Stmt>();
-        f->kind = StmtKind::For;
-        f->loop = band[l];
-        f->body = std::move(inner);
-        inner = {StmtPtr(std::move(f))};
-    }
-    return inner[0];
-}
-
-/**
- * Sort the perfect band of every nest into canonical order by a
- * name-free per-loop signature, applying only interchanges the
- * dependence analysis proves legal (adjacent swaps; the legality state
- * is permuted alongside, so each step re-checks against current order).
- */
-StmtPtr
-sortBandsStmt(const StmtPtr& s, const std::set<std::string>& invariant,
-              const std::map<std::string, uint64_t>& tfp)
-{
-    if (!s)
-        return s;
-    if (s->kind == StmtKind::If) {
-        auto c = std::make_shared<Stmt>(*s);
-        for (StmtPtr& b : c->thenBody)
-            b = sortBandsStmt(b, invariant, tfp);
-        for (StmtPtr& b : c->elseBody)
-            b = sortBandsStmt(b, invariant, tfp);
-        return c;
-    }
-    if (s->kind != StmtKind::For)
-        return s;
-
-    std::vector<Loop> band;
-    const Stmt* cur = s.get();
-    band.push_back(cur->loop);
-    while (cur->body.size() == 1 && cur->body[0]->kind == StmtKind::For) {
-        cur = cur->body[0].get();
-        band.push_back(cur->loop);
-    }
-    std::vector<StmtPtr> inner;
-    inner.reserve(cur->body.size());
-    for (const StmtPtr& b : cur->body)
-        inner.push_back(sortBandsStmt(b, invariant, tfp));
-
-    if (band.size() < 2)
-        return buildChain(band, std::move(inner));
-
-    StmtPtr rebuilt = buildChain(band, inner);
-    NestInfo nest = analyzeNest(rebuilt, invariant);
-
-    std::set<std::string> bandSet;
-    std::vector<std::string> bandVars;
-    for (const Loop& l : nest.loops) {
-        bandSet.insert(l.var);
-        bandVars.push_back(l.var);
-    }
-    std::vector<Access> accesses = collectAccesses(inner, bandSet, invariant);
-
-    // Per-level signature: bounds/step plus the sorted multiset of
-    // (tensor fingerprint, dimension, coefficient, is-write) usages of
-    // this loop's variable. No names anywhere, so all members of an
-    // interchange family compute the same keys for the same loops.
-    std::vector<uint64_t> keys(nest.loops.size());
-    for (size_t l = 0; l < nest.loops.size(); ++l) {
-        const Loop& lp = nest.loops[l];
-        uint64_t k = fnv1a("band-key");
-        k = hashCombine(k, fnv1a(printExpr(lp.lower)));
-        k = hashCombine(k, fnv1a(printExpr(lp.upper)));
-        k = hashCombine(k, static_cast<uint64_t>(lp.step));
-        std::vector<uint64_t> uses;
-        for (const Access& a : accesses) {
-            auto fpIt = tfp.find(a.name);
-            uint64_t fp = fpIt != tfp.end() ? fpIt->second : fnv1a(a.name);
-            for (size_t d = 0; d < a.subs.size(); ++d) {
-                uint64_t u = 0;
-                if (a.subs[d].affine) {
-                    auto it = a.subs[d].coeff.find(lp.var);
-                    if (it == a.subs[d].coeff.end())
-                        continue;
-                    u = hashCombine(hashCombine(fp, d),
-                                    static_cast<uint64_t>(it->second));
-                } else {
-                    if (!containsName(a.subExprs[d], {lp.var}))
-                        continue;
-                    u = hashCombine(hashCombine(fp, d), fnv1a("non-affine"));
-                }
-                uses.push_back(hashCombine(u, a.write ? 1u : 0u));
-            }
-        }
-        std::sort(uses.begin(), uses.end());
-        for (uint64_t u : uses)
-            k = hashCombine(k, u);
-        keys[l] = k;
-    }
-
-    // Legality-gated bubble sort: each executed swap strictly reduces
-    // key inversions, so this terminates; blocked swaps just leave the
-    // band in a coarser (still deterministic) order.
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (int l = 0; l + 1 < nest.depth(); ++l) {
-            size_t ul = static_cast<size_t>(l);
-            if (keys[ul + 1] < keys[ul] &&
-                interchangeLegal(nest, l, l + 1)) {
-                swapNestLevels(nest, l, l + 1);
-                std::swap(keys[ul], keys[ul + 1]);
-                changed = true;
-            }
-        }
-    }
-    return buildChain(nest.loops, std::move(inner));
-}
-
-/** Rename tensors to T<pos> and re-order each op's declarations. */
-DataflowGraph
-renameTensors(const DataflowGraph& g, const std::map<std::string, int>& pos)
-{
-    std::map<std::string, std::string> m;
-    for (const auto& kv : pos)
-        m[kv.first] = util::format("T%d", kv.second);
-
-    struct ExprRenamer
-    {
-        const std::map<std::string, std::string>& m;
-        ExprPtr operator()(const ExprPtr& e) const
-        {
-            if (!e)
-                return e;
-            auto c = std::make_shared<Expr>(*e);
-            if (c->kind == ExprKind::ArrayRef) {
-                auto it = m.find(c->name);
-                if (it != m.end())
-                    c->name = it->second;
-            }
-            for (ExprPtr& a : c->args)
-                a = (*this)(a);
-            return c;
-        }
-    };
-    ExprRenamer ren{m};
-
-    DataflowGraph out = g;
-    for (Operator& op : out.ops) {
-        for (StmtPtr& s : op.body)
-            s = rewriteStmt(s, ren);
-        // Array assignment targets.
-        struct TargetFix
-        {
-            const std::map<std::string, std::string>& m;
-            StmtPtr fix(const StmtPtr& s) const
-            {
-                if (!s)
-                    return s;
-                auto c = std::make_shared<Stmt>(*s);
-                if (c->kind == StmtKind::Assign) {
-                    auto it = m.find(c->target);
-                    if (it != m.end() && !c->targetIdx.empty())
-                        c->target = it->second;
-                } else if (c->kind == StmtKind::If) {
-                    for (StmtPtr& b : c->thenBody)
-                        b = fix(b);
-                    for (StmtPtr& b : c->elseBody)
-                        b = fix(b);
-                } else if (c->kind == StmtKind::For) {
-                    for (StmtPtr& b : c->body)
-                        b = fix(b);
-                }
-                return c;
-            }
-        };
-        TargetFix tf{m};
-        for (StmtPtr& s : op.body)
-            s = tf.fix(s);
-        for (TensorDecl& t : op.tensors) {
-            auto it = m.find(t.name);
-            if (it != m.end())
-                t.name = it->second;
-            for (ExprPtr& d : t.dims)
-                d = ren(d);
-        }
-        std::sort(op.tensors.begin(), op.tensors.end(),
-                  [](const TensorDecl& a, const TensorDecl& b) {
-                      return a.name < b.name;
-                  });
-    }
-    return out;
-}
-
-/**
- * Order commutative operands by (blindHash, rendered form): symmetric
- * tensor operands that exprHash-based ordering leaves dependent on the
- * original names become deterministic in the positional names.
- */
-ExprPtr
-famSortExpr(const ExprPtr& e)
-{
-    if (!e)
-        return e;
-    std::vector<ExprPtr> args;
-    args.reserve(e->args.size());
-    bool sub = false;
-    for (const ExprPtr& a : e->args) {
-        ExprPtr r = famSortExpr(a);
-        sub = sub || r != a;
-        args.push_back(std::move(r));
-    }
-    bool swap = false;
-    if (e->kind == ExprKind::Binary && commutative(e->op) &&
-        args.size() == 2) {
-        uint64_t h0 = blindHash(args[0]);
-        uint64_t h1 = blindHash(args[1]);
-        if (h1 < h0 ||
-            (h1 == h0 && printExpr(args[1]) < printExpr(args[0])))
-            swap = true;
-    }
-    if (!sub && !swap)
-        return e;
-    auto c = std::make_shared<Expr>(*e);
-    c->args = std::move(args);
-    if (swap)
-        std::swap(c->args[0], c->args[1]);
-    return c;
-}
-
-} // namespace
-
-DataflowGraph
-scheduleCanonicalize(const DataflowGraph& g)
-{
-    DataflowGraph work = canonicalize(g);
-
-    // Mapping knobs move cycles, not meaning: neutral for the family.
-    for (Operator& op : work.ops)
-        for (StmtPtr& s : op.body)
-            s = eraseKnobsStmt(s);
-    work.params = HardwareParams{};
-
-    // Canonical loop order per nest (legal interchanges only).
-    for (Operator& op : work.ops) {
-        std::set<std::string> invariant(op.scalarParams.begin(),
-                                        op.scalarParams.end());
-        std::map<std::string, uint64_t> tfp = tensorFingerprints(op);
-        for (StmtPtr& s : op.body)
-            s = sortBandsStmt(s, invariant, tfp);
-    }
-
-    // Loop variables renumber to the sorted order (i0 outermost again).
-    work = renameCanonical(work);
-
-    // Positional tensor names + name-blind symmetric-operand order.
-    FirstUse fu;
-    fu.run(work);
-    work = renameTensors(work, fu.pos);
-    for (Operator& op : work.ops) {
-        for (StmtPtr& s : op.body)
-            s = rewriteStmt(s, [](const ExprPtr& e) { return famSortExpr(e); });
-        for (TensorDecl& t : op.tensors)
-            for (ExprPtr& d : t.dims)
-                d = famSortExpr(d);
-    }
-    work.name = "schedule-family";
-    return work;
-}
-
-uint64_t
-scheduleFamilyHash(const DataflowGraph& g)
-{
-    return structuralHash(scheduleCanonicalize(g));
-}
-
 ScheduleReport
 scheduleReport(const DataflowGraph& g)
 {
     ScheduleReport rep;
     rep.canonicalHash = canonicalHash(g);
-    rep.familyHash = scheduleFamilyHash(g);
     for (const Operator& op : g.ops) {
         for (const NestInfo& n : analyzeOperator(op)) {
             NestReport nr;
@@ -1297,9 +766,8 @@ std::string
 ScheduleReport::str() const
 {
     std::string out;
-    out += util::format("canonicalHash=%016llx familyHash=%016llx\n",
-                        static_cast<unsigned long long>(canonicalHash),
-                        static_cast<unsigned long long>(familyHash));
+    out += util::format("canonicalHash=%016llx\n",
+                        static_cast<unsigned long long>(canonicalHash));
     for (const NestReport& n : nests) {
         out += util::format(
             "%s: depth=%d perfect=%d affine=%zu nonaffine=%zu deps=%zu "

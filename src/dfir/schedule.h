@@ -5,12 +5,11 @@
  * @file
  * Schedule-aware dependence analysis over the dataflow IR.
  *
- * PR 6's canonicalization pipeline deliberately stopped at rewrites a
- * pure semantics argument covers (renames, commuted operands, dead
- * code). Equivalences that change the *schedule* — loop-interchange
- * families like the accelerator GEMM variants — need a dependence
- * argument: an interchange is only meaning-preserving when no
- * loop-carried dependence flips direction under it. This module
+ * Canonicalization (dfir/passes.h) stops at rewrites a pure semantics
+ * argument covers (renames, commuted operands, dead code). Rewrites
+ * that change the *schedule*, such as loop interchange, need a
+ * dependence argument: an interchange is only meaning-preserving when
+ * no loop-carried dependence flips direction under it. This module
  * provides that argument as a static analysis:
  *
  *  - nest extraction: the maximal perfect loop band of each top-level
@@ -18,39 +17,24 @@
  *    imperfect remainders classified, never rejected;
  *  - access classification: every array subscript is linearized over
  *    the band's induction variables; anything the linearizer cannot
- *    express as sum(coeff * loopvar) + invariant is AccessClass::
- *    NonAffine — a diagnostic note, never an assert — and analyzed
- *    conservatively;
- *  - read/write footprints per tensor and direction vectors for every
- *    same-tensor access pair with at least one write (per-dimension
- *    coefficient/GCD tests, pruned to lexicographically positive
- *    loop-carried vectors);
+ *    express as sum(coeff * loopvar) + invariant without overflowing
+ *    a `long` is AccessClass::NonAffine — a diagnostic note, never an
+ *    assert — and analyzed conservatively;
+ *  - direction vectors for every same-tensor access pair with at least
+ *    one write (per-dimension coefficient/GCD tests, pruned to
+ *    lexicographically positive loop-carried vectors);
  *  - interchangeLegal(nest, i, j): no kept direction vector becomes
  *    lexicographically negative when levels i and j swap, no band
  *    bound references a band variable, and — preserving the repo's
  *    bit-identity culture — no floating-point reduction accumulates
- *    over both swapped loops (detectReductions flags accumulators of
- *    the form T[idx] = T[idx] op ..., op in {+, *, min, max});
+ *    over both swapped loops (reduction detection flags accumulators
+ *    of the form T[idx] = T[idx] op ..., op in {+, *, min, max}).
  *
- * and a schedule-family key built on top of it:
- *
- *  - scheduleCanonicalize(g): canonicalize, neutralize mapping knobs
- *    (unroll/parallel pragmas, hardware parameters), sort every legal
- *    interchange band into a canonical loop order (legality-gated
- *    bubble sort by a name-independent per-loop signature), rename
- *    tensors positionally (T0, T1, ... by first use) and break
- *    symmetric-operand ties with a tensor-name-blind operand order;
- *  - scheduleFamilyHash(g): structuralHash of that representative.
- *
- * The family hash is ANALYSIS-ONLY, by contract: it renames tensors,
- * which the exact pipeline must never do (the simulator synthesizes
- * pseudo-data keyed by tensor name, so a tensor rename changes ground
- * truth), and it erases mapping knobs that move cycles. It therefore
- * never keys the serve result cache or the model cache — those stay on
- * dfir::canonicalHash bit for bit. Its consumers are statistics and
- * diagnostics: family hit-rate reporting (bench_dfir_canon), dataset
- * dedup stats (synth::datasetStats) and the profile_cli --schedule
- * report.
+ * Consumers: synth::mutateProgram gates its interchange mutation on
+ * interchangeLegal, the verifier warns on non-affine subscripts
+ * (classifySubscript), and profile_cli --schedule prints
+ * scheduleReport. Nothing here keys a cache; programs are identified
+ * by dfir::canonicalHash alone.
  */
 
 #include <cstdint>
@@ -83,15 +67,6 @@ struct DirectionVector
 {
     std::string tensor;     //!< the tensor (or scalar) carrying it
     std::vector<Dir> dirs;  //!< one entry per band level, outer first
-};
-
-/** Read/write footprint of one tensor (or written scalar) in a nest. */
-struct Footprint
-{
-    std::string tensor;
-    size_t reads = 0;          //!< read references in the nest
-    size_t writes = 0;         //!< write references in the nest
-    size_t nonAffineRefs = 0;  //!< references classified NonAffine
 };
 
 /** A detected reduction accumulator (T[idx] = T[idx] op ...). */
@@ -127,7 +102,6 @@ struct NestInfo
     size_t affineAccesses = 0;
     size_t nonAffineAccesses = 0;
 
-    std::vector<Footprint> footprints;
     std::vector<DirectionVector> deps;
     std::vector<Reduction> reductions;
 
@@ -158,9 +132,6 @@ std::vector<NestInfo> analyzeOperator(const Operator& op);
  */
 bool interchangeLegal(const NestInfo& nest, int i, int j);
 
-/** Convenience: legality within op's nest_index-th top-level nest. */
-bool interchangeLegal(const Operator& op, int nest_index, int i, int j);
-
 /**
  * Classify one subscript expression against the given enclosing loop
  * variables; `invariant` names are permitted symbolic offsets. Used by
@@ -169,24 +140,6 @@ bool interchangeLegal(const Operator& op, int nest_index, int i, int j);
 AccessClass classifySubscript(const ExprPtr& idx,
                               const std::vector<std::string>& loop_vars,
                               const std::set<std::string>& invariant);
-
-/**
- * The schedule-family representative: canonicalize, erase mapping
- * knobs (unroll/parallel, hardware params), sort legal interchange
- * bands into canonical order, rename tensors positionally and order
- * symmetric operands tensor-blind. ANALYSIS-ONLY — see the file
- * comment; never feed this to the simulator or a result-cache key.
- */
-DataflowGraph scheduleCanonicalize(const DataflowGraph& g);
-
-/**
- * structuralHash(scheduleCanonicalize(g)): one key per schedule
- * family. All legal-interchange variants of a nest (e.g. the
- * accelerator GEMM loop orders), tensor renamings and mapping-knob
- * variations of one kernel collide; programs whose interchange is
- * dependence-blocked do not.
- */
-uint64_t scheduleFamilyHash(const DataflowGraph& g);
 
 /** Per-nest summary row of scheduleReport. */
 struct NestReport
@@ -207,10 +160,9 @@ struct NestReport
 struct ScheduleReport
 {
     std::vector<NestReport> nests;
-    uint64_t canonicalHash = 0; //!< the exact cache key (unchanged)
-    uint64_t familyHash = 0;    //!< the analysis-only family key
+    uint64_t canonicalHash = 0; //!< the program key (dfir::canonicalHash)
 
-    /** Render one line per nest plus the two hashes. */
+    /** Render the program key, then one line per nest. */
     std::string str() const;
 };
 

@@ -112,9 +112,8 @@ class Interp
             elems = std::min<long>(elems, 1 << 20);
             // Deterministic pseudo-data keyed by name: varied enough to
             // exercise data-dependent branches without explicit inputs.
-            // This keying is why canonicalization never renames tensors
-            // and why dfir::scheduleFamilyHash (which does) is
-            // analysis-only — a rename here changes ground truth.
+            // This keying is why canonicalization never renames tensors:
+            // a rename here changes ground truth.
             uint64_t h = util::fnv1a(t.name);
             std::vector<double> v(static_cast<size_t>(elems));
             for (size_t i = 0; i < v.size(); ++i) {

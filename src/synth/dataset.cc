@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "dfir/passes.h"
-#include "dfir/schedule.h"
 #include "dfir/verify.h"
 #include "synth/generators.h"
 #include "util/common.h"
@@ -143,13 +142,9 @@ datasetStats(const Dataset& ds)
     DatasetStats stats;
     stats.samples = ds.size();
     std::set<uint64_t> canonical;
-    std::set<uint64_t> families;
-    for (const Sample& s : ds.samples) {
+    for (const Sample& s : ds.samples)
         canonical.insert(dfir::canonicalHash(s.graph));
-        families.insert(dfir::scheduleFamilyHash(s.graph));
-    }
     stats.distinctCanonical = canonical.size();
-    stats.distinctFamilies = families.size();
     return stats;
 }
 

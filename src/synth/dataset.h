@@ -73,19 +73,15 @@ Dataset synthesize(const SynthConfig& cfg);
 Dataset synthesizeNoAugmentation(const SynthConfig& cfg);
 
 /**
- * Dataset redundancy summary under the two equivalence keys: the exact
- * canonical key (dfir::canonicalHash — the serve/model cache key) and
- * the coarser schedule-family key (dfir::scheduleFamilyHash, which
- * additionally collapses legal loop interchanges, tensor renames and
- * mapping-knob variants). distinctFamilies <= distinctCanonical always;
- * the gap measures how much schedule-level duplication the synthesizer
- * emits. Diagnostic only — training and caching keep exact keys.
+ * Dataset redundancy summary: how many samples carry distinct program
+ * keys (dfir::canonicalHash, the serve/model cache key). The gap to
+ * `samples` measures how many semantically identical programs the
+ * synthesizer emits. Diagnostic only.
  */
 struct DatasetStats
 {
     size_t samples = 0;
     size_t distinctCanonical = 0;
-    size_t distinctFamilies = 0;
 };
 
 DatasetStats datasetStats(const Dataset& ds);

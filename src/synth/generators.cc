@@ -543,57 +543,6 @@ equivalentMutant(const dfir::DataflowGraph& base, util::Rng& rng)
     return out;
 }
 
-ScheduleMutant
-scheduleMutant(const dfir::DataflowGraph& base, util::Rng& rng)
-{
-    ScheduleMutant out;
-    DataflowGraph g = base;
-    for (auto& op : g.ops) {
-        std::set<std::string> invariant(op.scalarParams.begin(),
-                                        op.scalarParams.end());
-        for (auto& s : op.body) {
-            if (!s || s->kind != StmtKind::For)
-                continue;
-            dfir::NestInfo nest = dfir::analyzeNest(s, invariant);
-            std::vector<std::pair<int, int>> legal;
-            for (int i = 0; i < nest.depth(); ++i)
-                for (int j = i + 1; j < nest.depth(); ++j)
-                    if (dfir::interchangeLegal(nest, i, j))
-                        legal.emplace_back(i, j);
-            if (legal.empty())
-                continue;
-            auto pick = legal[rng.index(legal.size())];
-
-            // Materialize the perfect band (same walk analyzeNest
-            // does), swap the two chosen headers, rebuild the chain.
-            std::vector<Loop> band;
-            const Stmt* cur = s.get();
-            band.push_back(cur->loop);
-            while (cur->body.size() == 1 &&
-                   cur->body[0]->kind == StmtKind::For) {
-                cur = cur->body[0].get();
-                band.push_back(cur->loop);
-            }
-            std::vector<StmtPtr> inner = cur->body;
-            std::swap(band[static_cast<size_t>(pick.first)],
-                      band[static_cast<size_t>(pick.second)]);
-            for (size_t l = band.size(); l-- > 0;) {
-                auto f = std::make_shared<Stmt>();
-                f->kind = StmtKind::For;
-                f->loop = band[l];
-                f->body = std::move(inner);
-                inner = {StmtPtr(std::move(f))};
-            }
-            s = inner[0];
-            ++out.interchanges;
-        }
-    }
-    out.changed = out.interchanges > 0;
-    g.name = base.name + "_sx";
-    out.graph = std::move(g);
-    return out;
-}
-
 void
 augmentHardware(dfir::DataflowGraph& g, util::Rng& rng,
                 const std::vector<int>& mem_delays)

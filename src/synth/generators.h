@@ -76,27 +76,6 @@ EquivalentMutant equivalentMutant(const dfir::DataflowGraph& base,
                                   util::Rng& rng);
 
 /**
- * A proven-legal loop-interchange variant of 'base': in each top-level
- * nest with at least one interchange that dfir::interchangeLegal
- * accepts, one randomly chosen legal pair of band levels is swapped
- * (nests with no legal pair are left alone). Semantics are preserved
- * exactly and nothing is renamed, so the base's runtime data stays
- * valid — but the schedule changes, so canonicalHash (and profiled
- * cycles) move while dfir::scheduleFamilyHash stays fixed. This is the
- * family-statistics counterpart of equivalentMutant: its mutants miss
- * under exact canonical keys yet collide under the family key.
- */
-struct ScheduleMutant
-{
-    dfir::DataflowGraph graph;
-    bool changed = false; //!< at least one interchange was applied
-    int interchanges = 0; //!< number of nests interchanged
-};
-
-ScheduleMutant scheduleMutant(const dfir::DataflowGraph& base,
-                              util::Rng& rng);
-
-/**
  * Attach hardware mapping/parameter augmentation (paper Section 6.3):
  * memory delays drawn from the given set, port counts, and pragma
  * rewrites (unroll / parallel) on randomly chosen loops.

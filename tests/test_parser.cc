@@ -2,10 +2,13 @@
  * @file
  * Parser tests: printer/parser round trips (the key invariant: a parsed
  * program profiles identically to the original), expression precedence,
- * pragma handling, hardware parameters, data lines, and error reporting.
+ * pragma handling, hardware parameters, data lines, and error reporting
+ * (out-of-range integer literals included).
  */
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "dfir/builder.h"
 #include "dfir/parser.h"
@@ -113,6 +116,38 @@ TEST(Parser, RejectsMalformedInputWithLineNumbers)
 
     auto res2 = parseProgram("void f(double A[4]) { }\n");
     EXPECT_FALSE(res2.ok);
+}
+
+TEST(Parser, IntegerLiteralsAboveLongMaxAreParseErrors)
+{
+    // LONG_MAX is the largest literal; one more is a parse error on
+    // the literal's line, in expressions and in data lines alike.
+    const long kMax = std::numeric_limits<long>::max();
+    auto e = parseExpr("9223372036854775807");
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->constVal, kMax);
+    std::string err;
+    EXPECT_EQ(parseExpr("9223372036854775808", &err), nullptr);
+    EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+
+    const std::string prog = "void f(float A[4]) {\n"
+                             "  A[0] = 1;\n"
+                             "}\n"
+                             "void dataflow() { f(); }\n";
+    auto ok = parseProgram(prog + "N = 9223372036854775807\n");
+    ASSERT_TRUE(ok.ok) << ok.error;
+    EXPECT_EQ(ok.data.scalars.at("N"), kMax);
+    auto data = parseProgram(prog + "N = 9223372036854775808\n");
+    EXPECT_FALSE(data.ok);
+    EXPECT_EQ(data.errorLine, 5);
+
+    auto body = parseProgram("void f(float A[4]) {\n"
+                             "  A[0] = 99999999999999999999;\n"
+                             "}\n");
+    EXPECT_FALSE(body.ok);
+    EXPECT_EQ(body.errorLine, 2);
+    EXPECT_NE(body.error.find("out of range"), std::string::npos)
+        << body.error;
 }
 
 TEST(Parser, RoundTripPreservesProfileForWorkloads)
