@@ -2,7 +2,7 @@
  * @file
  * Table 10 reproduction: cycles MAPE at different base-model scales.
  * The paper sweeps Qwen2.5-0.5B / LLaMA-3.2-1B / LLaMA-3.1-8B; this repo
- * sweeps the Tiny / Small / Base presets (DESIGN.md section 4) under
+ * sweeps the Tiny / Small / Base presets (README "Benches") under
  * identical training data and schedule.
  *
  * Expected shape (paper): larger models give lower average MAPE

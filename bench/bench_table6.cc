@@ -93,7 +93,7 @@ main(int argc, char** argv)
                 "~100k-parameter policy is miscalibrated (confidently "
                 "wrong on out-of-family magnitudes), where the paper's "
                 "pretrained 1B model is not. Recorded as a deviation in "
-                "EXPERIMENTS.md.\n", r);
+                "README \"Benches\".\n", r);
     bench::csv("table6", "pearson_conf_sqrelerr", r);
     bench::csv("table6", "pearson_conf_sqabserr", r_abs);
     return 0;

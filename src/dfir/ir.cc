@@ -1,5 +1,9 @@
 #include "dfir/ir.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "util/string_util.h"
 
 namespace llmulator {
@@ -38,6 +42,38 @@ binOpName(BinOp op)
       case BinOp::Or: return "||";
     }
     return "?";
+}
+
+double
+evalBinOp(BinOp op, double l, double r)
+{
+    switch (op) {
+      case BinOp::Add: return l + r;
+      case BinOp::Sub: return l - r;
+      case BinOp::Mul: return l * r;
+      case BinOp::Div: return r != 0.0 ? l / r : 0.0;
+      case BinOp::Mod: return r != 0.0 ? std::fmod(l, r) : 0.0;
+      case BinOp::Min: return std::min(l, r);
+      case BinOp::Max: return std::max(l, r);
+      case BinOp::Lt: return l < r;
+      case BinOp::Le: return l <= r;
+      case BinOp::Gt: return l > r;
+      case BinOp::Ge: return l >= r;
+      case BinOp::Eq: return l == r;
+      case BinOp::Ne: return l != r;
+      case BinOp::And: return (l != 0) && (r != 0);
+      case BinOp::Or: return (l != 0) || (r != 0);
+    }
+    return 0.0;
+}
+
+bool
+checkedOp(BinOp op, long a, long b, long* out)
+{
+    bool overflow = op == BinOp::Add   ? __builtin_add_overflow(a, b, out)
+                    : op == BinOp::Sub ? __builtin_sub_overflow(a, b, out)
+                                       : __builtin_mul_overflow(a, b, out);
+    return !overflow && *out != std::numeric_limits<long>::min();
 }
 
 const Operator*

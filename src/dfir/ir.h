@@ -42,6 +42,23 @@ bool isPredicate(BinOp op);
 /** C-like spelling ("+", "<", "min", ...). */
 const char* binOpName(BinOp op);
 
+/**
+ * The simulator's double arithmetic for one binary node: Div and Mod by
+ * zero read 0, comparisons and logic read 0 or 1. Dead-code elimination
+ * decides constant branches with it, so it drops exactly the branch
+ * the interpreter would skip.
+ */
+double evalBinOp(BinOp op, double l, double r);
+
+/**
+ * *out = a op b for op in {Add, Sub, Mul}; false when the exact result
+ * leaves [-LONG_MAX, LONG_MAX]. Literals come from untrusted program
+ * text, so every `long` fold of them (shape folding, subscript
+ * linearization) goes through here; excluding LONG_MIN, whose negation
+ * overflows, lets callers negate or take |x| of any result.
+ */
+bool checkedOp(BinOp op, long a, long b, long* out);
+
 struct Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
@@ -173,8 +190,8 @@ uint64_t structuralHash(const DataflowGraph& g);
 
 /**
  * Structural hash of one expression subtree (the same combination the
- * graph hash uses; exposed for the canonicalization passes, which order
- * commutative operands and hash-cons subtrees by it).
+ * graph hash uses; exposed for canonicalization, which orders
+ * commutative operands by it).
  */
 uint64_t exprHash(const ExprPtr& e);
 

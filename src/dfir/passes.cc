@@ -1,9 +1,9 @@
 #include "dfir/passes.h"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 
+#include "dfir/builder.h"
 #include "dfir/printer.h"
 #include "util/string_util.h"
 
@@ -12,44 +12,127 @@ namespace dfir {
 
 namespace {
 
-ExprPtr
-makeConst(long value)
+/**
+ * Copy-on-write handle on an immutable node: reads see the original
+ * until the first edit() copies it, so a walk hands back every subtree
+ * it leaves unchanged as is, shared with its input.
+ */
+template <typename T>
+class Cow
 {
-    auto e = std::make_shared<Expr>();
-    e->kind = ExprKind::Const;
-    e->constVal = value;
-    return e;
+  public:
+    explicit Cow(std::shared_ptr<const T> node) : node_(std::move(node)) {}
+
+    const T& get() const { return copy_ ? *copy_ : *node_; }
+
+    T& edit()
+    {
+        if (!copy_)
+            copy_ = std::make_shared<T>(*node_);
+        return *copy_;
+    }
+
+    std::shared_ptr<const T> result() const
+    {
+        if (copy_)
+            return copy_;
+        return node_;
+    }
+
+  private:
+    std::shared_ptr<const T> node_;
+    std::shared_ptr<T> copy_;
+};
+
+/** Rewrite each operand of 'e' with 'fn'. */
+template <typename Fn>
+void
+mapArgs(Cow<Expr>& e, Fn fn)
+{
+    const std::vector<ExprPtr>& args = e.get().args;
+    for (size_t i = 0; i < args.size(); ++i)
+        if (ExprPtr arg = fn(args[i]); arg != args[i])
+            e.edit().args[i] = std::move(arg);
 }
 
-/** Apply an expression rewrite to every expr position of a statement. */
-template <typename ExprFn, typename StmtRec>
+/**
+ * Rewrite every expression of a statement with 'fn' and every child
+ * statement with 'rec', in pre-order: target indices, rhs, cond and
+ * loop bounds, then the then/else/loop bodies. Both rewriting walks
+ * see names in this order.
+ */
+template <typename ExprFn, typename StmtFn>
 StmtPtr
-rewriteStmtExprs(const StmtPtr& s, ExprFn fn, StmtRec rec)
+mapStmt(Cow<Stmt> s, ExprFn fn, StmtFn rec)
 {
-    auto copy = std::make_shared<Stmt>(*s);
-    for (auto& idx : copy->targetIdx)
-        idx = fn(idx);
-    if (copy->rhs)
-        copy->rhs = fn(copy->rhs);
-    if (copy->cond)
-        copy->cond = fn(copy->cond);
-    if (copy->kind == StmtKind::For) {
-        if (copy->loop.lower)
-            copy->loop.lower = fn(copy->loop.lower);
-        if (copy->loop.upper)
-            copy->loop.upper = fn(copy->loop.upper);
-    }
-    for (auto& b : copy->thenBody)
-        b = rec(b);
-    for (auto& b : copy->elseBody)
-        b = rec(b);
-    for (auto& b : copy->body)
-        b = rec(b);
-    return copy;
+    const Stmt& in = s.get();
+    for (size_t i = 0; i < in.targetIdx.size(); ++i)
+        if (ExprPtr e = fn(in.targetIdx[i]); e != in.targetIdx[i])
+            s.edit().targetIdx[i] = std::move(e);
+    if (ExprPtr e = fn(in.rhs); e != in.rhs)
+        s.edit().rhs = std::move(e);
+    if (ExprPtr e = fn(in.cond); e != in.cond)
+        s.edit().cond = std::move(e);
+    if (in.kind == StmtKind::For)
+        for (ExprPtr Loop::*bound : {&Loop::lower, &Loop::upper})
+            if (ExprPtr e = fn(in.loop.*bound); e != in.loop.*bound)
+                s.edit().loop.*bound = std::move(e);
+    for (auto body : {&Stmt::thenBody, &Stmt::elseBody, &Stmt::body})
+        for (size_t i = 0; i < (in.*body).size(); ++i)
+            if (StmtPtr b = rec((in.*body)[i]); b != (in.*body)[i])
+                (s.edit().*body)[i] = std::move(b);
+    return s.result();
 }
 
 // ---------------------------------------------------------------------------
 // normalizeExprKinds
+
+/**
+ * Fold a shape expression (loop bound or tensor dim) through its Binary
+ * nodes. Only operators whose long-integer result matches the
+ * simulator's double evaluation bit for bit on integer inputs are
+ * folded: Div and Mod never are (estimateExpr truncates where evalExpr
+ * divides exactly), and an Add, Sub or Mul that would overflow stays
+ * unfolded, so a folded bound can never change a trip count or a
+ * synthesized tensor size.
+ */
+ExprPtr
+foldShapeExpr(const ExprPtr& e)
+{
+    if (!e || e->kind != ExprKind::Binary)
+        return e;
+    Cow<Expr> out(e);
+    mapArgs(out, foldShapeExpr);
+    const Expr& x = out.get();
+    if (x.args.size() != 2 || x.args[0]->kind != ExprKind::Const ||
+        x.args[1]->kind != ExprKind::Const)
+        return out.result();
+    long l = x.args[0]->constVal;
+    long r = x.args[1]->constVal;
+    long v = 0;
+    switch (x.op) {
+      case BinOp::Add:
+      case BinOp::Sub:
+      case BinOp::Mul:
+        if (!checkedOp(x.op, l, r, &v))
+            return out.result();
+        break;
+      case BinOp::Min: v = std::min(l, r); break;
+      case BinOp::Max: v = std::max(l, r); break;
+      case BinOp::Lt: v = l < r; break;
+      case BinOp::Le: v = l <= r; break;
+      case BinOp::Gt: v = l > r; break;
+      case BinOp::Ge: v = l >= r; break;
+      case BinOp::Eq: v = l == r; break;
+      case BinOp::Ne: v = l != r; break;
+      case BinOp::And: v = (l != 0) && (r != 0); break;
+      case BinOp::Or: v = (l != 0) || (r != 0); break;
+      case BinOp::Div:
+      case BinOp::Mod:
+        return out.result();
+    }
+    return c(v);
+}
 
 /**
  * Mirror the parser's name discipline: while walking an operator in
@@ -57,167 +140,78 @@ rewriteStmtExprs(const StmtPtr& s, ExprFn fn, StmtRec rec)
  * has already opened (the parser registers induction variables as it
  * sees their headers and never retires them within a function), and a
  * Param otherwise. Kinds of Const / ArrayRef / Binary nodes are
- * untouched.
+ * untouched. The shape positions (tensor dims, loop bounds) are folded
+ * on the way; dims keep their kinds.
  */
 class KindNormalizer
 {
   public:
-    Operator run(const Operator& op)
+    void run(Operator& op)
     {
+        for (auto& t : op.tensors)
+            for (auto& d : t.dims)
+                d = foldShapeExpr(d);
         seen_.clear();
-        Operator out = op;
-        for (auto& s : out.body)
-            s = rewriteStmt(s);
-        return out;
+        for (auto& s : op.body)
+            s = normalizeStmt(s);
     }
 
   private:
-    StmtPtr rewriteStmt(const StmtPtr& s)
+    StmtPtr normalizeStmt(const StmtPtr& s)
     {
-        if (s->kind == StmtKind::For)
+        Cow<Stmt> out(s);
+        if (s->kind == StmtKind::For) {
             seen_.insert(s->loop.var);
-        auto fn = [this](const ExprPtr& e) { return rewriteExpr(e); };
-        auto rec = [this](const StmtPtr& b) { return rewriteStmt(b); };
-        return rewriteStmtExprs(s, fn, rec);
+            for (ExprPtr Loop::*bound : {&Loop::lower, &Loop::upper})
+                if (ExprPtr e = foldShapeExpr(s->loop.*bound);
+                    e != s->loop.*bound)
+                    out.edit().loop.*bound = std::move(e);
+        }
+        return mapStmt(
+            std::move(out),
+            [this](const ExprPtr& e) { return normalizeExpr(e); },
+            [this](const StmtPtr& b) { return normalizeStmt(b); });
     }
 
-    ExprPtr rewriteExpr(const ExprPtr& e)
+    ExprPtr normalizeExpr(const ExprPtr& e)
     {
         if (!e)
             return e;
-        auto copy = std::make_shared<Expr>(*e);
-        for (auto& arg : copy->args)
-            arg = rewriteExpr(arg);
-        if (e->kind == ExprKind::LoopVar || e->kind == ExprKind::Param)
-            copy->kind = seen_.count(e->name) ? ExprKind::LoopVar
-                                              : ExprKind::Param;
-        return copy;
+        Cow<Expr> out(e);
+        mapArgs(out,
+                [this](const ExprPtr& arg) { return normalizeExpr(arg); });
+        if (e->kind == ExprKind::LoopVar || e->kind == ExprKind::Param) {
+            ExprKind kind = seen_.count(e->name) ? ExprKind::LoopVar
+                                                 : ExprKind::Param;
+            if (kind != e->kind)
+                out.edit().kind = kind;
+        }
+        return out.result();
     }
 
     std::set<std::string> seen_;
 };
 
 // ---------------------------------------------------------------------------
-// foldConstants
-
-/**
- * Fold a shape expression (loop bound or tensor dim). Only operators
- * whose long-integer result matches the simulator's double evaluation
- * bit for bit on integer inputs are folded; Div and Mod are excluded
- * (estimateExpr truncates where evalExpr divides exactly), so a folded
- * bound can never change a trip count or a synthesized tensor size.
- */
-ExprPtr
-foldShapeExpr(const ExprPtr& e)
-{
-    if (!e || e->kind != ExprKind::Binary)
-        return e;
-    auto copy = std::make_shared<Expr>(*e);
-    for (auto& arg : copy->args)
-        arg = foldShapeExpr(arg);
-    if (copy->args.size() != 2 ||
-        copy->args[0]->kind != ExprKind::Const ||
-        copy->args[1]->kind != ExprKind::Const)
-        return copy;
-    long l = copy->args[0]->constVal;
-    long r = copy->args[1]->constVal;
-    switch (copy->op) {
-      case BinOp::Add: return makeConst(l + r);
-      case BinOp::Sub: return makeConst(l - r);
-      case BinOp::Mul: return makeConst(l * r);
-      case BinOp::Min: return makeConst(std::min(l, r));
-      case BinOp::Max: return makeConst(std::max(l, r));
-      case BinOp::Lt: return makeConst(l < r);
-      case BinOp::Le: return makeConst(l <= r);
-      case BinOp::Gt: return makeConst(l > r);
-      case BinOp::Ge: return makeConst(l >= r);
-      case BinOp::Eq: return makeConst(l == r);
-      case BinOp::Ne: return makeConst(l != r);
-      case BinOp::And: return makeConst((l != 0) && (r != 0));
-      case BinOp::Or: return makeConst((l != 0) || (r != 0));
-      case BinOp::Div:
-      case BinOp::Mod:
-        return copy;
-    }
-    return copy;
-}
-
-StmtPtr
-foldStmt(const StmtPtr& s)
-{
-    auto copy = std::make_shared<Stmt>(*s);
-    if (copy->kind == StmtKind::For) {
-        if (copy->loop.lower)
-            copy->loop.lower = foldShapeExpr(copy->loop.lower);
-        if (copy->loop.upper)
-            copy->loop.upper = foldShapeExpr(copy->loop.upper);
-    }
-    for (auto& b : copy->thenBody)
-        b = foldStmt(b);
-    for (auto& b : copy->elseBody)
-        b = foldStmt(b);
-    for (auto& b : copy->body)
-        b = foldStmt(b);
-    return copy;
-}
-
-// ---------------------------------------------------------------------------
 // eliminateDeadCode
 
 /**
- * Evaluate a constants-only condition with the simulator's exact double
- * arithmetic (including its guarded Div/Mod), so eliminating the branch
- * reproduces the decision the interpreter would have taken. Returns
- * true/false for a decided branch; unset when any name appears.
+ * Evaluate a constants-only expression with the simulator's exact double
+ * arithmetic (evalBinOp), so a branch decided on it is the one the
+ * interpreter would have taken. False when any name appears.
  */
 bool
-constCondValue(const ExprPtr& e, bool* taken)
+constValue(const ExprPtr& e, double* out)
 {
-    struct Eval
-    {
-        static bool run(const ExprPtr& x, double* out)
-        {
-            if (!x)
-                return false;
-            switch (x->kind) {
-              case ExprKind::Const:
-                *out = static_cast<double>(x->constVal);
-                return true;
-              case ExprKind::Binary: {
-                double l, r;
-                if (x->args.size() != 2 || !run(x->args[0], &l) ||
-                    !run(x->args[1], &r))
-                    return false;
-                switch (x->op) {
-                  case BinOp::Add: *out = l + r; break;
-                  case BinOp::Sub: *out = l - r; break;
-                  case BinOp::Mul: *out = l * r; break;
-                  case BinOp::Div: *out = r != 0.0 ? l / r : 0.0; break;
-                  case BinOp::Mod:
-                    *out = r != 0.0 ? std::fmod(l, r) : 0.0;
-                    break;
-                  case BinOp::Min: *out = std::min(l, r); break;
-                  case BinOp::Max: *out = std::max(l, r); break;
-                  case BinOp::Lt: *out = l < r; break;
-                  case BinOp::Le: *out = l <= r; break;
-                  case BinOp::Gt: *out = l > r; break;
-                  case BinOp::Ge: *out = l >= r; break;
-                  case BinOp::Eq: *out = l == r; break;
-                  case BinOp::Ne: *out = l != r; break;
-                  case BinOp::And: *out = (l != 0) && (r != 0); break;
-                  case BinOp::Or: *out = (l != 0) || (r != 0); break;
-                }
-                return true;
-              }
-              default:
-                return false; // names: not a constant condition
-            }
-        }
-    };
-    double v = 0;
-    if (!Eval::run(e, &v))
+    if (e && e->kind == ExprKind::Const) {
+        *out = static_cast<double>(e->constVal);
+        return true;
+    }
+    double l, r;
+    if (!e || e->kind != ExprKind::Binary || e->args.size() != 2 ||
+        !constValue(e->args[0], &l) || !constValue(e->args[1], &r))
         return false;
-    *taken = v != 0.0;
+    *out = evalBinOp(e->op, l, r);
     return true;
 }
 
@@ -270,9 +264,9 @@ dceBody(const std::vector<StmtPtr>& body, const std::set<std::string>& live,
             break;
           }
           case StmtKind::If: {
-            bool taken = false;
-            if (constCondValue(s->cond, &taken)) {
-                dceBody(taken ? s->thenBody : s->elseBody, live, out);
+            double cond = 0;
+            if (constValue(s->cond, &cond)) {
+                dceBody(cond != 0.0 ? s->thenBody : s->elseBody, live, out);
                 continue;
             }
             std::vector<StmtPtr> then_body, else_body;
@@ -311,20 +305,55 @@ dceBody(const std::vector<StmtPtr>& body, const std::set<std::string>& live,
 // ---------------------------------------------------------------------------
 // renameCanonical
 
+bool
+isCommutative(BinOp op)
+{
+    switch (op) {
+      case BinOp::Add: case BinOp::Mul: case BinOp::Min: case BinOp::Max:
+      case BinOp::And: case BinOp::Or: case BinOp::Eq: case BinOp::Ne:
+        return true;
+      default:
+        return false;
+    }
+}
+
 /**
- * Deterministic fresh-name source that steps around tensor names, which
- * renaming leaves alone (the simulator keys synthesized pseudo-data by
- * tensor name). Skipped indices depend only on tensor names, so two
- * graphs with equal tensors number identically.
+ * Canonical operand order of a commutative node: subtree hash, with the
+ * printed form as a deterministic tie-break on the (rare) colliding
+ * non-identical subtrees.
  */
-class NameWell
+bool
+outOfOrder(const ExprPtr& l, const ExprPtr& r)
+{
+    uint64_t hl = exprHash(l);
+    uint64_t hr = exprHash(r);
+    return hl > hr || (hl == hr && printExpr(l) > printExpr(r));
+}
+
+class Renamer
 {
   public:
-    explicit NameWell(const std::set<std::string>& reserved)
-        : reserved_(reserved)
+    explicit Renamer(const DataflowGraph& g) : g_(g)
     {
+        for (const auto& op : g.ops)
+            for (const auto& t : op.tensors)
+                reserved_.insert(t.name);
     }
 
+    DataflowGraph run(std::map<std::string, std::string>* scalar_renames);
+
+  private:
+    Operator renameOp(const Operator& op);
+    StmtPtr renameStmt(const StmtPtr& s);
+    ExprPtr renameExpr(const ExprPtr& e);
+    void numberTemps(const std::vector<StmtPtr>& body);
+
+    /**
+     * Next unused "<stem><n>". Tensor names are reserved: renaming
+     * leaves them alone (the simulator keys synthesized pseudo-data by
+     * tensor name). Skipped indices depend only on tensor names, so two
+     * graphs with equal tensors number identically.
+     */
     std::string fresh(const char* stem, int* counter) const
     {
         for (;;) {
@@ -334,43 +363,29 @@ class NameWell
         }
     }
 
-  private:
-    const std::set<std::string>& reserved_;
-};
-
-class Renamer
-{
-  public:
-    Renamer(const DataflowGraph& g,
-            std::map<std::string, std::string>* scalar_renames)
-        : g_(g), out_(scalar_renames)
-    {
-        for (const auto& op : g.ops)
-            for (const auto& t : op.tensors)
-                reserved_.insert(t.name);
-    }
-
-    DataflowGraph run();
-
-  private:
-    Operator renameOp(const Operator& op);
-    StmtPtr renameStmt(const StmtPtr& s);
-    ExprPtr renameExpr(const ExprPtr& e);
-
     /** Canonical name for a scalar (param first, then temp pool). */
     const std::string& scalarName(const std::string& name)
     {
         auto it = scalars_.find(name);
         if (it != scalars_.end())
             return it->second;
-        NameWell well(reserved_);
-        return scalars_
-            .emplace(name, well.fresh("t", &nextTemp_))
-            .first->second;
+        return scalars_.emplace(name, fresh("t", &nextTemp_)).first->second;
+    }
+
+    /**
+     * Canonical name for a LoopVar reference: its innermost enclosing
+     * loop's. Out of scope, the interpreter falls back to the scalar
+     * environment, so the name goes through the scalar pool.
+     */
+    const std::string& loopVarName(const std::string& name)
+    {
+        for (auto it = loopScope_.rbegin(); it != loopScope_.rend(); ++it)
+            if (it->first == name)
+                return it->second;
+        return scalarName(name);
     }
 
     const DataflowGraph& g_;
-    std::map<std::string, std::string>* out_;
     std::set<std::string> reserved_;
     std::map<std::string, std::string> opNames_;
     std::map<std::string, std::string> scalars_; //!< params + temps
@@ -381,20 +396,18 @@ class Renamer
 };
 
 DataflowGraph
-Renamer::run()
+Renamer::run(std::map<std::string, std::string>* scalar_renames)
 {
-    NameWell well(reserved_);
-
     // Operators: op0, op1, ... in first-call order; operators that are
     // never called (possible when DCE was skipped) extend the sequence
     // in definition order.
     int op_counter = 0;
     for (const auto& call : g_.calls)
         if (g_.findOp(call.opName) && !opNames_.count(call.opName))
-            opNames_.emplace(call.opName, well.fresh("op", &op_counter));
+            opNames_.emplace(call.opName, fresh("op", &op_counter));
     for (const auto& op : g_.ops)
         if (!opNames_.count(op.name))
-            opNames_.emplace(op.name, well.fresh("op", &op_counter));
+            opNames_.emplace(op.name, fresh("op", &op_counter));
 
     // Scalar parameters: p0, p1, ... graph-wide in declaration order,
     // visiting operators in their canonical (first-call) order so the
@@ -415,29 +428,9 @@ Renamer::run()
     for (const Operator* op : op_order)
         for (const auto& sp : op->scalarParams)
             if (!scalars_.count(sp))
-                scalars_.emplace(sp, well.fresh("p", &nextParam_));
-
-    // Scalar temps: t0, t1, ... by assignment-statement pre-order.
-    // Numbering from assignments (never from reads) keeps ids invariant
-    // under operand reordering, which is what lets rename-then-sort
-    // converge in one application.
-    struct TempWalk
-    {
-        Renamer* self;
-        void walk(const std::vector<StmtPtr>& body)
-        {
-            for (const auto& s : body) {
-                if (s->kind == StmtKind::Assign && s->targetIdx.empty())
-                    self->scalarName(s->target);
-                walk(s->thenBody);
-                walk(s->elseBody);
-                walk(s->body);
-            }
-        }
-    };
-    TempWalk tw{this};
+                scalars_.emplace(sp, fresh("p", &nextParam_));
     for (const Operator* op : op_order)
-        tw.walk(op->body);
+        numberTemps(op->body);
 
     DataflowGraph out;
     out.name = "canonical";
@@ -452,9 +445,26 @@ Renamer::run()
         out.calls.push_back(
             {it != opNames_.end() ? it->second : call.opName});
     }
-    if (out_)
-        *out_ = scalars_;
+    if (scalar_renames)
+        *scalar_renames = std::move(scalars_);
     return out;
+}
+
+/**
+ * Scalar temps: t0, t1, ... by assignment-statement pre-order. Numbering
+ * from assignments (never from reads) keeps ids invariant under operand
+ * reordering, which is what lets one walk both rename and sort.
+ */
+void
+Renamer::numberTemps(const std::vector<StmtPtr>& body)
+{
+    for (const auto& s : body) {
+        if (s->kind == StmtKind::Assign && s->targetIdx.empty())
+            scalarName(s->target);
+        numberTemps(s->thenBody);
+        numberTemps(s->elseBody);
+        numberTemps(s->body);
+    }
 }
 
 Operator
@@ -478,219 +488,82 @@ Renamer::renameOp(const Operator& op)
 StmtPtr
 Renamer::renameStmt(const StmtPtr& s)
 {
-    auto copy = std::make_shared<Stmt>(*s);
-    bool pushed = false;
-    if (s->kind == StmtKind::For) {
-        NameWell well(reserved_);
-        copy->loop.var = well.fresh("i", &nextLoop_);
-        loopScope_.emplace_back(s->loop.var, copy->loop.var);
-        pushed = true;
+    Cow<Stmt> out(s);
+    const bool loop = s->kind == StmtKind::For;
+    if (loop) {
+        out.edit().loop.var = fresh("i", &nextLoop_);
+        loopScope_.emplace_back(s->loop.var, out.get().loop.var);
     } else if (s->kind == StmtKind::Assign && s->targetIdx.empty()) {
-        copy->target = scalarName(s->target);
+        out.edit().target = scalarName(s->target);
     }
-    auto fn = [this](const ExprPtr& e) { return renameExpr(e); };
-    auto rec = [this](const StmtPtr& b) { return renameStmt(b); };
-    StmtPtr result = rewriteStmtExprs(copy, fn, rec);
-    if (pushed)
+    StmtPtr result = mapStmt(
+        std::move(out), [this](const ExprPtr& e) { return renameExpr(e); },
+        [this](const StmtPtr& b) { return renameStmt(b); });
+    if (loop)
         loopScope_.pop_back();
     return result;
 }
 
+/**
+ * Rename a subtree bottom-up, putting each commutative node's operands
+ * in canonical order once they are final: names never depend on
+ * operand order, so sorting here equals sorting the renamed tree.
+ */
 ExprPtr
 Renamer::renameExpr(const ExprPtr& e)
 {
     if (!e)
         return e;
-    auto copy = std::make_shared<Expr>(*e);
-    for (auto& arg : copy->args)
-        arg = renameExpr(arg);
-    if (e->kind == ExprKind::LoopVar) {
-        for (auto it = loopScope_.rbegin(); it != loopScope_.rend(); ++it) {
-            if (it->first == e->name) {
-                copy->name = it->second;
-                return copy;
-            }
-        }
-        // Out-of-scope loop name: the interpreter would fall back to
-        // the scalar environment, so rename through the scalar pool.
-        copy->name = scalarName(e->name);
-    } else if (e->kind == ExprKind::Param) {
-        copy->name = scalarName(e->name);
+    Cow<Expr> out(e);
+    mapArgs(out, [this](const ExprPtr& arg) { return renameExpr(arg); });
+    if (e->kind == ExprKind::LoopVar || e->kind == ExprKind::Param) {
+        const std::string& name = e->kind == ExprKind::LoopVar
+                                      ? loopVarName(e->name)
+                                      : scalarName(e->name);
+        if (name != e->name)
+            out.edit().name = name;
     }
-    return copy;
-}
-
-// ---------------------------------------------------------------------------
-// orderCommutativeOperands
-
-bool
-isCommutative(BinOp op)
-{
-    switch (op) {
-      case BinOp::Add: case BinOp::Mul: case BinOp::Min: case BinOp::Max:
-      case BinOp::And: case BinOp::Or: case BinOp::Eq: case BinOp::Ne:
-        return true;
-      default:
-        return false;
+    const Expr& x = out.get();
+    if (x.kind == ExprKind::Binary && x.args.size() == 2 &&
+        isCommutative(x.op) && outOfOrder(x.args[0], x.args[1])) {
+        Expr& sorted = out.edit();
+        std::swap(sorted.args[0], sorted.args[1]);
     }
-}
-
-ExprPtr
-sortExpr(const ExprPtr& e)
-{
-    // Recurse through every node kind: commuting operands hide inside
-    // ArrayRef indices just as often as at expression roots.
-    if (!e || e->args.empty())
-        return e;
-    auto copy = std::make_shared<Expr>(*e);
-    for (auto& arg : copy->args)
-        arg = sortExpr(arg);
-    if (copy->kind == ExprKind::Binary && copy->args.size() == 2 &&
-        isCommutative(copy->op)) {
-        uint64_t hl = exprHash(copy->args[0]);
-        uint64_t hr = exprHash(copy->args[1]);
-        // Hash order, with the printed form as a deterministic
-        // tie-break on the (rare) colliding non-identical subtrees.
-        bool swap = hl > hr ||
-                    (hl == hr && printExpr(copy->args[0]) >
-                                     printExpr(copy->args[1]));
-        if (swap)
-            std::swap(copy->args[0], copy->args[1]);
-    }
-    return copy;
-}
-
-StmtPtr
-sortStmt(const StmtPtr& s)
-{
-    auto fn = [](const ExprPtr& e) { return sortExpr(e); };
-    auto rec = [](const StmtPtr& b) { return sortStmt(b); };
-    return rewriteStmtExprs(s, fn, rec);
-}
-
-// ---------------------------------------------------------------------------
-// shareCommonSubexprs
-
-/**
- * Hash-consing interner: children are interned first, so deep equality
- * of candidates reduces to field comparison plus pointer equality of
- * operands.
- */
-class Interner
-{
-  public:
-    ExprPtr intern(const ExprPtr& e)
-    {
-        if (!e)
-            return e;
-        std::vector<ExprPtr> args;
-        args.reserve(e->args.size());
-        bool changed = false;
-        for (const auto& arg : e->args) {
-            args.push_back(intern(arg));
-            changed = changed || args.back() != arg;
-        }
-        ExprPtr candidate = e;
-        if (changed) {
-            auto copy = std::make_shared<Expr>(*e);
-            copy->args = std::move(args);
-            candidate = copy;
-        }
-        uint64_t h = exprHash(candidate);
-        auto& bucket = pool_[h];
-        for (const auto& existing : bucket)
-            if (shallowEqual(*existing, *candidate))
-                return existing;
-        bucket.push_back(candidate);
-        return candidate;
-    }
-
-  private:
-    static bool shallowEqual(const Expr& a, const Expr& b)
-    {
-        if (a.kind != b.kind || a.op != b.op ||
-            a.constVal != b.constVal || a.name != b.name ||
-            a.args.size() != b.args.size())
-            return false;
-        for (size_t i = 0; i < a.args.size(); ++i)
-            if (a.args[i] != b.args[i]) // interned: pointer equality
-                return false;
-        return true;
-    }
-
-    std::map<uint64_t, std::vector<ExprPtr>> pool_;
-};
-
-StmtPtr
-internStmt(const StmtPtr& s, Interner& interner)
-{
-    auto fn = [&interner](const ExprPtr& e) { return interner.intern(e); };
-    auto rec = [&interner](const StmtPtr& b) {
-        return internStmt(b, interner);
-    };
-    return rewriteStmtExprs(s, fn, rec);
-}
-
-/** Apply a statement rewrite to every operator body. */
-template <typename Fn>
-DataflowGraph
-mapBodies(const DataflowGraph& g, Fn fn)
-{
-    DataflowGraph out = g;
-    for (auto& op : out.ops)
-        for (auto& s : op.body)
-            s = fn(s);
-    return out;
+    return out.result();
 }
 
 } // namespace
 
 DataflowGraph
-normalizeExprKinds(const DataflowGraph& g)
+normalizeExprKinds(DataflowGraph g)
 {
-    DataflowGraph out = g;
     KindNormalizer norm;
-    for (auto& op : out.ops)
-        op = norm.run(op);
-    return out;
+    for (auto& op : g.ops)
+        norm.run(op);
+    return g;
 }
 
 DataflowGraph
-foldConstants(const DataflowGraph& g)
+eliminateDeadCode(DataflowGraph g)
 {
-    DataflowGraph out = g;
-    for (auto& op : out.ops) {
-        for (auto& t : op.tensors)
-            for (auto& d : t.dims)
-                d = foldShapeExpr(d);
-        for (auto& s : op.body)
-            s = foldStmt(s);
-    }
-    return out;
-}
+    // Definitions that are never called produce no cycles, area or
+    // power (the simulator executes calls; the HLS compiler lowers
+    // called operators), so dropping them is metric-free.
+    std::set<std::string> called;
+    for (const auto& call : g.calls)
+        called.insert(call.opName);
+    g.ops.erase(std::remove_if(g.ops.begin(), g.ops.end(),
+                               [&called](const Operator& op) {
+                                   return !called.count(op.name);
+                               }),
+                g.ops.end());
 
-DataflowGraph
-eliminateDeadCode(const DataflowGraph& g)
-{
-    DataflowGraph out = g;
     // Each round can expose more dead code (a removed reader kills its
     // producers), so iterate to a fixed point; rounds are bounded by
     // the number of statements.
     for (;;) {
-        // Definitions that are never called produce no cycles, area or
-        // power (the simulator executes calls; the HLS compiler lowers
-        // called operators), so dropping them is metric-free.
-        std::set<std::string> called;
-        for (const auto& call : out.calls)
-            called.insert(call.opName);
-        std::vector<Operator> kept;
-        for (auto& op : out.ops)
-            if (called.count(op.name))
-                kept.push_back(std::move(op));
-        out.ops = std::move(kept);
-
         std::set<std::string> live;
-        for (const auto& op : out.ops) {
+        for (const auto& op : g.ops) {
             for (const auto& t : op.tensors)
                 for (const auto& d : t.dims)
                     collectReadNames(d, live);
@@ -698,69 +571,34 @@ eliminateDeadCode(const DataflowGraph& g)
                 collectStmtReads(s, live);
         }
         bool changed = false;
-        for (auto& op : out.ops) {
+        for (auto& op : g.ops) {
             std::vector<StmtPtr> body;
             dceBody(op.body, live, &body);
-            changed = changed || body.size() != op.body.size() ||
-                      !std::equal(body.begin(), body.end(),
-                                  op.body.begin());
+            changed = changed || body != op.body;
             op.body = std::move(body);
         }
         if (!changed)
-            return out;
+            return g;
     }
-}
-
-DataflowGraph
-orderCommutativeOperands(const DataflowGraph& g)
-{
-    DataflowGraph out = mapBodies(g, [](const StmtPtr& s) {
-        return sortStmt(s);
-    });
-    for (auto& op : out.ops)
-        for (auto& t : op.tensors)
-            for (auto& d : t.dims)
-                d = sortExpr(d);
-    return out;
-}
-
-DataflowGraph
-shareCommonSubexprs(const DataflowGraph& g)
-{
-    Interner interner;
-    DataflowGraph out = g;
-    for (auto& op : out.ops) {
-        for (auto& t : op.tensors)
-            for (auto& d : t.dims)
-                d = interner.intern(d);
-        for (auto& s : op.body)
-            s = internStmt(s, interner);
-    }
-    return out;
 }
 
 DataflowGraph
 renameCanonical(const DataflowGraph& g,
                 std::map<std::string, std::string>* scalar_renames)
 {
-    return Renamer(g, scalar_renames).run();
+    return Renamer(g).run(scalar_renames);
 }
 
 CanonResult
 canonicalizeEx(const DataflowGraph& g)
 {
-    // Order matters: dead code is removed before renaming so dead
-    // statements cannot perturb the numbering, and operand sorting runs
-    // after renaming so sort keys are name-canonical. Name assignment
-    // never depends on operand order (declaration, statement and loop
-    // pre-order only), so rename-then-sort is a one-shot fixed point.
+    // Order matters: kinds are settled before DCE, which can delete the
+    // loop whose opening made a later read of its name a LoopVar, and
+    // dead code is removed before renaming so dead statements cannot
+    // perturb the numbering.
     CanonResult res;
-    DataflowGraph work = normalizeExprKinds(g);
-    work = foldConstants(work);
-    work = eliminateDeadCode(work);
-    work = renameCanonical(work, &res.scalarRenames);
-    work = orderCommutativeOperands(work);
-    res.graph = shareCommonSubexprs(work);
+    res.graph = renameCanonical(eliminateDeadCode(normalizeExprKinds(g)),
+                                &res.scalarRenames);
     return res;
 }
 

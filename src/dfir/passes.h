@@ -3,26 +3,32 @@
 
 /**
  * @file
- * Canonicalization pass pipeline over the dataflow IR.
+ * Canonicalization over the dataflow IR.
  *
  * Semantically identical programs reach the serve result cache and the
  * model cache under different structural hashes whenever they differ
- * only by value names, commuting-operand order, or dead statements. The
- * passes here rewrite a DataflowGraph into a canonical representative,
- * and canonicalHash() — structuralHash of that representative — is the
- * cache key that makes those equivalents collide on purpose.
+ * only by value names, commuting-operand order, or dead statements.
+ * canonicalize() rewrites a DataflowGraph into a canonical
+ * representative, and canonicalHash() — structuralHash of that
+ * representative — is the cache key that makes those equivalents
+ * collide on purpose.
  *
- * Pass catalogue (each is pure, deterministic and individually tested):
+ * The pipeline is three walks, each pure, deterministic and tested.
+ * Each copies only the nodes it changes; the rest stay shared with its
+ * input.
  *
  *  - normalizeExprKinds: re-derive LoopVar vs Param node kinds with the
  *    parser's discipline (a name is a LoopVar use iff some for-loop of
  *    that name has opened earlier in the operator), so builder-authored
- *    and parsed trees of the same program agree node-for-node.
- *  - foldConstants: estimateExpr-grade constant folding, restricted to
- *    the cost-free positions (loop bounds, tensor dims) and to operators
- *    whose integer and simulator (double) semantics coincide — Div/Mod
- *    are never folded, and assignment/branch expressions are never
- *    touched, so profiled cycles and RTL metrics cannot move.
+ *    and parsed trees of the same program agree node-for-node. On the
+ *    way it folds constant shape expressions (loop bounds, tensor dims)
+ *    to Const, but only through operators whose integer and simulator
+ *    (double) semantics coincide: Div/Mod never fold, nor does an
+ *    Add/Sub/Mul whose result leaves [-LONG_MAX, LONG_MAX], and
+ *    assignment/branch expressions are never touched, so profiled
+ *    cycles and RTL metrics cannot move. Kinds are settled before DCE,
+ *    which can delete the loop whose opening made a later read of its
+ *    name a LoopVar.
  *  - eliminateDeadCode: drop branches with constant-false conditions,
  *    scalar assignments whose target is never read anywhere in the
  *    graph, loops and ifs left empty by those removals, and operator
@@ -31,7 +37,7 @@
  *    uncalled definitions is metric-free; removing executed dead
  *    statements normalizes away cycle noise that pure cache-key
  *    canonicalization wants gone (workload programs contain none, which
- *    the per-pass preservation tests pin).
+ *    the per-walk preservation tests pin).
  *  - renameCanonical: alpha-rename loop variables (i0, i1, ... per
  *    operator, in loop pre-order), scalar parameters (p0, p1, ...
  *    graph-wide, in declaration order), scalar temps (t0, t1, ...
@@ -40,19 +46,13 @@
  *    deliberately NOT renamed: the simulator synthesizes deterministic
  *    pseudo-data keyed by tensor name, so renaming tensors would change
  *    simulated values. The scalar rename map is returned so runtime
- *    data can be remapped alongside the program.
- *  - orderCommutativeOperands: sort the operands of commutative binary
- *    nodes (Add, Mul, Min, Max, And, Or, Eq, Ne) by subtree hash. Name
- *    assignment above never depends on operand order (declaration /
- *    statement order only), so rename-then-sort is a fixed point in one
- *    application — no iteration needed.
- *  - shareCommonSubexprs: expression-level CSE by hash-consing — every
- *    repeated subtree collapses to one shared immutable node. The tree
- *    SHAPE is unchanged (materializing temps would alter the cost
- *    model's view), so hashing, printing and simulation are unaffected
- *    while repeated hashing and copying get cheaper.
+ *    data can be remapped alongside the program. As it rebuilds each
+ *    commutative binary node (Add, Mul, Min, Max, And, Or, Eq, Ne) it
+ *    sorts the node's operands by subtree hash; names never depend on
+ *    operand order (declaration / statement order only), so one walk
+ *    does both.
  *
- * canonicalize() runs the full pipeline; canonicalHash(g) is the cache
+ * canonicalize() runs the three walks; canonicalHash(g) is the cache
  * key contract: equal for programs differing only by the rewrites above,
  * stable across print/parse round trips. Limits: equivalences that need
  * graph isomorphism reasoning (permuted parameter declarations, renamed
@@ -67,17 +67,14 @@
 namespace llmulator {
 namespace dfir {
 
-DataflowGraph normalizeExprKinds(const DataflowGraph& g);
-DataflowGraph foldConstants(const DataflowGraph& g);
-DataflowGraph eliminateDeadCode(const DataflowGraph& g);
-DataflowGraph orderCommutativeOperands(const DataflowGraph& g);
-DataflowGraph shareCommonSubexprs(const DataflowGraph& g);
+DataflowGraph normalizeExprKinds(DataflowGraph g);
+DataflowGraph eliminateDeadCode(DataflowGraph g);
 
 /**
- * Alpha-rename to canonical ids. When 'scalar_renames' is non-null it
- * receives the old-name -> canonical-name map for scalar parameters and
- * temps (loop variables and operators are renamed too but have no
- * runtime-data counterpart).
+ * Alpha-rename to canonical ids and sort commutative operands. When
+ * 'scalar_renames' is non-null it receives the old-name ->
+ * canonical-name map for scalar parameters and temps (loop variables
+ * and operators are renamed too but have no runtime-data counterpart).
  */
 DataflowGraph renameCanonical(
     const DataflowGraph& g,
@@ -90,7 +87,7 @@ struct CanonResult
     std::map<std::string, std::string> scalarRenames;
 };
 
-/** Run the full pipeline. */
+/** Run the three walks. */
 CanonResult canonicalizeEx(const DataflowGraph& g);
 
 /** Convenience wrapper returning the canonical graph only. */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
@@ -106,23 +105,6 @@ nonAffineForm()
     LinForm f;
     f.affine = false;
     return f;
-}
-
-/**
- * *out = a op b for op in {Add, Sub, Mul}; false when the exact result
- * leaves [-LONG_MAX, LONG_MAX]. Subscripts come from untrusted program
- * text, so every coefficient and offset goes through here: an
- * overflowing linearization is NonAffine, and excluding LONG_MIN (whose
- * negation overflows) lets pairSets divide by and take |c| of any
- * kept coefficient.
- */
-bool
-checkedOp(BinOp op, long a, long b, long* out)
-{
-    bool overflow = op == BinOp::Add   ? __builtin_add_overflow(a, b, out)
-                    : op == BinOp::Sub ? __builtin_sub_overflow(a, b, out)
-                                       : __builtin_mul_overflow(a, b, out);
-    return !overflow && *out != std::numeric_limits<long>::min();
 }
 
 LinForm

@@ -41,6 +41,17 @@ class ScopeTimer
     const Clock::time_point t0_ = Clock::now();
 };
 
+/** The first verifier error as "verify error[op]: message"; "" if none. */
+std::string
+firstVerifyError(const dfir::VerifyResult& v)
+{
+    for (const dfir::Diagnostic& d : v.diags)
+        if (d.severity == dfir::Severity::Error)
+            return "verify error" + (d.op.empty() ? "" : "[" + d.op + "]") +
+                   ": " + d.message;
+    return "";
+}
+
 FleetConfig
 normalized(FleetConfig cfg)
 {
@@ -202,10 +213,14 @@ FleetServer::handle(const NetRequest& req)
     resp.modelVersion = modelVersion_;
 
     dfir::ParseResult parsed = dfir::parseProgram(req.program);
-    if (!parsed.ok) {
+    // A program the verifier rejects would get, and cache, a prediction
+    // for malformed IR; warnings mark tolerated fallbacks and are served.
+    std::string invalid = parsed.ok ? firstVerifyError(parsed.diagnostics)
+                                    : "parse error: " + parsed.error;
+    if (!invalid.empty()) {
         badRequestCount_.add(1);
         resp.status = Status::BadRequest;
-        resp.error = "parse error: " + parsed.error;
+        resp.error = std::move(invalid);
         return resp;
     }
 

@@ -12,8 +12,9 @@
  * connection (self-contained: POSIX sockets only, no external deps).
  * Request handling:
  *
- *  1. parse the program text (dfir::parseProgram; failure -> a
- *     BAD_REQUEST reply, the connection stays usable),
+ *  1. parse the program text (dfir::parseProgram; a parse error or a
+ *     verifier error -> a BAD_REQUEST reply carrying its text, the
+ *     connection stays usable; verifier warnings are served),
  *  2. derive the result key once (serve::makeResultKey: canonical
  *     program hash, remapped input hash, metric). The SHARD RULE is
  *     `shard = key.program % shards` — the canonical hash — so
@@ -91,7 +92,7 @@ struct FleetStats
     uint64_t requests = 0;   //!< decoded requests handled
     uint64_t ok = 0;         //!< answered with Status::Ok
     uint64_t overloaded = 0; //!< shed or rejected by admission control
-    uint64_t badRequest = 0; //!< undecodable payload / unparsable program
+    uint64_t badRequest = 0; //!< undecodable payload / invalid program
     uint64_t errors = 0;     //!< server-side failures
     //! Warm-start view of the snapshot load: entries accepted / skipped
     //! because they were stamped with another model version.

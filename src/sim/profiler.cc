@@ -155,25 +155,7 @@ class Interp
           case ExprKind::Binary: {
             double l = evalExpr(e->args[0]);
             double r = evalExpr(e->args[1]);
-            switch (e->op) {
-              case BinOp::Add: return l + r;
-              case BinOp::Sub: return l - r;
-              case BinOp::Mul: return l * r;
-              case BinOp::Div: return r != 0.0 ? l / r : 0.0;
-              case BinOp::Mod:
-                return r != 0.0 ? std::fmod(l, r) : 0.0;
-              case BinOp::Min: return std::min(l, r);
-              case BinOp::Max: return std::max(l, r);
-              case BinOp::Lt: return l < r;
-              case BinOp::Le: return l <= r;
-              case BinOp::Gt: return l > r;
-              case BinOp::Ge: return l >= r;
-              case BinOp::Eq: return l == r;
-              case BinOp::Ne: return l != r;
-              case BinOp::And: return (l != 0) && (r != 0);
-              case BinOp::Or: return (l != 0) || (r != 0);
-            }
-            return 0.0;
+            return evalBinOp(e->op, l, r);
           }
         }
         return 0.0;

@@ -11,7 +11,7 @@
  *  - the 14 "modern" workloads of Table 2 (image-processing tasks 1-9 and
  *    NLP tasks 10-14), assembled from operator templates to match each
  *    row's operator count and dynamic-parameter count (scaled to the
- *    reduced context window, see DESIGN.md);
+ *    reduced context window, see README "Benches");
  *  - the TPU / Eyeriss / ShiDianNao case-study variants of Section 7.4:
  *    GEMM loop-schedule rewrites (weight-/input-/output-stationary).
  *

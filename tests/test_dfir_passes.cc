@@ -1,13 +1,16 @@
 /**
  * @file
- * Canonicalization pass tests: per-pass semantic preservation on the
- * full workload corpus (simulator cycles and all metrics bit-identical,
+ * Canonicalization tests: per-walk semantic preservation on the full
+ * workload corpus (simulator cycles and all metrics bit-identical,
  * Class I/II labels unchanged), canonical-hash equivalence for renamed /
  * commuted / dead-code variants, parser round trips through
- * canonicalization, idempotence, and per-pass unit behaviour.
+ * canonicalization, idempotence, pinned key values, and per-walk unit
+ * behaviour.
  */
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "dfir/analysis.h"
 #include "dfir/builder.h"
@@ -17,6 +20,7 @@
 #include "dfir/verify.h"
 #include "sim/profiler.h"
 #include "synth/generators.h"
+#include "util/string_util.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -58,9 +62,9 @@ expectSameProfile(const sim::Profile& a, const sim::Profile& b,
     EXPECT_EQ(a.powerUw, b.powerUw) << what;
 }
 
-using GraphPass = DataflowGraph (*)(const DataflowGraph&);
+using GraphPass = DataflowGraph (*)(DataflowGraph);
 
-/** One pass preserves profile + labels on every workload. */
+/** One walk preserves profile + labels on every workload. */
 void
 checkPassPreservesCorpus(GraphPass pass, const char* name)
 {
@@ -74,6 +78,80 @@ checkPassPreservesCorpus(GraphPass pass, const char* name)
     }
 }
 
+using ExprRewrite = ExprPtr (*)(const ExprPtr&);
+
+StmtPtr
+rewriteStmt(const StmtPtr& s, ExprRewrite shape, ExprRewrite other)
+{
+    auto out = std::make_shared<Stmt>(*s);
+    if (s->kind == StmtKind::For) {
+        out->loop.lower = shape(s->loop.lower);
+        out->loop.upper = shape(s->loop.upper);
+    }
+    for (auto& i : out->targetIdx)
+        i = other(i);
+    if (out->rhs)
+        out->rhs = other(out->rhs);
+    if (out->cond)
+        out->cond = other(out->cond);
+    for (auto* body : {&out->body, &out->thenBody, &out->elseBody})
+        for (auto& b : *body)
+            b = rewriteStmt(b, shape, other);
+    return out;
+}
+
+/**
+ * Copy of 'g' with 'shape' applied to every tensor dim and loop bound
+ * and 'other' to every other expression root.
+ */
+DataflowGraph
+rewriteExprs(DataflowGraph g, ExprRewrite shape, ExprRewrite other)
+{
+    for (auto& op : g.ops) {
+        for (auto& t : op.tensors)
+            for (auto& d : t.dims)
+                d = shape(d);
+        for (auto& s : op.body)
+            s = rewriteStmt(s, shape, other);
+    }
+    return g;
+}
+
+ExprPtr
+keepExpr(const ExprPtr& e)
+{
+    return e;
+}
+
+/** A Const n spelled (n - 1) + 1, for the shape fold to undo. */
+ExprPtr
+unfoldConst(const ExprPtr& e)
+{
+    return e->kind == ExprKind::Const ? badd(bsub(e, c(1)), c(1)) : e;
+}
+
+/** Swap the operands of every commutative Binary node in 'e'. */
+ExprPtr
+mirrorCommutative(const ExprPtr& e)
+{
+    if (!e || e->args.empty())
+        return e;
+    auto out = std::make_shared<Expr>(*e);
+    for (auto& arg : out->args)
+        arg = mirrorCommutative(arg);
+    if (out->kind == ExprKind::Binary) {
+        switch (out->op) {
+          case BinOp::Add: case BinOp::Mul: case BinOp::Min: case BinOp::Max:
+          case BinOp::And: case BinOp::Or: case BinOp::Eq: case BinOp::Ne:
+            std::swap(out->args[0], out->args[1]);
+            break;
+          default:
+            break;
+        }
+    }
+    return out;
+}
+
 TEST(Passes, NormalizeExprKindsPreservesCorpus)
 {
     checkPassPreservesCorpus(&normalizeExprKinds, "normalizeExprKinds");
@@ -81,7 +159,21 @@ TEST(Passes, NormalizeExprKindsPreservesCorpus)
 
 TEST(Passes, FoldConstantsPreservesCorpus)
 {
-    checkPassPreservesCorpus(&foldConstants, "foldConstants");
+    // normalizeExprKinds folds shape constants. With every constant loop
+    // bound and tensor dim spelled (n - 1) + 1 it must give back the
+    // workload's own normalized form, profile and labels unchanged.
+    for (const auto& w : fullCorpus()) {
+        SCOPED_TRACE(w.name);
+        DataflowGraph unfolded =
+            rewriteExprs(w.graph, &unfoldConst, &keepExpr);
+        EXPECT_NE(structuralHash(unfolded), structuralHash(w.graph));
+        DataflowGraph folded = normalizeExprKinds(unfolded);
+        EXPECT_EQ(structuralHash(folded),
+                  structuralHash(normalizeExprKinds(w.graph)));
+        expectSameProfile(sim::profile(w.graph, w.canonicalData),
+                          sim::profile(folded, w.canonicalData), "fold");
+        EXPECT_EQ(classLabels(w.graph), classLabels(folded));
+    }
 }
 
 TEST(Passes, EliminateDeadCodePreservesCorpus)
@@ -91,13 +183,25 @@ TEST(Passes, EliminateDeadCodePreservesCorpus)
 
 TEST(Passes, OrderCommutativeOperandsPreservesCorpus)
 {
-    checkPassPreservesCorpus(&orderCommutativeOperands,
-                             "orderCommutativeOperands");
-}
-
-TEST(Passes, ShareCommonSubexprsPreservesCorpus)
-{
-    checkPassPreservesCorpus(&shareCommonSubexprs, "shareCommonSubexprs");
+    // renameCanonical sorts commutative operands. With every commutative
+    // node's operands swapped it must give back the workload's own
+    // canonical form, which profiles like the workload.
+    size_t changed = 0;
+    for (const auto& w : fullCorpus()) {
+        SCOPED_TRACE(w.name);
+        DataflowGraph mirrored =
+            rewriteExprs(w.graph, &mirrorCommutative, &mirrorCommutative);
+        changed += structuralHash(mirrored) != structuralHash(w.graph);
+        std::map<std::string, std::string> renames;
+        DataflowGraph sorted = renameCanonical(mirrored, &renames);
+        EXPECT_EQ(structuralHash(sorted),
+                  structuralHash(renameCanonical(w.graph)));
+        RuntimeData data = remapRuntimeData(w.canonicalData, renames);
+        expectSameProfile(sim::profile(w.graph, w.canonicalData),
+                          sim::profile(sorted, data), "sort");
+        EXPECT_EQ(classLabels(w.graph), classLabels(sorted));
+    }
+    EXPECT_GT(changed, 0u) << "no workload has an operand pair to swap";
 }
 
 TEST(Passes, RenameCanonicalPreservesCorpusWithRemappedData)
@@ -239,7 +343,7 @@ TEST(Passes, FoldConstantsUnit)
     DataflowGraph g;
     g.ops = {op};
     g.calls = {{"f"}};
-    DataflowGraph folded = foldConstants(g);
+    DataflowGraph folded = normalizeExprKinds(g);
     const Stmt& loop = *folded.ops[0].body[0];
     ASSERT_EQ(loop.loop.upper->kind, ExprKind::Const);
     EXPECT_EQ(loop.loop.upper->constVal, 7);
@@ -255,8 +359,39 @@ TEST(Passes, FoldConstantsUnit)
     DataflowGraph g2;
     g2.ops = {op2};
     g2.calls = {{"f"}};
-    EXPECT_EQ(foldConstants(g2).ops[0].body[0]->loop.upper->kind,
+    EXPECT_EQ(normalizeExprKinds(g2).ops[0].body[0]->loop.upper->kind,
               ExprKind::Binary);
+}
+
+TEST(Passes, OverflowingShapeFoldStaysUnfolded)
+{
+    // LONG_MAX + 1 does not fit a long: the bound keeps its Binary node
+    // (no signed overflow), and the key is still a fixed point.
+    Operator op;
+    op.name = "f";
+    op.tensors = {tensor("X", {c(8)})};
+    op.body = {forLoop("i", c(0),
+                       badd(c(std::numeric_limits<long>::max()), c(1)),
+                       {assign("X", {v("i")}, c(1))})};
+    DataflowGraph built;
+    built.ops = {op};
+    built.calls = {{"f"}};
+    auto parsed = parseProgram(
+        "void f(float X[8]) {\n"
+        "  for (int i = 0; i < (9223372036854775807 + 1); i += 1) {\n"
+        "    X[i] = 1;\n"
+        "  }\n"
+        "}\n"
+        "void dataflow() {\n"
+        "  f();\n"
+        "}\n");
+    ASSERT_TRUE(parsed.ok) << parsed.error << " @ line " << parsed.errorLine;
+    for (const DataflowGraph* g : {&built, &parsed.graph}) {
+        DataflowGraph canon = canonicalize(*g);
+        EXPECT_EQ(canon.ops[0].body[0]->loop.upper->kind, ExprKind::Binary);
+        EXPECT_EQ(canonicalHash(canon), canonicalHash(*g));
+    }
+    EXPECT_EQ(canonicalHash(parsed.graph), canonicalHash(built));
 }
 
 TEST(Passes, EliminateDeadCodeUnit)
@@ -327,26 +462,6 @@ TEST(Passes, RenameCanonicalAvoidsTensorNames)
     EXPECT_TRUE(res.ok()) << res.str();
 }
 
-TEST(Passes, ShareCommonSubexprsUnifiesIdenticalSubtrees)
-{
-    Operator op;
-    op.name = "f";
-    op.tensors = {tensor("X", {c(8)})};
-    // a(X,{2})*a(X,{2}): identical subtrees, distinct nodes.
-    op.body = {assign("X", {c(0)},
-                      bmul(a("X", {c(2)}), a("X", {c(2)})))};
-    DataflowGraph g;
-    g.ops = {op};
-    g.calls = {{"f"}};
-    EXPECT_NE(g.ops[0].body[0]->rhs->args[0],
-              g.ops[0].body[0]->rhs->args[1]);
-    DataflowGraph shared = shareCommonSubexprs(g);
-    const auto& rhs = shared.ops[0].body[0]->rhs;
-    EXPECT_EQ(rhs->args[0], rhs->args[1])
-        << "identical subtrees must be hash-consed to one node";
-    EXPECT_EQ(structuralHash(shared), structuralHash(g));
-}
-
 TEST(Passes, OrderCommutativeOperandsIsOrderInsensitive)
 {
     // b+a and a+b sort identically; a-b and b-a (non-commutative) do
@@ -366,8 +481,8 @@ TEST(Passes, OrderCommutativeOperandsIsOrderInsensitive)
     st->rhs = rhs;
     g2.ops[0].body = {st};
     EXPECT_NE(structuralHash(g1), structuralHash(g2));
-    EXPECT_EQ(structuralHash(orderCommutativeOperands(g1)),
-              structuralHash(orderCommutativeOperands(g2)));
+    EXPECT_EQ(structuralHash(renameCanonical(g1)),
+              structuralHash(renameCanonical(g2)));
 
     auto sub1 = parseExpr("(alpha - beta)");
     auto sub2 = parseExpr("(beta - alpha)");
@@ -377,8 +492,47 @@ TEST(Passes, OrderCommutativeOperandsIsOrderInsensitive)
     auto s2 = std::make_shared<Stmt>(*g2.ops[0].body[0]);
     s2->rhs = sub2;
     g2.ops[0].body = {s2};
-    EXPECT_NE(structuralHash(orderCommutativeOperands(g1)),
-              structuralHash(orderCommutativeOperands(g2)));
+    EXPECT_NE(structuralHash(renameCanonical(g1)),
+              structuralHash(renameCanonical(g2)));
+}
+
+TEST(Passes, CanonicalKeysArePinned)
+{
+    // Keys are persisted: result snapshots store them and model-cache
+    // artifact names fold them in. One digest over the canonical hash
+    // and the scalar-rename map of a fixed population pins their
+    // values, so a rewrite of the pipeline that moves any key fails
+    // here, not in a cold cache.
+    std::vector<DataflowGraph> population;
+    util::Rng rng(21);
+    for (const auto& w : fullCorpus()) {
+        population.push_back(w.graph);
+        for (int i = 0; i < 3; ++i)
+            population.push_back(
+                synth::equivalentMutant(w.graph, rng).graph);
+    }
+    synth::GenConfig gen;
+    for (int i = 0; i < 200; ++i)
+        population.push_back(synth::generateDataflowProgram(rng, gen));
+
+    uint64_t digest = 0;
+    auto fold = [&digest](const DataflowGraph& g) {
+        digest = util::hashCombine(digest, canonicalHash(g));
+        CanonResult canon = canonicalizeEx(g);
+        digest = util::hashCombine(digest, canon.scalarRenames.size());
+        for (const auto& [from, to] : canon.scalarRenames) {
+            digest = util::hashCombine(digest, util::fnv1a(from));
+            digest = util::hashCombine(digest, util::fnv1a(to));
+        }
+    };
+    for (const auto& g : population) {
+        fold(g);
+        auto res = parseProgram(printStatic(g));
+        ASSERT_TRUE(res.ok) << res.error << " @ line " << res.errorLine;
+        fold(res.graph);
+    }
+    EXPECT_EQ(population.size(), 27u * 4 + 200);
+    EXPECT_EQ(digest, 0x9d7e9e272a3d8a09ull);
 }
 
 TEST(Passes, SynthesizedProgramsCanonicalizeDeterministically)

@@ -6,9 +6,10 @@
  * tolerance), and the FleetServer end to end over real
  * loopback connections — wire predictions bit-identical to the
  * in-process serving path, canonical-hash shard stability (equivalent
- * mutants hit the same shard's cache), overload answered with an
- * explicit OVERLOADED status under 8 client threads without deadlock
- * (TSan job coverage), and warm restart from the snapshot.
+ * mutants hit the same shard's cache), BAD_REQUEST for programs that
+ * fail to parse or verify, overload answered with an explicit
+ * OVERLOADED status under 8 client threads without deadlock (TSan job
+ * coverage), and warm restart from the snapshot.
  *
  * Like test_serve, every suite runs an *untrained* Tiny model: weight
  * initialization is seeded, so two separately constructed models have
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "dfir/builder.h"
+#include "dfir/parser.h"
 #include "dfir/passes.h"
 #include "dfir/printer.h"
 #include "net/fleet_client.h"
@@ -568,6 +570,88 @@ TEST(FleetServer, UnparsableProgramAnswersBadRequestAndKeepsConnection)
                                serve::Priority::Normal, resp));
     EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
     EXPECT_EQ(fleet.stats().badRequest, 1u);
+}
+
+TEST(FleetServer, VerifierErrorsAnswerBadRequest)
+{
+    net::FleetConfig cfg;
+    cfg.shards = 1;
+    net::FleetServer fleet(tinyModel(), cfg);
+    fleet.start();
+    // Programs that parse but fail verification, with their error's gist.
+    const std::vector<std::pair<std::string, std::string>> rejects = {
+        {"void f(float A[4]) {\n"
+         "  A[0] = 1;\n"
+         "}\n"
+         "void dataflow() {\n"
+         "  f();\n"
+         "  nope();\n"
+         "}\n",
+         "undefined operator 'nope'"},
+        {"void f(float A[4]) {\n"
+         "  A[j] = 1;\n"
+         "}\n"
+         "void dataflow() {\n"
+         "  f();\n"
+         "}\n",
+         "scalar 'j' is not a declared parameter"},
+        {"void f(float A[4]) {\n"
+         "  for (int i = 0; i < 4; i += 1) {\n"
+         "    for (int i = 0; i < 4; i += 1) {\n"
+         "      A[i] = 1;\n"
+         "    }\n"
+         "  }\n"
+         "}\n"
+         "void dataflow() {\n"
+         "  f();\n"
+         "}\n",
+         "loop variable 'i' shadows an enclosing"},
+    };
+    for (const auto& [text, gist] : rejects) {
+        SCOPED_TRACE(text);
+        net::NetRequest req;
+        req.program = text;
+        req.metric = model::Metric::Power;
+        net::NetResponse resp = fleet.handle(req);
+        EXPECT_EQ(resp.status, net::Status::BadRequest);
+        EXPECT_EQ(resp.error.rfind("verify error", 0), 0u) << resp.error;
+        EXPECT_NE(resp.error.find(gist), std::string::npos) << resp.error;
+    }
+    EXPECT_EQ(fleet.stats().shardModelCalls, 0u);
+
+    // Warnings alone are served: a rank-mismatched read is a
+    // documented simulator fallback, not an error.
+    net::NetRequest warned;
+    warned.program = "void f(float A[4][4]) {\n"
+                     "  A[0][0] = A[1];\n"
+                     "}\n"
+                     "void dataflow() {\n"
+                     "  f();\n"
+                     "}\n";
+    warned.metric = model::Metric::Power;
+    VerifyResult diags = parseProgram(warned.program).diagnostics;
+    ASSERT_TRUE(diags.ok()) << diags.str();
+    ASSERT_EQ(diags.warningCount(), 1u);
+    net::NetResponse resp = fleet.handle(warned);
+    EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
+
+    // Over a socket, the connection survives the BadRequest.
+    net::FleetClient client;
+    ASSERT_TRUE(client.connectLoopback(fleet.port()));
+    net::NetRequest req;
+    req.program = rejects.front().first;
+    req.metric = model::Metric::Power;
+    ASSERT_TRUE(client.call(req, resp));
+    EXPECT_EQ(resp.status, net::Status::BadRequest);
+    EXPECT_NE(resp.error.find(rejects.front().second), std::string::npos)
+        << resp.error;
+    DataflowGraph g = makeGraph("after-verify-error", 2);
+    ASSERT_TRUE(client.predict(g, nullptr, model::Metric::Power,
+                               serve::Priority::Normal, resp));
+    EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
+    net::FleetStats stats = fleet.stats();
+    EXPECT_EQ(stats.badRequest, rejects.size() + 1);
+    EXPECT_EQ(stats.ok, 2u);
 }
 
 TEST(FleetServer, OverloadAnswersExplicitlyUnderEightClientThreads)
