@@ -2,15 +2,16 @@
  * @file
  * Networked fleet-serving demo: stand a FleetServer (sharded
  * PredictionServers behind the loopback TCP front-end) on an ephemeral
- * port, round-trip queries through a FleetClient, run a short
- * Zipf-skewed fleet simulation, then restart the whole fleet and show
- * the shard caches, warmed from the snapshot, answering the replayed
- * queries without any model work. This is also the CI smoke leg for
- * src/net: every claim below is LLM_CHECKed, so a regression fails the
- * run instead of just printing different numbers.
+ * port, round-trip queries through a FleetClient, replay a small corpus
+ * twice through that client (every first answer computed, every second
+ * one served from the shard caches), then restart the whole fleet and
+ * show the shard caches, warmed from the snapshot, answering the
+ * replayed queries without any model work. This is also the CI smoke
+ * leg for src/net: every claim below is LLM_CHECKed, so a regression
+ * fails the run instead of just printing different numbers.
  *
- *   ./fleet_demo                     # full simulation
- *   LLMULATOR_SMOKE=1 ./fleet_demo   # seconds, used by the smoke test
+ *   ./fleet_demo                     # 12-program corpus
+ *   LLMULATOR_SMOKE=1 ./fleet_demo   # 4 programs, used by the smoke test
  *
  * Knobs (see README "Networked serving"): the fleet shape comes from
  * fleetConfigFromEnv(), so LLMULATOR_NET_SHARDS etc. apply — except the
@@ -18,15 +19,14 @@
  * pid-suffixed /tmp snapshot it deletes on exit).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <unistd.h>
-#include <vector>
 
 #include "dfir/builder.h"
 #include "harness/harness.h"
 #include "net/fleet_client.h"
 #include "net/fleet_server.h"
-#include "net/fleet_sim.h"
 #include "util/common.h"
 #include "util/string_util.h"
 
@@ -108,29 +108,31 @@ main()
                     coldPred.value,
                     static_cast<unsigned long long>(resp.modelVersion));
 
-        // A short simulated fleet: skewed popularity makes the sharded
-        // caches visible in the hit rate.
-        std::vector<net::SimQuery> corpus;
-        for (long i = 0; i < (smoke ? 4 : 12); ++i) {
-            DataflowGraph cg = makeGraph(i + 1);
-            RuntimeData cd;
-            cd.scalars["N"] = 16 + i * 4;
-            corpus.push_back(
-                net::makeSimQuery(cg, &cd, model::Metric::Cycles));
+        // Replay a corpus of distinct programs twice: the first pass
+        // computes every answer, the second finds each in its shard's
+        // cache.
+        const long corpusSize = smoke ? 4 : 12;
+        for (int pass = 0; pass < 2; ++pass) {
+            for (long i = 0; i < corpusSize; ++i) {
+                DataflowGraph cg = makeGraph(i + 1);
+                RuntimeData cd;
+                cd.scalars["N"] = 16 + i * 4;
+                LLM_CHECK(client.predict(cg, &cd, model::Metric::Cycles,
+                                         serve::Priority::Normal, resp),
+                          "fleet_demo: corpus round trip failed");
+                LLM_CHECK(resp.status == net::Status::Ok,
+                          "fleet_demo: corpus query not Ok");
+                LLM_CHECK(resp.cacheHit == (pass == 1),
+                          "fleet_demo: pass " << pass + 1 << ", query " << i
+                                              << ": cacheHit="
+                                              << resp.cacheHit);
+            }
         }
-        net::SimConfig sim;
-        sim.clients = smoke ? 4 : 8;
-        sim.requestsPerClient = smoke ? 6 : 40;
-        sim.zipfSkew = 1.0;
-        net::SimResult res = net::runFleet(fleet.port(), corpus, sim);
         net::FleetStats stats = fleet.stats();
-        std::printf("sim: ok=%llu overloaded=%llu rps=%.1f p99=%.2fms "
+        std::printf("corpus: %ld programs replayed twice, ok=%llu "
                     "hit_rate=%.1f%%\n",
-                    static_cast<unsigned long long>(res.ok),
-                    static_cast<unsigned long long>(res.overloaded),
-                    res.rps, res.p99Ms, stats.hitRate() * 100.0);
-        LLM_CHECK(res.failed == 0, "fleet_demo: transport failures");
-        LLM_CHECK(res.ok > 0, "fleet_demo: no queries served");
+                    corpusSize, static_cast<unsigned long long>(stats.ok),
+                    stats.hitRate() * 100.0);
 
         fleet.stop(); // snapshots the shard caches to cachePath
     }

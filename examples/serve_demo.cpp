@@ -52,10 +52,8 @@ main()
     cfg.workers = smoke ? 2 : 4;
     cfg.batchMax = 8;
     serve::PredictionServer server(std::move(trained), cfg);
-    std::printf("== serving: %d workers, batch<=%d, cache %zu entries "
-                "(%zu shards) ==\n",
-                cfg.workers, cfg.batchMax, cfg.cacheCapacity,
-                cfg.cacheShards);
+    std::printf("== serving: %d workers, batch<=%d, cache %zu entries ==\n",
+                cfg.workers, cfg.batchMax, cfg.cacheCapacity);
 
     // 3. Hammer it: N clients submitting workload queries; repeats are
     //    common (as they would be in a DSE loop), so the cache matters.

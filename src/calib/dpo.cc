@@ -10,6 +10,24 @@
 namespace llmulator {
 namespace calib {
 
+namespace {
+
+//! Equation 2's reward sensitivity.
+constexpr float kBeta = 0.5f;
+/**
+ * Weight of the supervised anchor term on y_w (cross-entropy toward the
+ * profiled digits) mixed into the DPO objective. Pure DPO only moves
+ * *relative* preference and can destabilize small policies; the anchor
+ * keeps updates pointed at the profiler's answer.
+ */
+constexpr float kSftWeight = 0.5f;
+//! Replay-buffer window, in preference triplets.
+constexpr size_t kBufferCapacity = 16;
+//! Seed of the minibatch replay sampler.
+constexpr uint64_t kReplaySeed = 1234;
+
+} // namespace
+
 ReplayBuffer::ReplayBuffer(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity)
 {
@@ -34,12 +52,6 @@ ReplayBuffer::sample(util::Rng& rng, size_t n) const
     return out;
 }
 
-nn::AdamWConfig
-DpoCalibrator::optConfig(const DpoConfig& cfg)
-{
-    return nn::AdamWConfig{cfg.lr, 0.9f, 0.999f, 1e-8f, 0.f, 1.0f};
-}
-
 DpoCalibrator::DpoCalibrator(const model::CostModel& init,
                              const DpoConfig& cfg)
     : DpoCalibrator(init.clone(), cfg)
@@ -49,8 +61,9 @@ DpoCalibrator::DpoCalibrator(const model::CostModel& init,
 DpoCalibrator::DpoCalibrator(std::unique_ptr<model::CostModel> policy,
                              const DpoConfig& cfg)
     : policy_(std::move(policy)), ref_(policy_->clone()), cfg_(cfg),
-      opt_(policy_->parameters(), optConfig(cfg)),
-      buffer_(cfg.bufferCapacity), rng_(cfg.seed)
+      opt_(policy_->parameters(),
+           nn::AdamWConfig{cfg.lr, 0.9f, 0.999f, 1e-8f, 0.f, 1.0f}),
+      buffer_(kBufferCapacity), rng_(kReplaySeed)
 {
 }
 
@@ -60,22 +73,11 @@ DpoCalibrator::takePolicy()
     return std::move(policy_);
 }
 
-void
-DpoCalibrator::rebind(std::unique_ptr<model::CostModel> policy)
-{
-    LLM_CHECK(policy != nullptr, "rebind() needs a policy model");
-    policy_ = std::move(policy);
-    ref_ = policy_->clone();
-    opt_ = nn::AdamW(policy_->parameters(), optConfig(cfg_));
-    buffer_ = ReplayBuffer(cfg_.bufferCapacity);
-}
-
 model::NumericPrediction
 DpoCalibrator::predict(const model::EncodedProgram& ep) const
 {
-    LLM_CHECK(policy_ != nullptr,
-              "calibrator has no policy (takePolicy without rebind)");
-    return policy_->predict(ep, model::Metric::Cycles, cfg_.beamWidth);
+    LLM_CHECK(policy_ != nullptr, "calibrator has no policy (taken)");
+    return policy_->predict(ep, model::Metric::Cycles);
 }
 
 double
@@ -100,11 +102,9 @@ DpoCalibrator::dpoStep(const PreferenceTriplet& t)
     // loss = -log sigmoid(beta z) = softplus(-beta z),
     // plus the supervised anchor on the profiled digits.
     auto z = nn::add(nn::sub(lw, ll), nn::Tensor::scalar(-ref_diff));
-    auto loss = nn::softplus(nn::scale(z, -cfg_.beta));
-    if (cfg_.sftWeight > 0.f)
-        loss = nn::add(loss,
-                       nn::scale(nn::crossEntropyLogits(logits_w, t.yw),
-                                 cfg_.sftWeight));
+    auto loss = nn::softplus(nn::scale(z, -kBeta));
+    loss = nn::add(loss, nn::scale(nn::crossEntropyLogits(logits_w, t.yw),
+                                   kSftWeight));
 
     opt_.zeroGrad();
     loss->backward();
@@ -116,8 +116,7 @@ double
 DpoCalibrator::observe(const model::EncodedProgram& ep, long true_cycles)
 {
     using model::Metric;
-    LLM_CHECK(policy_ != nullptr,
-              "calibrator has no policy (takePolicy without rebind)");
+    LLM_CHECK(policy_ != nullptr, "calibrator has no policy (taken)");
     model::NumericPrediction pred = predict(ep);
     // Absolute percentage error with the denominator floored at one
     // cycle (see the header contract): a zero-cycle truth reports the

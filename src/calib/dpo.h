@@ -30,9 +30,7 @@
  * caller's model, so the source model can be retired — or hot-swapped out
  * from under a serving loop — while a calibration round is in flight.
  * takePolicy() releases the calibrated weights (the serving hot-swap
- * hand-off) and rebind() starts a new round over a fresh clone,
- * re-creating the AdamW state so stale moments never reference retired
- * parameter tensors.
+ * hand-off); each round builds a new calibrator.
  */
 
 #include <deque>
@@ -87,22 +85,15 @@ class ReplayBuffer
     std::deque<PreferenceTriplet> buf_;
 };
 
-/** Calibration knobs. */
+/**
+ * Calibration knobs. The rest of the objective — beta, the supervised
+ * anchor's weight, the replay-buffer size and seed — is fixed in
+ * dpo.cc, and predictions use the decode's default beam width.
+ */
 struct DpoConfig
 {
-    float beta = 0.5f;        //!< reward sensitivity (Equation 2)
     float lr = 1e-3f;         //!< calibration learning rate
-    size_t bufferCapacity = 16;
     int minibatch = 4;        //!< replayed triplets per observation
-    int beamWidth = 3;
-    /**
-     * Weight of the supervised anchor term on y_w (cross-entropy toward
-     * the profiled digits) mixed into the DPO objective. Pure DPO only
-     * moves *relative* preference and can destabilize small policies; the
-     * anchor keeps updates pointed at the profiler's answer.
-     */
-    float sftWeight = 0.5f;
-    uint64_t seed = 1234;
 };
 
 /**
@@ -143,7 +134,7 @@ class DpoCalibrator
      */
     double observe(const model::EncodedProgram& ep, long true_cycles);
 
-    /** Current prediction for an input (beam width from config). */
+    /** Current prediction for an input. */
     model::NumericPrediction predict(const model::EncodedProgram& ep) const;
 
     /** The live (calibrated) policy. */
@@ -151,21 +142,10 @@ class DpoCalibrator
 
     /**
      * Release the calibrated policy — the serving hot-swap hand-off.
-     * The calibrator holds no policy afterwards; rebind() before any
-     * further observe()/predict() call.
+     * The calibrator holds no policy afterwards, so observe() and
+     * predict() must not be called again.
      */
     std::unique_ptr<model::CostModel> takePolicy();
-
-    /**
-     * Start a new calibration round over `policy`: replaces the owned
-     * policy, resets the frozen reference to a clone of it (Equation
-     * 2's pi_ref becomes the new pre-round policy), RE-CREATES the
-     * AdamW state over the new parameter tensors — carrying the old
-     * moments over would both reference retired tensors and mis-scale
-     * the first updates — and clears the replay buffer (retained
-     * triplets' refDiff was computed against the old reference).
-     */
-    void rebind(std::unique_ptr<model::CostModel> policy);
 
     const model::CostModel& reference() const { return *ref_; }
     const ReplayBuffer& buffer() const { return buffer_; }
@@ -177,8 +157,6 @@ class DpoCalibrator
     nn::AdamW opt_;
     ReplayBuffer buffer_;
     util::Rng rng_;
-
-    static nn::AdamWConfig optConfig(const DpoConfig& cfg);
 
     /** One gradient step on a triplet; returns the DPO loss value. */
     double dpoStep(const PreferenceTriplet& t);

@@ -157,11 +157,5 @@ printData(const RuntimeData& data)
     return out.str();
 }
 
-std::string
-printDynamic(const DataflowGraph& g, const RuntimeData& data)
-{
-    return printStatic(g) + printData(data);
-}
-
 } // namespace dfir
 } // namespace llmulator

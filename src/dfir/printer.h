@@ -10,7 +10,7 @@
  *  - printStatic() renders {G, Op, Params}: graph function, operator
  *    bodies with pragmas, and the hardware parameter block
  *    ("-mem-read-delay=10" style).
- *  - printDynamic() appends the runtime "data" segment as
+ *  - printData() renders the runtime "data" segment as
  *    "[name] = [value]" scalar lines (Section 3).
  */
 
@@ -32,9 +32,6 @@ std::string printOperator(const Operator& op);
 
 /** Render {G, Op, Params} (no runtime data). */
 std::string printStatic(const DataflowGraph& g);
-
-/** Render {G, Op, Params, data}. */
-std::string printDynamic(const DataflowGraph& g, const RuntimeData& data);
 
 /** Render only the runtime-data segment ("N = 64" lines). */
 std::string printData(const RuntimeData& data);

@@ -485,11 +485,10 @@ double
 calibratedCyclesError(const model::CostModel& base,
                       const workloads::Workload& w, int iterations)
 {
-    auto policy = base.clone();
     calib::DpoConfig dcfg;
     dcfg.lr = 5e-4f;
     dcfg.minibatch = 3;
-    calib::DpoCalibrator calibrator(*policy, dcfg);
+    calib::DpoCalibrator calibrator(base, dcfg);
 
     // The paper's Figure 4 loop is online adaptation: each iteration the
     // model predicts for the *current* input, the profiler returns the
@@ -503,11 +502,11 @@ calibratedCyclesError(const model::CostModel& base,
                 ? w.canonicalData
                 : w.variants[it % w.variants.size()];
         long truth = sim::profile(w.graph, data).cycles;
-        auto ep = policy->encode(w.graph, &data);
+        auto ep = calibrator.policy().encode(w.graph, &data);
         calibrator.observe(ep, truth);
     }
     long truth = sim::profile(w.graph, w.canonicalData).cycles;
-    auto ep = policy->encode(w.graph, &w.canonicalData);
+    auto ep = calibrator.policy().encode(w.graph, &w.canonicalData);
     auto pred = calibrator.predict(ep);
     return eval::absPctError(pred.value, truth);
 }

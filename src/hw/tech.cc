@@ -23,10 +23,6 @@ const FuSpec kSpecs[kNumFuKinds] = {
     {  130.0,   0.10,  0.004,  0,   8 }, // Fsm state element
 };
 
-const char* kNames[kNumFuKinds] = {
-    "addsub", "mul", "div", "cmp", "MUX21", "reg", "memport", "fsm",
-};
-
 } // namespace
 
 const FuSpec&
@@ -35,12 +31,6 @@ spec(FuKind kind)
     int i = static_cast<int>(kind);
     LLM_CHECK(i >= 0 && i < kNumFuKinds, "bad FuKind " << i);
     return kSpecs[i];
-}
-
-const char*
-kindName(FuKind kind)
-{
-    return kNames[static_cast<int>(kind)];
 }
 
 } // namespace hw

@@ -44,9 +44,6 @@ struct FuSpec
 /** Look up the library entry for a kind. */
 const FuSpec& spec(FuKind kind);
 
-/** Human-readable kind name (used by the reasoning data format). */
-const char* kindName(FuKind kind);
-
 /** Number of FuKind values. */
 constexpr int kNumFuKinds = 8;
 

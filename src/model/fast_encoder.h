@@ -105,9 +105,6 @@ class InferenceSession
     nn::TensorPtr
     forwardPooledBatch(const std::vector<const EncodedProgram*>& eps);
 
-    /** Drop the cached prefix (e.g. after a weight update). */
-    void invalidate() { cacheValid_ = false; }
-
     const SessionStats& stats() const { return stats_; }
 
   private:

@@ -54,7 +54,7 @@ FleetClient::call(const NetRequest& req, NetResponse& resp)
         return false;
     }
     std::string payload;
-    if (!readFrame(fd_, payload, maxFrameBytes_)) {
+    if (!readFrame(fd_, payload)) {
         close();
         return false;
     }

@@ -6,7 +6,7 @@
  * Blocking client for the fleet front-end: one TCP connection, one
  * in-flight request at a time (call() is a strict request/response
  * round trip). NOT thread-safe — give each client thread its own
- * FleetClient, which is exactly what the fleet simulator does.
+ * FleetClient.
  *
  * predict() is the convenience path: it renders the graph with
  * dfir::printStatic() (the text the server parses back and feeds the
@@ -52,7 +52,6 @@ class FleetClient
 
   private:
     int fd_ = -1;
-    size_t maxFrameBytes_ = 4u << 20;
 };
 
 } // namespace net

@@ -57,7 +57,6 @@ normalized(FleetConfig cfg)
 {
     cfg.shards = std::max(1, cfg.shards);
     cfg.maxConnections = std::max(1, cfg.maxConnections);
-    cfg.maxFrameBytes = std::max<size_t>(64, cfg.maxFrameBytes);
     return cfg;
 }
 
@@ -156,6 +155,7 @@ FleetServer::acceptLoop()
     // stop() only needs to flip the flag — no signal or socket trick
     // required to wake this thread portably.
     while (!stopped_.load(std::memory_order_acquire)) {
+        reapFinished();
         pollfd pfd{listenFd_, POLLIN, 0};
         int pr = ::poll(&pfd, 1, /*timeout_ms=*/50);
         if (pr <= 0)
@@ -165,20 +165,36 @@ FleetServer::acceptLoop()
             continue;
         std::lock_guard<std::mutex> lk(connMu_);
         if (stopped_.load(std::memory_order_acquire) ||
-            connFds_.size() >= static_cast<size_t>(cfg_.maxConnections)) {
+            conns_.size() >= static_cast<size_t>(cfg_.maxConnections)) {
             ::close(cfd); // over the connection budget: refuse at accept
             continue;
         }
-        connFds_.insert(cfd);
-        connThreads_.emplace_back([this, cfd] { connectionLoop(cfd); });
+        // Registered under connMu_, which the thread takes before it
+        // deregisters, so its entry exists by the time it looks.
+        conns_.emplace(cfd,
+                       std::thread([this, cfd] { connectionLoop(cfd); }));
     }
+}
+
+void
+FleetServer::reapFinished()
+{
+    std::vector<std::thread> done;
+    {
+        std::lock_guard<std::mutex> lk(connMu_);
+        done.swap(finished_);
+    }
+    // Joined without connMu_: these threads have handed themselves
+    // over and only close their descriptor before they return.
+    for (std::thread& t : done)
+        t.join();
 }
 
 void
 FleetServer::connectionLoop(int fd)
 {
     std::string payload;
-    while (readFrame(fd, payload, cfg_.maxFrameBytes)) {
+    while (readFrame(fd, payload)) {
         NetRequest req;
         NetResponse resp;
         std::string err;
@@ -197,9 +213,12 @@ FleetServer::connectionLoop(int fd)
     }
     {
         // Deregister before close so stop() never shutdown()s a
-        // recycled descriptor.
+        // recycled descriptor, and hand this thread over to be joined.
         std::lock_guard<std::mutex> lk(connMu_);
-        connFds_.erase(fd);
+        auto it = conns_.find(fd);
+        finished_.push_back(std::move(it->second));
+        conns_.erase(it);
+        connCv_.notify_all();
     }
     ::close(fd);
 }
@@ -263,18 +282,16 @@ FleetServer::stop()
         return;
     if (acceptThread_.joinable())
         acceptThread_.join();
-    // Unblock every connection read, then join. Threads deregister
-    // their fd before closing it, so each shutdown() hits a live one.
-    std::vector<std::thread> conns;
+    // Unblock every connection read, wait until each has handed its
+    // thread over, then join them all. Threads deregister their fd
+    // before closing it, so each shutdown() hits a live one.
     {
-        std::lock_guard<std::mutex> lk(connMu_);
-        for (int fd : connFds_)
-            ::shutdown(fd, SHUT_RDWR);
-        conns.swap(connThreads_);
+        std::unique_lock<std::mutex> lk(connMu_);
+        for (const auto& conn : conns_)
+            ::shutdown(conn.first, SHUT_RDWR);
+        connCv_.wait(lk, [this] { return conns_.empty(); });
     }
-    for (std::thread& t : conns)
-        if (t.joinable())
-            t.join();
+    reapFinished();
     if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;

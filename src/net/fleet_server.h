@@ -31,6 +31,11 @@
  *     fleet degrades by answering fast, not by stalling every client,
  *  4. wait for the prediction (the shard fills its cache with it).
  *
+ * A connection's thread ends with its connection, and the accept loop
+ * joins it while the fleet keeps running, so the threads (and stacks)
+ * held at any time are bounded by the live connections, not by every
+ * connection the fleet has served.
+ *
  * stop() (also run by the destructor) closes the listener, unblocks
  * and joins every connection thread, drains the shards, and — when a
  * persistPath is configured — atomically writes every shard's result
@@ -48,10 +53,11 @@
  */
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,7 +75,6 @@ struct FleetConfig
     int port = 0;          //!< loopback TCP port; 0 = ephemeral
     int shards = 2;        //!< PredictionServer instances
     int maxConnections = 64; //!< concurrent connections (excess refused)
-    size_t maxFrameBytes = 4u << 20; //!< framing guard per message
     //! Per-shard serving knobs (admission limits included). The
     //! calibration sub-config must stay disabled — see the file header.
     serve::ServeConfig serve;
@@ -161,6 +166,8 @@ class FleetServer
   private:
     void acceptLoop();
     void connectionLoop(int fd);
+    /** Join the threads whose connections have closed. */
+    void reapFinished();
 
     FleetConfig cfg_;
     std::vector<std::unique_ptr<serve::PredictionServer>> shards_;
@@ -172,8 +179,11 @@ class FleetServer
     std::atomic<bool> stopped_{false};
     std::thread acceptThread_;
     std::mutex connMu_;
-    std::set<int> connFds_; //!< live connections (for shutdown wakeup)
-    std::vector<std::thread> connThreads_;
+    std::condition_variable connCv_; //!< signalled as connections end
+    //! Live connections: descriptor (for shutdown wakeup) -> its thread.
+    std::map<int, std::thread> conns_;
+    //! Threads whose connection ended, waiting to be joined.
+    std::vector<std::thread> finished_;
 
     //! Always-on per-instance registry backing FleetStats.
     obs::Registry telemetry_{/*alwaysOn=*/true};

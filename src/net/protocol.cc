@@ -192,17 +192,6 @@ getPrediction(Reader& r, model::NumericPrediction& p)
 
 } // namespace wire
 
-const char*
-statusName(Status s)
-{
-    switch (s) {
-    case Status::Ok: return "OK";
-    case Status::Overloaded: return "OVERLOADED";
-    case Status::BadRequest: return "BAD_REQUEST";
-    default: return "ERROR";
-    }
-}
-
 namespace {
 
 void
@@ -396,14 +385,14 @@ writeFrame(int fd, const std::string& payload)
 }
 
 bool
-readFrame(int fd, std::string& payload, size_t maxBytes)
+readFrame(int fd, std::string& payload)
 {
     char hdr[4];
     if (!recvAll(fd, hdr, sizeof hdr))
         return false;
     wire::Reader r(hdr, sizeof hdr);
     uint32_t len = r.u32();
-    if (len > maxBytes)
+    if (len > kMaxFrameBytes)
         return false; // framing violation; the caller closes
     payload.resize(len);
     return len == 0 || recvAll(fd, &payload[0], len);

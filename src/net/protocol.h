@@ -48,6 +48,7 @@
  * with an error string instead of over-allocating or crashing.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -64,6 +65,8 @@ namespace net {
 constexpr uint32_t kRequestMagic = 0x4C4D5251;  // "LMRQ" big-endian read
 constexpr uint32_t kResponseMagic = 0x4C4D5253; // "LMRS"
 constexpr uint16_t kProtocolVersion = 1;
+//! Framing guard: readFrame() refuses a longer announced payload.
+constexpr size_t kMaxFrameBytes = 4u << 20;
 
 /** Response status byte. */
 enum class Status : uint8_t
@@ -73,8 +76,6 @@ enum class Status : uint8_t
     BadRequest = 2, //!< undecodable payload or unparsable program
     Error = 3       //!< server-side failure (e.g. shutting down)
 };
-
-const char* statusName(Status s);
 
 /** One prediction request as it travels the wire. */
 struct NetRequest
@@ -113,10 +114,11 @@ bool decodeResponse(const std::string& payload, NetResponse& out,
  * length prefix + payload (looping over partial sends, SIGPIPE
  * suppressed); readFrame reads one whole frame into `payload`. Both
  * return false on EOF, error, or — for readFrame — a length prefix
- * over `maxBytes` (the caller closes the connection).
+ * over kMaxFrameBytes, refused before any payload is allocated (the
+ * caller closes the connection).
  */
 bool writeFrame(int fd, const std::string& payload);
-bool readFrame(int fd, std::string& payload, size_t maxBytes);
+bool readFrame(int fd, std::string& payload);
 
 namespace wire {
 

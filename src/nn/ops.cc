@@ -360,27 +360,6 @@ sigmoid(const TensorPtr& x)
 }
 
 TensorPtr
-tanhOp(const TensorPtr& x)
-{
-    auto out = Tensor::zeros(x->rows, x->cols);
-    for (size_t i = 0; i < x->value.size(); ++i)
-        out->value[i] = std::tanh(x->value[i]);
-    if (anyRequiresGrad(x)) {
-        out->requiresGrad = true;
-        out->parents = {x};
-        Tensor* self = out.get();
-        out->backwardFn = [self, x]() {
-            x->ensureGrad();
-            for (size_t i = 0; i < x->grad.size(); ++i) {
-                float y = self->value[i];
-                x->grad[i] += self->grad[i] * (1.f - y * y);
-            }
-        };
-    }
-    return out;
-}
-
-TensorPtr
 softplus(const TensorPtr& x)
 {
     auto out = Tensor::zeros(x->rows, x->cols);
@@ -711,34 +690,6 @@ mseLoss(const TensorPtr& pred, const std::vector<float>& target)
             float g = self->grad[0] * 2.f / tcopy.size();
             for (size_t i = 0; i < tcopy.size(); ++i)
                 pred->grad[i] += g * (pred->value[i] - tcopy[i]);
-        };
-    }
-    return out;
-}
-
-TensorPtr
-mulRowMask(const TensorPtr& x, const std::vector<float>& mask)
-{
-    LLM_CHECK(mask.size() == size_t(x->rows), "row mask size");
-    auto out = Tensor::zeros(x->rows, x->cols);
-    {
-        const Backend& be = backend();
-        for (int i = 0; i < x->rows; ++i)
-            be.scaleElem(mask[i], x->value.data() + size_t(i) * x->cols,
-                         out->value.data() + size_t(i) * x->cols, x->cols);
-    }
-    if (anyRequiresGrad(x)) {
-        out->requiresGrad = true;
-        out->parents = {x};
-        Tensor* self = out.get();
-        auto mcopy = mask;
-        out->backwardFn = [self, x, mcopy]() {
-            x->ensureGrad();
-            const Backend& be = backend();
-            for (int i = 0; i < x->rows; ++i)
-                be.axpy(mcopy[i],
-                        self->grad.data() + size_t(i) * x->cols,
-                        x->grad.data() + size_t(i) * x->cols, x->cols);
         };
     }
     return out;

@@ -64,9 +64,6 @@ TensorPtr relu(const TensorPtr& x);
 /** Logistic sigmoid. */
 TensorPtr sigmoid(const TensorPtr& x);
 
-/** Hyperbolic tangent. */
-TensorPtr tanhOp(const TensorPtr& x);
-
 /**
  * Numerically stable softplus log(1 + e^x). Used by the DPO objective:
  * -log sigmoid(z) == softplus(-z).
@@ -121,12 +118,6 @@ TensorPtr sequenceLogProb(const TensorPtr& logits,
 
 /** Mean squared error against a constant target (no grad to target). */
 TensorPtr mseLoss(const TensorPtr& pred, const std::vector<float>& target);
-
-/**
- * out = x * rowMask, rowMask[m,1] broadcast across columns. Mask is a plain
- * float vector (no gradient); used for padding masks in mean-pooling.
- */
-TensorPtr mulRowMask(const TensorPtr& x, const std::vector<float>& mask);
 
 } // namespace nn
 } // namespace llmulator

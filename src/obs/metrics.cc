@@ -202,13 +202,6 @@ Registry::rows(const std::string& prefix) const
 }
 
 void
-Registry::writeCsv(std::ostream& os, const std::string& prefix) const
-{
-    for (const Row& r : rows(prefix))
-        os << r.name << ',' << r.metric << ',' << r.value << '\n';
-}
-
-void
 Registry::reset()
 {
     std::lock_guard<std::mutex> lk(mu_);

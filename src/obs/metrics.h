@@ -50,7 +50,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -296,9 +295,6 @@ class Registry
      * min, max, p50, p95, p99). `prefix` filters by name prefix.
      */
     std::vector<Row> rows(const std::string& prefix = "") const;
-
-    /** rows() in the repo's `name,metric,value` CSV convention. */
-    void writeCsv(std::ostream& os, const std::string& prefix = "") const;
 
     /** Zero every instrument's values; instruments stay registered. */
     void reset();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 
@@ -210,28 +209,6 @@ writeChromeTraceFile(const std::string& path)
     }
     writeChromeTrace(out);
     return bool(out);
-}
-
-void
-writeSpanSummaryCsv(std::ostream& os, const std::string& bench)
-{
-    struct Agg
-    {
-        uint64_t count = 0;
-        int64_t totalNs = 0;
-    };
-    std::map<std::string, Agg> byName;
-    for (const SpanEvent& ev : collectSpans()) {
-        Agg& a = byName[ev.name ? ev.name : "?"];
-        ++a.count;
-        a.totalNs += ev.durNs;
-    }
-    for (const auto& kv : byName) {
-        os << bench << ",trace." << kv.first << ".count,"
-           << kv.second.count << '\n';
-        os << bench << ",trace." << kv.first << ".total_ms,"
-           << double(kv.second.totalNs) / 1e6 << '\n';
-    }
 }
 
 } // namespace obs

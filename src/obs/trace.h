@@ -36,11 +36,10 @@
  *
  * collectSpans() snapshots every buffer; writeChromeTrace() emits the
  * chrome://tracing / Perfetto JSON format ("ph":"X" complete events,
- * microsecond timestamps); writeSpanSummaryCsv() aggregates per span
- * name into the repo's `name,metric,value` CSV convention. Collect
- * after the traced work has quiesced (workers joined / server
- * stopped): collection concurrent with still-tracing threads may miss
- * or tear in-flight events (it never corrupts the buffers themselves).
+ * microsecond timestamps). Collect after the traced work has quiesced
+ * (workers joined / server stopped): collection concurrent with
+ * still-tracing threads may miss or tear in-flight events (it never
+ * corrupts the buffers themselves).
  */
 
 #include <chrono>
@@ -123,12 +122,6 @@ void writeChromeTrace(std::ostream& os);
 
 /** writeChromeTrace() to a file; false (with a warning) on I/O error. */
 bool writeChromeTraceFile(const std::string& path);
-
-/**
- * Aggregate spans per name into `<bench>,trace.<name>.count,<n>` and
- * `<bench>,trace.<name>.total_ms,<v>` CSV rows.
- */
-void writeSpanSummaryCsv(std::ostream& os, const std::string& bench);
 
 #define OBS_SPAN_CONCAT2(a, b) a##b
 #define OBS_SPAN_CONCAT(a, b) OBS_SPAN_CONCAT2(a, b)

@@ -14,15 +14,18 @@ namespace serve {
 
 namespace {
 
+//! Profiled samples kept as the calibration window.
+constexpr size_t kReplayCapacity = 32;
+//! Kept shadow samples waiting for the profiler; more are dropped.
+constexpr size_t kShadowQueueCapacity = 64;
+
 /** Clamp degenerate knobs so the manager's invariants hold. */
 CalibrationConfig
 normalized(CalibrationConfig cfg)
 {
     cfg.shadowFraction = std::min(1.0, std::max(0.0, cfg.shadowFraction));
     cfg.calibSteps = std::max(1, cfg.calibSteps);
-    cfg.replayCapacity = std::max<size_t>(1, cfg.replayCapacity);
     cfg.minRoundSamples = std::max<size_t>(1, cfg.minRoundSamples);
-    cfg.shadowQueueCapacity = std::max<size_t>(1, cfg.shadowQueueCapacity);
     return cfg;
 }
 
@@ -91,11 +94,9 @@ CalibrationManager::offer(const dfir::DataflowGraph& g,
     if (sampleAccum_ < 1.0)
         return;
     sampleAccum_ -= 1.0;
-    statShadow_.fetch_add(1, std::memory_order_relaxed);
     shadowSampled_.add(1);
-    if (pending_.size() >= cfg_.shadowQueueCapacity) {
+    if (pending_.size() >= kShadowQueueCapacity) {
         // Shadow profiling must never backpressure serving: drop.
-        statDropped_.fetch_add(1, std::memory_order_relaxed);
         dropped_.add(1);
         return;
     }
@@ -132,7 +133,6 @@ CalibrationManager::profileOne(Sample s)
         (double(s.predicted) - double(truth)) /
         std::max(std::fabs(double(truth)), 1.0);
 
-    statProfiled_.fetch_add(1, std::memory_order_relaxed);
     profiled_.add(1);
     residualAbs_.record(std::fabs(residual));
 
@@ -144,7 +144,7 @@ CalibrationManager::profileOne(Sample s)
         meanAbsResidual_.set(detector_.meanAbsResidual());
         replay_.push_back(Labeled{std::move(s.graph), std::move(s.data),
                                   truth});
-        while (replay_.size() > cfg_.replayCapacity)
+        while (replay_.size() > kReplayCapacity)
             replay_.pop_front();
         fire = detector_.drifted() && replay_.size() >= cfg_.minRoundSamples;
     }
@@ -182,7 +182,6 @@ CalibrationManager::calibrationRound()
     }
 
     swap_(calibrator.takePolicy());
-    statRounds_.fetch_add(1, std::memory_order_relaxed);
     rounds_.add(1);
 
     {
@@ -209,10 +208,10 @@ CalibrationStats
 CalibrationManager::stats() const
 {
     CalibrationStats s;
-    s.shadowSampled = statShadow_.load(std::memory_order_relaxed);
-    s.profiled = statProfiled_.load(std::memory_order_relaxed);
-    s.dropped = statDropped_.load(std::memory_order_relaxed);
-    s.rounds = statRounds_.load(std::memory_order_relaxed);
+    s.shadowSampled = shadowSampled_.total();
+    s.profiled = profiled_.total();
+    s.dropped = dropped_.total();
+    s.rounds = rounds_.total();
     std::lock_guard<std::mutex> lk(mu_);
     s.driftScore = detector_.score();
     s.meanAbsResidual = detector_.meanAbsResidual();

@@ -43,7 +43,6 @@
  * calib.residual (|r|), span calib.round per calibration round.
  */
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -71,13 +70,14 @@ struct CalibrationConfig
     double shadowFraction = 0.25;
     calib::DriftConfig drift;
     int calibSteps = 24;          //!< DPO observe() calls per round
-    size_t replayCapacity = 32;   //!< profiled-sample window
     size_t minRoundSamples = 4;   //!< window size required to run a round
-    size_t shadowQueueCapacity = 64; //!< pending samples; overflow drops
     calib::DpoConfig dpo;
 };
 
-/** Point-in-time calibration counters. */
+/**
+ * Point-in-time calibration view: the counters are the `calib.*`
+ * registry totals, the drift figures come from the detector.
+ */
 struct CalibrationStats
 {
     uint64_t shadowSampled = 0; //!< offers kept by the sampler
@@ -167,11 +167,6 @@ class CalibrationManager
     //! thread, but the statistics are polled by stats()).
     std::deque<Labeled> replay_;
     calib::DriftDetector detector_;
-
-    std::atomic<uint64_t> statShadow_{0};
-    std::atomic<uint64_t> statProfiled_{0};
-    std::atomic<uint64_t> statDropped_{0};
-    std::atomic<uint64_t> statRounds_{0};
 
     std::thread thread_;
     bool started_ = false;

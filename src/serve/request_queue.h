@@ -39,17 +39,6 @@ namespace serve {
 enum class Priority : int { High = 0, Normal = 1, Low = 2 };
 constexpr int kNumPriorities = 3;
 
-/** Counter-suffix / display name ("high", "normal", "low"). */
-inline const char*
-priorityName(Priority p)
-{
-    switch (p) {
-    case Priority::High: return "high";
-    case Priority::Normal: return "normal";
-    default: return "low";
-    }
-}
-
 template <typename T> class BoundedQueue
 {
   public:

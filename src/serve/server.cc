@@ -15,6 +15,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+//! How long a worker waits for stragglers to fill a micro-batch.
+constexpr std::chrono::microseconds kBatchTimeout{200};
+//! Result-cache shard count (lock striping across workers).
+constexpr size_t kCacheShards = 8;
+
 double
 msBetween(Clock::time_point a, Clock::time_point b)
 {
@@ -28,7 +33,6 @@ normalized(ServeConfig cfg)
     cfg.workers = std::max(1, cfg.workers);
     cfg.batchMax = std::max(1, cfg.batchMax);
     cfg.queueCapacity = std::max<size_t>(1, cfg.queueCapacity);
-    cfg.cacheShards = std::max<size_t>(1, cfg.cacheShards);
     // Admission limits: 0 = auto (High: full capacity, Normal: 3/4,
     // Low: 1/2, each at least one slot); explicit values clamp to the
     // capacity so config() reports what is actually enforced.
@@ -49,7 +53,7 @@ PredictionServer::PredictionServer(std::unique_ptr<model::CostModel> model,
                                    const ServeConfig& cfg)
     : cfg_(normalized(cfg)),
       model_(std::move(model)),
-      cache_(cfg_.cacheCapacity, cfg_.cacheShards),
+      cache_(cfg_.cacheCapacity, kCacheShards),
       queue_(cfg_.queueCapacity),
       startTime_(Clock::now()),
       e2eMs_(telemetry_.histogram("serve.e2e_ms")),
@@ -208,7 +212,7 @@ PredictionServer::workerLoop()
     auto session = std::make_unique<model::InferenceSession>(*snap);
     std::vector<Request> batch;
     while (queue_.popBatch(batch, static_cast<size_t>(cfg_.batchMax),
-                           std::chrono::microseconds(cfg_.batchTimeoutUs))) {
+                           kBatchTimeout)) {
         std::shared_ptr<const model::CostModel> cur = modelSnapshot();
         if (cur != snap) {
             snap = std::move(cur);
@@ -358,8 +362,7 @@ PredictionServer::processBatch(std::vector<Request>& batch,
         auto bucketPooled = nn::Tensor::fromData(
             static_cast<int>(bucket.size()), dim, std::move(rows));
         std::vector<model::NumericPrediction> preds =
-            m.head(static_cast<model::Metric>(mi))
-                .decodeBatch(bucketPooled, cfg_.beamWidth);
+            m.head(static_cast<model::Metric>(mi)).decodeBatch(bucketPooled);
         modelCalls_.fetch_add(preds.size(), std::memory_order_relaxed);
 
         const auto decodeEnd = Clock::now();
@@ -438,7 +441,6 @@ PredictionServer::swapModel(std::unique_ptr<model::CostModel> next)
         model_ = std::shared_ptr<const model::CostModel>(std::move(next));
         version_.store(v, std::memory_order_release);
     }
-    swaps_.fetch_add(1, std::memory_order_relaxed);
     swapCount_.add(1);
     // `retired` drops here, outside the lock: workers mid-batch still
     // hold their snapshot, so the old weights die with the last batch.
@@ -481,7 +483,7 @@ PredictionServer::stats() const
     s.meanCacheFillMs = cacheFillMs_.snapshot().mean();
 
     s.modelVersion = version_.load(std::memory_order_acquire);
-    s.calibSwaps = swaps_.load(std::memory_order_relaxed);
+    s.calibSwaps = swapCount_.total();
     if (calib_) {
         CalibrationStats cs = calib_->stats();
         s.shadowProfiled = cs.profiled;

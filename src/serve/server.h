@@ -8,7 +8,7 @@
  *
  * A PredictionServer owns one trained CostModel and a pool of worker
  * threads behind a bounded MPMC request queue. Workers pop micro-batches
- * (up to `batchMax` requests, or whatever arrives within `batchTimeout`),
+ * (up to `batchMax` requests, or whatever arrives within 200 µs),
  * group a batch's cache misses by (program hash, input hash), and run ONE
  * batched autograd-free encoder forward for the whole micro-batch
  * (InferenceSession::forwardPooledBatch — paper Section 5.3's fast path
@@ -18,7 +18,8 @@
  * sequential fast path per request — batching and grouping only share
  * work, they never change any row's computation (the forwardPooledBatch
  * / decodeBatch contracts) — and agree with CostModel::predict() up to
- * its documented fast/slow-path tolerance.
+ * its documented fast/slow-path tolerance. Decodes use the digit head's
+ * default beam width.
  *
  * Finished predictions land in a sharded LRU ResultCache keyed by
  * (canonical program hash, runtime-input hash, metric, model version);
@@ -102,11 +103,8 @@ struct ServeConfig
 {
     int workers = 4;        //!< worker thread count
     int batchMax = 8;       //!< micro-batch size cap
-    int batchTimeoutUs = 200; //!< wait for stragglers (microseconds)
     size_t queueCapacity = 256; //!< bounded queue (backpressure)
     size_t cacheCapacity = 4096; //!< result-cache entries; 0 disables
-    size_t cacheShards = 8;  //!< result-cache shard count
-    int beamWidth = 3;       //!< numeric-head beam width
     /**
      * Per-priority admission depth limits for submitIfAdmitted(): a
      * request of class k is *shed* (answered OVERLOADED by the fleet
@@ -330,7 +328,6 @@ class PredictionServer
     mutable std::mutex modelMu_;
     std::shared_ptr<const model::CostModel> model_;
     std::atomic<uint64_t> version_{0};
-    std::atomic<uint64_t> swaps_{0};
     ResultCache cache_;
     BoundedQueue<Request> queue_;
     std::vector<std::thread> workers_;

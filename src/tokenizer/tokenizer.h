@@ -49,9 +49,6 @@ class Tokenizer
     /** Token id of a single decimal digit (progressive mode building block). */
     int digitToken(int digit) const;
 
-    /** Padding token id. */
-    int padToken() const { return 0; }
-
     /** Unknown-character token id. */
     int unkToken() const { return 1; }
 

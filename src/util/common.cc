@@ -11,22 +11,9 @@ panic(const std::string& msg)
 }
 
 void
-fatal(const std::string& msg)
-{
-    std::fprintf(stderr, "fatal: %s\n", msg.c_str());
-    std::exit(1);
-}
-
-void
 warn(const std::string& msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-inform(const std::string& msg)
-{
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 } // namespace util

@@ -3,11 +3,8 @@
 
 /**
  * @file
- * Fatal-error helpers and small shared utilities.
- *
- * Following the gem5 convention, panic() is for "this should never happen
- * regardless of what the user does" (library bugs), while fatal() is for
- * unrecoverable user errors (bad configuration, malformed workloads).
+ * Error helpers: panic() is for "this should never happen regardless of
+ * what the user does" (library bugs), warn() for recoverable oddities.
  */
 
 #include <cstdint>
@@ -22,14 +19,8 @@ namespace util {
 /** Print a formatted message to stderr and abort. Library-bug class errors. */
 [[noreturn]] void panic(const std::string& msg);
 
-/** Print a formatted message to stderr and exit(1). User-error class errors. */
-[[noreturn]] void fatal(const std::string& msg);
-
 /** Non-fatal warning to stderr. */
 void warn(const std::string& msg);
-
-/** Informational message to stderr (kept off stdout so tables stay clean). */
-void inform(const std::string& msg);
 
 } // namespace util
 } // namespace llmulator

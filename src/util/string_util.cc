@@ -1,6 +1,5 @@
 #include "util/string_util.h"
 
-#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 
@@ -24,26 +23,6 @@ split(const std::string& s, char delim)
     return out;
 }
 
-std::vector<std::string>
-splitWhitespace(const std::string& s)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : s) {
-        if (std::isspace(static_cast<unsigned char>(c))) {
-            if (!cur.empty()) {
-                out.push_back(cur);
-                cur.clear();
-            }
-        } else {
-            cur.push_back(c);
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
-
 std::string
 join(const std::vector<std::string>& parts, const std::string& sep)
 {
@@ -54,18 +33,6 @@ join(const std::vector<std::string>& parts, const std::string& sep)
         out += parts[i];
     }
     return out;
-}
-
-bool
-isAllDigits(const std::string& s)
-{
-    if (s.empty())
-        return false;
-    for (char c : s) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            return false;
-    }
-    return true;
 }
 
 std::string
@@ -98,14 +65,6 @@ uint64_t
 hashCombine(uint64_t a, uint64_t b)
 {
     return a ^ (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2));
-}
-
-std::string
-padLeft(const std::string& s, size_t width)
-{
-    if (s.size() >= width)
-        return s;
-    return std::string(width - s.size(), ' ') + s;
 }
 
 std::string

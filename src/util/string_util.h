@@ -17,15 +17,9 @@ namespace util {
 /** Split on single-character delimiter; keeps empty fields. */
 std::vector<std::string> split(const std::string& s, char delim);
 
-/** Split on runs of ASCII whitespace; drops empty fields. */
-std::vector<std::string> splitWhitespace(const std::string& s);
-
 /** Join with separator. */
 std::string join(const std::vector<std::string>& parts,
                  const std::string& sep);
-
-/** True if s consists only of decimal digits (and is non-empty). */
-bool isAllDigits(const std::string& s);
 
 /** printf-style formatting into a std::string. */
 std::string format(const char* fmt, ...)
@@ -36,9 +30,6 @@ uint64_t fnv1a(const std::string& s);
 
 /** Combine two hashes (boost-style). */
 uint64_t hashCombine(uint64_t a, uint64_t b);
-
-/** Fixed-width right-aligned cell used by the table printers. */
-std::string padLeft(const std::string& s, size_t width);
 
 /** Fixed-width left-aligned cell used by the table printers. */
 std::string padRight(const std::string& s, size_t width);

@@ -9,7 +9,9 @@
  * mutants hit the same shard's cache), BAD_REQUEST for programs that
  * fail to parse or verify, overload answered with an explicit
  * OVERLOADED status under 8 client threads without deadlock (TSan job
- * coverage), and warm restart from the snapshot.
+ * coverage), warm restart from the snapshot, an oversized frame header
+ * closing only its own connection, and closed connections releasing
+ * their threads while the fleet runs.
  *
  * Like test_serve, every suite runs an *untrained* Tiny model: weight
  * initialization is seeded, so two separately constructed models have
@@ -19,11 +21,18 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <dirent.h>
 #include <fstream>
+#include <netinet/in.h>
 #include <string>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -34,7 +43,6 @@
 #include "dfir/printer.h"
 #include "net/fleet_client.h"
 #include "net/fleet_server.h"
-#include "net/fleet_sim.h"
 #include "net/snapshot.h"
 #include "net/protocol.h"
 #include "serve/server.h"
@@ -130,6 +138,31 @@ tempPath(const char* tag)
 {
     return util::format("/tmp/llm_net_%s_%ld.bin", tag,
                         static_cast<long>(::getpid()));
+}
+
+/** This process's virtual size in kB (VmSize in /proc/self/status). */
+long
+vmSizeKb()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::atol(line.c_str() + 7);
+    return 0;
+}
+
+/** Live threads of this process (the entries of /proc/self/task). */
+size_t
+liveThreads()
+{
+    size_t n = 0;
+    if (DIR* dir = ::opendir("/proc/self/task")) {
+        while (const dirent* e = ::readdir(dir))
+            n += e->d_name[0] != '.';
+        ::closedir(dir);
+    }
+    return n;
 }
 
 } // namespace
@@ -777,37 +810,83 @@ TEST(FleetServer, PersistentCacheSurvivesRestart)
     std::remove(path.c_str());
 }
 
-TEST(FleetSim, DrivesAFleetWithSkewedPopularity)
+TEST(FleetServer, OversizedFrameHeaderClosesOnlyItsOwnConnection)
 {
     net::FleetConfig cfg;
-    cfg.shards = 2;
-    cfg.serve.workers = 2;
+    cfg.shards = 1;
     net::FleetServer fleet(tinyModel(), cfg);
     fleet.start();
+    net::FleetClient bystander;
+    ASSERT_TRUE(bystander.connectLoopback(fleet.port()));
 
-    std::vector<net::SimQuery> corpus;
-    for (long i = 0; i < 6; ++i) {
-        DataflowGraph g = makeGraph(util::format("sim-%ld", i), i + 1);
-        RuntimeData d = makeData(16 + i);
-        corpus.push_back(
-            net::makeSimQuery(g, &d, model::Metric::Cycles));
-    }
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<uint16_t>(fleet.port()));
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+              0);
+    timeval timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    // A header announcing one byte over the bound, and no payload.
+    std::string header;
+    net::wire::putU32(header, uint32_t(net::kMaxFrameBytes + 1));
+    ASSERT_EQ(::send(fd, header.data(), header.size(), MSG_NOSIGNAL),
+              ssize_t(header.size()));
+    // The server refuses the length before it reads or allocates a
+    // payload, and closes: EOF now, not a timeout waiting for bytes.
+    char byte = 0;
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+    ::close(fd);
 
-    net::SimConfig sim;
-    sim.clients = 4;
-    sim.requestsPerClient = 20;
-    sim.zipfSkew = 1.0;
-    sim.mixedPriorities = true;
-    net::SimResult res = net::runFleet(fleet.port(), corpus, sim);
+    // The other connection is still served.
+    net::NetResponse resp;
+    ASSERT_TRUE(bystander.predict(makeGraph("bystander", 5), nullptr,
+                                  model::Metric::Power,
+                                  serve::Priority::Normal, resp));
+    EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
+    EXPECT_EQ(fleet.stats().requests, 1u); // a framing violation is none
+}
 
-    EXPECT_EQ(res.ok + res.overloaded + res.failed, 80u);
-    EXPECT_EQ(res.failed, 0u);
-    EXPECT_GT(res.ok, 0u);
-    EXPECT_GT(res.rps, 0.0);
-    EXPECT_GE(res.p99Ms, res.p50Ms);
-
-    // Six distinct programs, many repeats: the fleet must answer most
-    // of the traffic from its caches.
-    net::FleetStats stats = fleet.stats();
-    EXPECT_GT(stats.hitRate(), 0.5);
+TEST(FleetServer, ClosedConnectionsReleaseTheirThreads)
+{
+    net::FleetConfig cfg;
+    cfg.shards = 1;
+    cfg.serve.workers = 1;
+    net::FleetServer fleet(tinyModel(), cfg);
+    fleet.start();
+    const size_t idleThreads = liveThreads();
+    ASSERT_GT(idleThreads, 0u);
+    DataflowGraph g = makeGraph("reap", 4);
+    // Each cycle ends once the server's connection thread has exited,
+    // so connection threads never overlap and the allocator never adds
+    // an arena (64 MB of address space) for them: what VmSize can still
+    // gain is the stacks of exited threads that nobody joined.
+    auto connectPredictClose = [&] {
+        {
+            net::FleetClient client;
+            ASSERT_TRUE(client.connectLoopback(fleet.port()));
+            net::NetResponse resp;
+            ASSERT_TRUE(client.predict(g, nullptr, model::Metric::Power,
+                                       serve::Priority::Normal, resp));
+            EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (liveThreads() > idleThreads &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    connectPredictClose(); // first thread stack, allocator arena, cache
+    const long before = vmSizeKb();
+    ASSERT_GT(before, 0);
+    for (int i = 0; i < 100; ++i)
+        connectPredictClose();
+    // An exited thread keeps its stack mapped until it is joined (8 MiB
+    // by default), so 100 unjoined ones grow VmSize by ~800 MB. Joined
+    // as their connections close, they leave a stack or two at most.
+    const long grownMb = (vmSizeKb() - before) / 1024;
+    EXPECT_LT(grownMb, 100) << "VmSize grew " << grownMb << " MB";
+    EXPECT_EQ(fleet.stats().ok, 101u);
 }

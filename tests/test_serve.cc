@@ -891,6 +891,43 @@ TEST(PredictionServer, VersionKeyedCacheNeverServesStaleVersion)
     EXPECT_EQ(server.stats().modelVersion, 1u);
 }
 
+// Calibration events are counted once, in the server's registry:
+// ServerStats reads those counters instead of keeping copies.
+TEST(PredictionServer, CalibrationStatsReadTheRegistryCounters)
+{
+    serve::ServeConfig cfg;
+    cfg.workers = 1;
+    cfg.cacheCapacity = 0; // every answer computed => offered to shadow
+    cfg.calibration.enabled = true;
+    cfg.calibration.shadowFraction = 1.0;
+    cfg.calibration.calibSteps = 2; // keep the round cheap
+    // Three residuals never complete the default 8-sample drift
+    // baseline, so only the forced round below swaps.
+    serve::PredictionServer server(tinyModel(), cfg);
+    for (long n = 8; n < 11; ++n) {
+        RuntimeData d = makeData(n);
+        server.predict(makeGraph("counted", n), &d, model::Metric::Cycles);
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    while (server.stats().shadowProfiled < 3 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_EQ(server.stats().shadowProfiled, 3u);
+    ASSERT_TRUE(server.forceCalibrationRound());
+
+    const obs::Registry& reg = server.telemetry();
+    const obs::Counter* swaps = reg.findCounter("calib.swaps");
+    const obs::Counter* profiled = reg.findCounter("calib.profiled");
+    ASSERT_NE(swaps, nullptr);
+    ASSERT_NE(profiled, nullptr);
+    serve::ServerStats stats = server.stats();
+    EXPECT_EQ(stats.calibSwaps, 1u);
+    EXPECT_EQ(stats.calibSwaps, swaps->total());
+    EXPECT_EQ(stats.shadowProfiled, profiled->total());
+    EXPECT_EQ(stats.modelVersion, 1u);
+}
+
 // End-to-end live-calibration loop: with an untrained model and a
 // hair-trigger drift config, shadow profiling must detect the (large)
 // residuals and the background thread must calibrate + hot-swap without
