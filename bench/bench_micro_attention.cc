@@ -3,7 +3,9 @@
  * Microbenchmark (google-benchmark): the Section 5.3 cached inference
  * path vs the full forward, at the kernel level. Complements Tables 5/9
  * (which time end-to-end predictions) with steady-state measurements of
- * the encoder forward alone.
+ * the encoder forward alone, next to the training path on the same
+ * encoding: the autograd forward, and a whole train step (forward,
+ * loss and backward).
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +17,7 @@
 #include "bench_common.h"
 #include "harness/harness.h"
 #include "model/fast_encoder.h"
+#include "nn/optim.h"
 #include "synth/generators.h"
 
 using namespace llmulator;
@@ -82,9 +85,27 @@ BM_AutogradForward(benchmark::State& state)
     }
 }
 
+void
+BM_TrainStep(benchmark::State& state)
+{
+    // One training view's tape: the autograd forward, a digit-head loss
+    // and the backward into the parameters' gradients.
+    Fixture& f = Fixture::get();
+    const std::vector<nn::TensorPtr> params = f.ours->parameters();
+    for (auto _ : state) {
+        nn::clearGrads(params);
+        auto loss = f.ours->lossForMetric(f.probe, model::Metric::Cycles,
+                                          123456);
+        loss->backward();
+        benchmark::DoNotOptimize(params.front()->grad.data());
+        benchmark::ClobberMemory();
+    }
+}
+
 BENCHMARK(BM_FullForward)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CachedForward)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AutogradForward)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TrainStep)->Unit(benchmark::kMillisecond);
 
 /** Console output plus a scrapeable `name,metric,value` CSV echo. */
 class CsvEchoReporter : public benchmark::ConsoleReporter

@@ -23,6 +23,10 @@
  *   train_throughput,speedup_t8,<median t8 / median t1 samples/sec>
  *   train_throughput,loss_bitmatch,<1|0: every timed run's per-epoch
  *     losses equal the first run's, bit for bit>
+ *   train_throughput,sys_time_s,<system CPU seconds of the timed sweep,
+ *     from getrusage: allocation churn shows up here as page faults>
+ *   train_throughput,peak_rss_mb,<the process's peak resident set after
+ *     the timed sweep, from getrusage>
  *   train_throughput,nn.*,<GEMM call/FLOP counters and trainer gauges
  *     from one short instrumented epoch, run AFTER the timed sweep so
  *     the rows above stay free of telemetry overhead>
@@ -35,6 +39,8 @@
 #include <algorithm>
 #include <chrono>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench_common.h"
 #include "harness/harness.h"
@@ -51,6 +57,21 @@ struct RunResult
     double epochMs = 0.0;
     harness::TrainStats stats;
 };
+
+/** The process's resource usage so far. */
+rusage
+usage()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru;
+}
+
+double
+seconds(const timeval& tv)
+{
+    return double(tv.tv_sec) + 1e-6 * double(tv.tv_usec);
+}
 
 RunResult
 runAt(int threads, const model::CostModelConfig& mcfg,
@@ -110,9 +131,11 @@ main(int argc, char** argv)
     const int kThreadCounts[] = {1, 4, 8};
     const int kRepeats = 3;
     std::vector<RunResult> runs[3];
+    const rusage before = usage();
     for (int rep = 0; rep < kRepeats; ++rep)
         for (int i = 0; i < 3; ++i)
             runs[i].push_back(runAt(kThreadCounts[i], mcfg, ds, encs, tcfg));
+    const rusage after = usage();
 
     // Determinism cross-check: per-epoch mean losses must agree bitwise
     // across every timed run, whatever its thread count.
@@ -144,6 +167,11 @@ main(int argc, char** argv)
                medianSps[1] / medianSps[0]);
     bench::csv("train_throughput", "speedup_t8",
                medianSps[2] / medianSps[0]);
+
+    bench::csv("train_throughput", "sys_time_s",
+               seconds(after.ru_stime) - seconds(before.ru_stime));
+    bench::csv("train_throughput", "peak_rss_mb",
+               double(after.ru_maxrss) / 1024.0); // ru_maxrss is in KiB
 
     bench::csv("train_throughput", "loss_bitmatch", bitmatch ? 1 : 0);
     if (!bitmatch) {

@@ -1,8 +1,8 @@
 #include "model/fast_encoder.h"
 
 #include <algorithm>
-#include <cmath>
 
+#include "nn/attention.h"
 #include "nn/backend.h"
 #include "nn/ops.h"
 #include "util/common.h"
@@ -32,8 +32,11 @@ encodeForTraining(const CostModel& m, const dfir::DataflowGraph& g,
 
 namespace {
 
-/** Rows per block of every pass but K/V, whose rows all queries read. */
-constexpr int kRowBlock = 16;
+/**
+ * Rows per block of every pass but K/V, whose rows all queries read:
+ * the attention's own block, so its scratch fits every pass.
+ */
+constexpr int kRowBlock = nn::kAttentionRowBlock;
 
 /** c[rows, w] = a[rows, in] * W + b: gemmAccum into zeros, then + b. */
 void
@@ -135,8 +138,9 @@ InferenceSession::forwardPooled(const EncodedProgram& ep, const Layout& lay,
                                 Workspace& ws, float* pooled)
 {
     // Every step is the backend call the autograd graph makes on the
-    // same values (nn/layers.cc), so each row's float sequence — and
-    // the pooled row — is TransformerEncoder::forward's. Row blocks only
+    // same values (nn/layers.cc; attention is nn::attentionRows, the
+    // training op's own block function), so each row's float sequence —
+    // and the pooled row — is TransformerEncoder::forward's. Row blocks only
     // choose which output rows a call computes: kernels fix the
     // per-element sequence independently of the row count.
     const nn::Backend& be = nn::backend();
@@ -146,7 +150,6 @@ InferenceSession::forwardPooled(const EncodedProgram& ep, const Layout& lay,
     const int heads = enc.cfg.heads;
     const int hd = d / heads;
     const int layers = static_cast<int>(enc.blocks.size());
-    const float invSqrt = 1.0f / std::sqrt(static_cast<float>(hd));
     const float eps = 1e-5f; // nn::layerNormRows' default
     LLM_CHECK(n > 0, "empty token sequence");
 
@@ -256,7 +259,6 @@ InferenceSession::forwardPooled(const EncodedProgram& ep, const Layout& lay,
         // Attention and FFN of the recomputed rows, one block at a time.
         for (int c0 = 0; c0 < nr; c0 += kRowBlock) {
             const int rb = std::min(kRowBlock, nr - c0);
-            const size_t cells = size_t(rb) * n;
             gather(c0, rb);
             // The block's separation-mask rows, shared by every head. A
             // row that is both Class I and data keeps the per-cell test.
@@ -275,21 +277,12 @@ InferenceSession::forwardPooled(const EncodedProgram& ep, const Layout& lay,
                         std::fill_n(mrow, n, 0.f);
                 }
             for (int hh = 0; hh < heads; ++hh) {
-                // scores = q_h k_h^T, then x 1/sqrt(hd), then + mask.
-                float* s = ws.scores.data();
-                float* p = ws.probs.data();
-                std::fill_n(s, cells, 0.f);
-                nn::gemmAccum(be, ws.q.data() + (size_t(hh) * n + c0) * hd,
-                              ws.kt.data() + size_t(hh) * hd * n, s, rb, hd,
-                              n);
-                be.scaleElem(invSqrt, s, p, cells);
-                if (lay.masked)
-                    for (size_t e = 0; e < cells; ++e)
-                        p[e] += ws.mask[e];
-                be.softmaxRows(p, s, rb, n);
-                std::fill_n(ws.head.data(), size_t(rb) * hd, 0.f);
-                nn::gemmAccum(be, s, ws.v.data() + size_t(hh) * n * hd,
-                              ws.head.data(), rb, n, hd);
+                nn::attentionRows(
+                    be, ws.q.data() + (size_t(hh) * n + c0) * hd,
+                    ws.kt.data() + size_t(hh) * hd * n,
+                    ws.v.data() + size_t(hh) * n * hd,
+                    lay.masked ? ws.mask.data() : nullptr, rb, n, hd,
+                    ws.scores.data(), ws.probs.data(), ws.head.data());
                 for (int r = 0; r < rb; ++r)
                     std::copy_n(ws.head.data() + size_t(r) * hd, hd,
                                 ws.ctx.data() + size_t(r) * d + hh * hd);

@@ -19,6 +19,10 @@
  * data through intermediate rows — that is precisely the approximation
  * LLMulator makes to win the Table 5 / Table 9 latency reductions; the
  * accompanying accuracy cost is measured, not assumed, by the benches.
+ *
+ * The forward's attention blocks are nn::attentionRows (nn/attention.h),
+ * which the training op nn::attention also runs: one attention
+ * implementation serves inference and training.
  */
 
 #include <cstdint>

@@ -54,7 +54,7 @@ FleetClient::call(const NetRequest& req, NetResponse& resp)
         return false;
     }
     std::string payload;
-    if (!readFrame(fd_, payload)) {
+    if (readFrame(fd_, payload) != FrameRead::Ok) {
         close();
         return false;
     }

@@ -90,6 +90,7 @@ FleetServer::FleetServer(std::unique_ptr<model::CostModel> model,
       overloadedCount_(telemetry_.counter("net.overloaded")),
       badRequestCount_(telemetry_.counter("net.bad_request")),
       errorCount_(telemetry_.counter("net.error")),
+      badFrameCount_(telemetry_.counter("net.bad_frame")),
       handleMs_(telemetry_.histogram("net.handle_ms"))
 {
     LLM_CHECK(model != nullptr, "FleetServer needs a model");
@@ -194,7 +195,8 @@ void
 FleetServer::connectionLoop(int fd)
 {
     std::string payload;
-    while (readFrame(fd, payload)) {
+    FrameRead got = FrameRead::Ok;
+    while ((got = readFrame(fd, payload)) == FrameRead::Ok) {
         NetRequest req;
         NetResponse resp;
         std::string err;
@@ -211,6 +213,8 @@ FleetServer::connectionLoop(int fd)
         if (!writeFrame(fd, encodeResponse(resp)))
             break;
     }
+    if (got == FrameRead::Oversized)
+        badFrameCount_.add(1);
     {
         // Deregister before close so stop() never shutdown()s a
         // recycled descriptor, and hand this thread over to be joined.
@@ -319,6 +323,7 @@ FleetServer::stats() const
     s.overloaded = overloadedCount_.total();
     s.badRequest = badRequestCount_.total();
     s.errors = errorCount_.total();
+    s.badFrames = badFrameCount_.total();
     s.persistLoaded = persistLoaded_;
     s.persistStale = persistStale_;
     for (const auto& shard : shards_) {

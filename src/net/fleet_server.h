@@ -99,6 +99,8 @@ struct FleetStats
     uint64_t overloaded = 0; //!< shed or rejected by admission control
     uint64_t badRequest = 0; //!< undecodable payload / invalid program
     uint64_t errors = 0;     //!< server-side failures
+    //! Connections closed for a frame header over kMaxFrameBytes.
+    uint64_t badFrames = 0;
     //! Warm-start view of the snapshot load: entries accepted / skipped
     //! because they were stamped with another model version.
     uint64_t persistLoaded = 0;
@@ -192,6 +194,7 @@ class FleetServer
     obs::Counter& overloadedCount_; //!< net.overloaded
     obs::Counter& badRequestCount_; //!< net.bad_request
     obs::Counter& errorCount_;     //!< net.error
+    obs::Counter& badFrameCount_;  //!< net.bad_frame
     obs::Histogram& handleMs_;     //!< net.handle_ms
     uint64_t persistLoaded_ = 0;
     uint64_t persistStale_ = 0;

@@ -384,18 +384,19 @@ writeFrame(int fd, const std::string& payload)
             sendAll(fd, payload.data(), payload.size()));
 }
 
-bool
+FrameRead
 readFrame(int fd, std::string& payload)
 {
     char hdr[4];
     if (!recvAll(fd, hdr, sizeof hdr))
-        return false;
+        return FrameRead::Closed;
     wire::Reader r(hdr, sizeof hdr);
     uint32_t len = r.u32();
     if (len > kMaxFrameBytes)
-        return false; // framing violation; the caller closes
+        return FrameRead::Oversized;
     payload.resize(len);
-    return len == 0 || recvAll(fd, &payload[0], len);
+    return len == 0 || recvAll(fd, &payload[0], len) ? FrameRead::Ok
+                                                     : FrameRead::Closed;
 }
 
 } // namespace net

@@ -68,6 +68,14 @@ constexpr uint16_t kProtocolVersion = 1;
 //! Framing guard: readFrame() refuses a longer announced payload.
 constexpr size_t kMaxFrameBytes = 4u << 20;
 
+/** How one readFrame() call ended. */
+enum class FrameRead
+{
+    Ok,       //!< one whole frame is in the payload
+    Closed,   //!< EOF or a socket error
+    Oversized //!< a length prefix over kMaxFrameBytes, refused unread
+};
+
 /** Response status byte. */
 enum class Status : uint8_t
 {
@@ -112,13 +120,13 @@ bool decodeResponse(const std::string& payload, NetResponse& out,
 /**
  * Blocking frame I/O over a connected socket. writeFrame sends the
  * length prefix + payload (looping over partial sends, SIGPIPE
- * suppressed); readFrame reads one whole frame into `payload`. Both
- * return false on EOF, error, or — for readFrame — a length prefix
- * over kMaxFrameBytes, refused before any payload is allocated (the
- * caller closes the connection).
+ * suppressed) and returns false on error. readFrame reads one whole
+ * frame into `payload` and says why it stopped otherwise: EOF or
+ * error, or a length prefix over kMaxFrameBytes, refused before any
+ * payload is allocated. Either way the caller closes the connection.
  */
 bool writeFrame(int fd, const std::string& payload);
-bool readFrame(int fd, std::string& payload);
+FrameRead readFrame(int fd, std::string& payload);
 
 namespace wire {
 

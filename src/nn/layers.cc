@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/attention.h"
 #include "util/common.h"
 
 namespace llmulator {
@@ -103,7 +104,7 @@ LayerNorm::parameters() const
 
 MultiHeadSelfAttention::MultiHeadSelfAttention(int dim_, int heads_,
                                                util::Rng& rng)
-    : dim(dim_), heads(heads_), headDim(dim_ / heads_)
+    : dim(dim_), heads(heads_)
 {
     LLM_CHECK(dim % heads == 0, "dim " << dim << " not divisible by heads");
     wq = std::make_unique<Linear>(dim, dim, rng);
@@ -121,21 +122,7 @@ MultiHeadSelfAttention::forward(const TensorPtr& x,
     TensorPtr q = wq->forward(x);
     TensorPtr k = wk->forward(x);
     TensorPtr v = wv->forward(x);
-    float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(headDim));
-
-    TensorPtr ctx; // concatenated head outputs
-    for (int h = 0; h < heads; ++h) {
-        TensorPtr qh = sliceCols(q, h * headDim, headDim);
-        TensorPtr kh = sliceCols(k, h * headDim, headDim);
-        TensorPtr vh = sliceCols(v, h * headDim, headDim);
-        TensorPtr scores = scale(matmul(qh, transpose(kh)), inv_sqrt);
-        if (add_mask)
-            scores = add(scores, add_mask);
-        TensorPtr probs = softmaxRows(scores);
-        TensorPtr head_out = matmul(probs, vh);
-        ctx = ctx ? concatCols(ctx, head_out) : head_out;
-    }
-    return wo->forward(ctx);
+    return wo->forward(attention(q, k, v, add_mask, heads));
 }
 
 std::vector<TensorPtr>

@@ -12,9 +12,12 @@
  * before the softmax so the attention weight is exactly zero.
  *
  * Every forward() runs one sequence and records the autograd tape that
- * training backpropagates through. Forwards that need no gradient do not
- * use these layers: model::InferenceSession makes the same backend calls
- * in the same order without a tape, so its pooled rows equal
+ * training backpropagates through. Attention is one tape node per
+ * layer, nn::attention (attention.h), whose forward is the row-blocked
+ * attention of the inference path: one implementation serves both.
+ * Forwards that need no gradient do not use these layers:
+ * model::InferenceSession makes the same backend calls in the same
+ * order without a tape, so its pooled rows equal
  * TransformerEncoder::forward's bit for bit.
  */
 
@@ -93,7 +96,8 @@ class LayerNorm : public Module
 };
 
 /**
- * Multi-head scaled-dot-product self-attention.
+ * Multi-head scaled-dot-product self-attention:
+ * wo(attention(wq(x), wk(x), wv(x), mask)).
  *
  * forward() accepts an optional additive mask [seq, seq] (0 = attend,
  * large-negative = blocked) owned by the caller; the mask carries no
@@ -111,7 +115,6 @@ class MultiHeadSelfAttention : public Module
 
     int dim;
     int heads;
-    int headDim;
     std::unique_ptr<Linear> wq, wk, wv, wo;
 };
 

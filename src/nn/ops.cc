@@ -75,6 +75,24 @@ gemmAccum(const Backend& be, const float* a, const float* b, float* c, int m,
     countGemm(kGemmAccum, be, 2ull * uint64_t(m) * uint64_t(k) * uint64_t(n));
 }
 
+void
+gemmAccumBt(const Backend& be, const float* dc, const float* b, float* out,
+            int m, int k, int n)
+{
+    be.gemmAccumBt(dc, b, out, m, k, n);
+    countGemm(kGemmAccumBt, be,
+              2ull * uint64_t(m) * uint64_t(k) * uint64_t(n));
+}
+
+void
+gemmAccumAt(const Backend& be, const float* a, const float* dc, float* out,
+            int m, int k, int n)
+{
+    be.gemmAccumAt(a, dc, out, m, k, n);
+    countGemm(kGemmAccumAt, be,
+              2ull * uint64_t(m) * uint64_t(k) * uint64_t(n));
+}
+
 TensorPtr
 matmul(const TensorPtr& a, const TensorPtr& b)
 {
@@ -91,42 +109,16 @@ matmul(const TensorPtr& a, const TensorPtr& b)
         out->backwardFn = [self, a, b]() {
             int m = a->rows, k = a->cols, n = b->cols;
             const Backend& be = backend();
-            uint64_t flops =
-                2ull * uint64_t(m) * uint64_t(k) * uint64_t(n);
             if (a->requiresGrad) {
                 a->ensureGrad();
-                be.gemmAccumBt(self->grad.data(), b->value.data(),
-                               a->grad.data(), m, k, n);
-                countGemm(kGemmAccumBt, be, flops);
+                gemmAccumBt(be, self->grad.data(), b->value.data(),
+                            a->grad.data(), m, k, n);
             }
             if (b->requiresGrad) {
                 b->ensureGrad();
-                be.gemmAccumAt(a->value.data(), self->grad.data(),
-                               b->grad.data(), m, k, n);
-                countGemm(kGemmAccumAt, be, flops);
+                gemmAccumAt(be, a->value.data(), self->grad.data(),
+                            b->grad.data(), m, k, n);
             }
-        };
-    }
-    return out;
-}
-
-TensorPtr
-transpose(const TensorPtr& a)
-{
-    auto out = Tensor::zeros(a->cols, a->rows);
-    for (int i = 0; i < a->rows; ++i)
-        for (int j = 0; j < a->cols; ++j)
-            out->at(j, i) = a->at(i, j);
-    if (anyRequiresGrad(a)) {
-        out->requiresGrad = true;
-        out->parents = {a};
-        Tensor* self = out.get();
-        out->backwardFn = [self, a]() {
-            a->ensureGrad();
-            for (int i = 0; i < a->rows; ++i)
-                for (int j = 0; j < a->cols; ++j)
-                    a->grad[size_t(i) * a->cols + j] +=
-                        self->grad[size_t(j) * a->rows + i];
         };
     }
     return out;
@@ -254,34 +246,6 @@ scale(const TensorPtr& x, float s)
             x->ensureGrad();
             backend().axpy(s, self->grad.data(), x->grad.data(),
                            x->grad.size());
-        };
-    }
-    return out;
-}
-
-TensorPtr
-softmaxRows(const TensorPtr& x)
-{
-    auto out = Tensor::zeros(x->rows, x->cols);
-    backend().softmaxRows(x->value.data(), out->value.data(), x->rows,
-                          x->cols);
-    if (anyRequiresGrad(x)) {
-        out->requiresGrad = true;
-        out->parents = {x};
-        Tensor* self = out.get();
-        out->backwardFn = [self, x]() {
-            x->ensureGrad();
-            int n = self->cols;
-            for (int i = 0; i < self->rows; ++i) {
-                const float* y = self->value.data() + size_t(i) * n;
-                const float* dy = self->grad.data() + size_t(i) * n;
-                float dot = 0.f;
-                for (int j = 0; j < n; ++j)
-                    dot += dy[j] * y[j];
-                float* dx = x->grad.data() + size_t(i) * n;
-                for (int j = 0; j < n; ++j)
-                    dx[j] += (dy[j] - dot) * y[j];
-            }
         };
     }
     return out;

@@ -31,11 +31,23 @@ struct Backend;
 void gemmAccum(const Backend& be, const float* a, const float* b, float* c,
                int m, int k, int n);
 
+/**
+ * Raw dA[m,k] += dC[m,n] * B[k,n]^T on backend `be`, counted in the
+ * nn.gemm_accum_bt.<backend>.* rows. matmul's backward and attention's
+ * both run their dA GEMMs through it.
+ */
+void gemmAccumBt(const Backend& be, const float* dc, const float* b,
+                 float* out, int m, int k, int n);
+
+/**
+ * Raw dB[k,n] += A[m,k]^T * dC[m,n] on backend `be`, counted in the
+ * nn.gemm_accum_at.<backend>.* rows; matmul's and attention's dB GEMMs.
+ */
+void gemmAccumAt(const Backend& be, const float* a, const float* dc,
+                 float* out, int m, int k, int n);
+
 /** C[m,n] = A[m,k] * B[k,n]. */
 TensorPtr matmul(const TensorPtr& a, const TensorPtr& b);
-
-/** Transpose. */
-TensorPtr transpose(const TensorPtr& a);
 
 /** Elementwise sum of same-shape tensors. */
 TensorPtr add(const TensorPtr& a, const TensorPtr& b);
@@ -51,9 +63,6 @@ TensorPtr addRow(const TensorPtr& x, const TensorPtr& b);
 
 /** Scalar multiple. */
 TensorPtr scale(const TensorPtr& x, float s);
-
-/** Row-wise softmax. */
-TensorPtr softmaxRows(const TensorPtr& x);
 
 /** GELU activation (tanh approximation). */
 TensorPtr gelu(const TensorPtr& x);

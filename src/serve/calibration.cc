@@ -185,10 +185,12 @@ CalibrationManager::calibrationRound()
     rounds_.add(1);
 
     {
-        // Re-baseline: residuals of the new weights are a new process.
+        // Re-baseline: residuals of the new weights are a new process,
+        // and both gauges follow the reset detector.
         std::lock_guard<std::mutex> lk(mu_);
         detector_.reset();
-        driftScore_.set(0.0);
+        driftScore_.set(detector_.score());
+        meanAbsResidual_.set(detector_.meanAbsResidual());
     }
     return true;
 }

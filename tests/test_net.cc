@@ -818,6 +818,7 @@ TEST(FleetServer, OversizedFrameHeaderClosesOnlyItsOwnConnection)
     fleet.start();
     net::FleetClient bystander;
     ASSERT_TRUE(bystander.connectLoopback(fleet.port()));
+    const uint64_t badFramesBefore = fleet.stats().badFrames;
 
     int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     ASSERT_GE(fd, 0);
@@ -847,6 +848,12 @@ TEST(FleetServer, OversizedFrameHeaderClosesOnlyItsOwnConnection)
                                   serve::Priority::Normal, resp));
     EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
     EXPECT_EQ(fleet.stats().requests, 1u); // a framing violation is none
+    // ...but it is counted, once, in the stats and the registry row.
+    EXPECT_EQ(fleet.stats().badFrames, badFramesBefore + 1);
+    const obs::Counter* badFrames =
+        fleet.telemetry().findCounter("net.bad_frame");
+    ASSERT_NE(badFrames, nullptr);
+    EXPECT_EQ(badFrames->total(), fleet.stats().badFrames);
 }
 
 TEST(FleetServer, ClosedConnectionsReleaseTheirThreads)

@@ -1,7 +1,9 @@
 /**
  * @file
  * Gradient checks for the autograd primitives: every op's analytic gradient
- * is compared against a central finite difference.
+ * is compared against a central finite difference. The attention op is
+ * also held to the per-head composite it replaced (attention_oracle.h),
+ * bit for bit, for values and gradients, alone and inside an encoder.
  */
 
 #include <cmath>
@@ -10,7 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include "attention_oracle.h"
+#include "nn/attention.h"
 #include "nn/backend.h"
+#include "nn/layers.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
 #include "util/rng.h"
@@ -81,7 +86,8 @@ TEST(Autograd, TransposeGradient)
     auto w = randTensor(3, 5, rng);
     w->requiresGrad = false;
     checkGrads({a}, [&] {
-        return nn::sumAll(nn::mulElem(nn::transpose(a), nn::transpose(w)));
+        return nn::sumAll(
+            nn::mulElem(oracle::transpose(a), oracle::transpose(w)));
     });
 }
 
@@ -112,7 +118,7 @@ TEST(Autograd, SoftmaxGradient)
     auto w = randTensor(3, 6, rng);
     w->requiresGrad = false;
     checkGrads({x}, [&] {
-        return nn::sumAll(nn::mulElem(nn::softmaxRows(x), w));
+        return nn::sumAll(nn::mulElem(oracle::softmaxRows(x), w));
     });
 }
 
@@ -242,7 +248,7 @@ TEST(Autograd, MatmulTransposeChainGradBitIdenticalAcrossBackends)
         // ((a*b) ⊙ c)^T * a  -> [7,13], then * b -> [7,7], summed.
         auto ab = nn::matmul(a, b);
         auto mixed = nn::mulElem(ab, c);
-        auto chained = nn::matmul(nn::transpose(mixed), a);
+        auto chained = nn::matmul(oracle::transpose(mixed), a);
         auto loss = nn::sumAll(nn::matmul(chained, b));
         a->zeroGrad();
         b->zeroGrad();
@@ -263,6 +269,160 @@ TEST(Autograd, MatmulTransposeChainGradBitIdenticalAcrossBackends)
     EXPECT_TRUE(bitEq(s.ga, v.ga));
     EXPECT_TRUE(bitEq(s.gb, v.gb));
     EXPECT_TRUE(bitEq(s.gc, v.gc));
+}
+
+TEST(Autograd, AttentionGradient)
+{
+    util::Rng rng(15);
+    auto q = randTensor(5, 8, rng, 0.5);
+    auto k = randTensor(5, 8, rng, 0.5);
+    auto v = randTensor(5, 8, rng);
+    auto w = randTensor(5, 8, rng);
+    w->requiresGrad = false;
+    auto mask = Tensor::zeros(5, 5);
+    mask->at(0, 3) = -1e9f;
+    mask->at(3, 0) = -1e9f;
+    for (const TensorPtr& m : {TensorPtr(), mask})
+        checkGrads({q, k, v}, [&] {
+            return nn::sumAll(nn::mulElem(nn::attention(q, k, v, m, 2), w));
+        });
+}
+
+/** Bitwise equality of two float vectors. */
+bool
+bitEq(const std::vector<float>& x, const std::vector<float>& y)
+{
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+/**
+ * An [n, n] additive mask shaped like the separation mask: rows of one
+ * range block the columns of another and vice versa, so whole
+ * probabilities come out exactly zero. Null below 4 rows.
+ */
+TensorPtr
+blockingMask(int n)
+{
+    if (n < 4)
+        return nullptr;
+    auto mask = Tensor::zeros(n, n);
+    for (int i = n / 4; i < n / 2; ++i)
+        for (int j = (3 * n) / 4; j < n; ++j) {
+            mask->at(i, j) = -1e9f;
+            mask->at(j, i) = -1e9f;
+        }
+    return mask;
+}
+
+/** Backend switch restored on scope exit. */
+struct ActiveBackend
+{
+    const nn::Backend* saved = &nn::backend();
+    explicit ActiveBackend(const nn::Backend& be) { nn::setBackend(be); }
+    ~ActiveBackend() { nn::setBackend(*saved); }
+};
+
+TEST(Autograd, AttentionEqualsPerHeadCompositeBitForBit)
+{
+    // Lengths on and around the op's 16-row blocks; head widths on both
+    // sides of the vector gemmAccumBt's 8-column cutoff.
+    struct Shape
+    {
+        int d, heads;
+    };
+    for (const nn::Backend* be :
+         {&nn::scalarBackend(), &nn::vectorBackend()}) {
+        ActiveBackend active(*be);
+        for (Shape shape : {Shape{24, 2}, Shape{48, 4}, Shape{8, 2}}) {
+            for (int n : {1, 3, 15, 16, 17, 33, 40, 50}) {
+                for (bool masked : {false, true}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << be->name << " d=" << shape.d << " heads="
+                                 << shape.heads << " n=" << n
+                                 << (masked ? " masked" : ""));
+                    util::Rng rng(100 + n);
+                    auto q = randTensor(n, shape.d, rng, 0.7);
+                    auto k = randTensor(n, shape.d, rng, 0.7);
+                    auto v = randTensor(n, shape.d, rng);
+                    auto w = randTensor(n, shape.d, rng);
+                    w->requiresGrad = false;
+                    const TensorPtr mask = masked ? blockingMask(n) : nullptr;
+
+                    TensorPtr op = nn::attention(q, k, v, mask, shape.heads);
+                    nn::sumAll(nn::mulElem(op, w))->backward();
+                    const std::vector<float> gq = q->grad, gk = k->grad,
+                                             gv = v->grad;
+                    for (const TensorPtr& t : {q, k, v})
+                        t->zeroGrad();
+                    TensorPtr ref =
+                        oracle::attention(q, k, v, mask, shape.heads);
+                    nn::sumAll(nn::mulElem(ref, w))->backward();
+
+                    EXPECT_TRUE(bitEq(op->value, ref->value));
+                    EXPECT_TRUE(bitEq(gq, q->grad));
+                    EXPECT_TRUE(bitEq(gk, k->grad));
+                    EXPECT_TRUE(bitEq(gv, v->grad));
+                }
+            }
+        }
+    }
+}
+
+TEST(Autograd, EncoderOnAttentionOpEqualsCompositeBitForBit)
+{
+    // The whole tape, not just the op: two masked layers trained on
+    // sequences around the row blocks. Every parameter gradient must
+    // equal the composite encoder's, which pins the order in which
+    // the Q, K and V projections' gradients reach the LN output.
+    nn::EncoderConfig cfg;
+    cfg.vocab = 31;
+    cfg.dim = 24;
+    cfg.heads = 2;
+    cfg.layers = 2;
+    cfg.ffn = 40;
+    cfg.maxSeq = 40;
+    for (const nn::Backend* be :
+         {&nn::scalarBackend(), &nn::vectorBackend()}) {
+        ActiveBackend active(*be);
+        util::Rng rng(77);
+        nn::TransformerEncoder enc(cfg, rng);
+        auto head = randTensor(cfg.dim, 1, rng, 0.3);
+        auto params = enc.parameters();
+        params.push_back(head);
+
+        auto grads = [&](bool composite) {
+            util::Rng ids(5);
+            TensorPtr loss;
+            for (int n : {1, 16, 17, 33, 40}) {
+                std::vector<int> seq(n);
+                for (int& id : seq)
+                    id = static_cast<int>(ids.uniformInt(0, cfg.vocab - 1));
+                const TensorPtr mask = blockingMask(n);
+                TensorPtr hidden = composite
+                                       ? oracle::encoderForward(enc, seq, mask)
+                                       : enc.forward(seq, mask);
+                TensorPtr l = nn::mseLoss(
+                    nn::matmul(nn::TransformerEncoder::pooled(hidden), head),
+                    {0.25f * n});
+                loss = loss ? nn::add(loss, l) : l;
+            }
+            for (const auto& p : params)
+                p->zeroGrad();
+            loss->backward();
+            std::vector<std::vector<float>> out = {loss->value};
+            for (const auto& p : params)
+                out.push_back(p->grad);
+            return out;
+        };
+        const auto op = grads(false);
+        const auto ref = grads(true);
+        ASSERT_EQ(op.size(), ref.size());
+        for (size_t i = 0; i < op.size(); ++i)
+            EXPECT_TRUE(bitEq(op[i], ref[i]))
+                << be->name << (i == 0 ? " loss" : " parameter gradient ")
+                << (i == 0 ? "" : std::to_string(i - 1));
+    }
 }
 
 TEST(Autograd, NoGradWhenNotRequired)

@@ -928,6 +928,39 @@ TEST(PredictionServer, CalibrationStatsReadTheRegistryCounters)
     EXPECT_EQ(stats.modelVersion, 1u);
 }
 
+TEST(PredictionServer, CalibrationRoundResetsTheResidualGauge)
+{
+    // The round re-baselines the drift detector; the registry's
+    // calib.mean_abs_residual row must follow it, as calib.drift_score
+    // does, instead of keeping the pre-round residuals.
+    serve::ServeConfig cfg;
+    cfg.workers = 1;
+    cfg.cacheCapacity = 0;
+    cfg.calibration.enabled = true;
+    cfg.calibration.shadowFraction = 1.0;
+    cfg.calibration.calibSteps = 2;
+    serve::PredictionServer server(tinyModel(), cfg);
+    for (long n = 8; n < 11; ++n) {
+        RuntimeData d = makeData(n);
+        server.predict(makeGraph("gauge", n), &d, model::Metric::Cycles);
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    while (server.stats().shadowProfiled < 3 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_EQ(server.stats().shadowProfiled, 3u);
+    const obs::Gauge* residual =
+        server.telemetry().findGauge("calib.mean_abs_residual");
+    ASSERT_NE(residual, nullptr);
+    ASSERT_GT(residual->value(), 0.0); // an untrained model is far off
+
+    ASSERT_TRUE(server.forceCalibrationRound());
+    const serve::ServerStats stats = server.stats();
+    EXPECT_EQ(residual->value(), stats.meanAbsResidual);
+    EXPECT_EQ(stats.meanAbsResidual, 0.0);
+}
+
 // End-to-end live-calibration loop: with an untrained model and a
 // hair-trigger drift config, shadow profiling must detect the (large)
 // residuals and the background thread must calibrate + hot-swap without

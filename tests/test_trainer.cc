@@ -2,10 +2,11 @@
  * @file
  * Minibatch training engine tests: the bit-identical 1-vs-N-thread
  * guarantee on both a pure-nn regression problem and the real cost
- * model, the same guarantee across claiming-order estimates,
+ * model, the same guarantee across claiming-order estimates, a digest
+ * of absolute trained bits at the encoder's row-block edges,
  * batch-boundary edge cases (corpus % batch != 0, batch > corpus, batch
  * of one, empty corpus), and repeated pool construction/teardown — the
- * suite CI runs under ThreadSanitizer.
+ * suite CI runs under ThreadSanitizer and ASan/UBSan.
  */
 
 #include <algorithm>
@@ -362,6 +363,112 @@ TEST(Trainer, ClaimingOrderCannotMoveBits)
                     << name << " estimate, " << threads
                     << " threads, param " << i;
         }
+    }
+}
+
+/**
+ * A synthetic encoding of `len` tokens. From 8 tokens up it has a Class
+ * I operator range and a data range, so the dynamic view carries a
+ * separation mask; shorter ones are one static graph segment.
+ */
+model::TrainingEncoding
+syntheticEncoding(int len, int vocab, util::Rng& rng)
+{
+    model::EncodedProgram ep;
+    for (int i = 0; i < len; ++i)
+        ep.tokens.push_back(static_cast<int>(rng.uniformInt(0, vocab - 1)));
+    model::TrainingEncoding enc;
+    if (len < 8) {
+        ep.ranges.push_back({0, len, model::SegmentKind::Graph, "g", false});
+        enc.stat = ep;
+        return enc;
+    }
+    const int a = len / 4, b = len / 2, c = (3 * len) / 4;
+    ep.ranges = {{0, a, model::SegmentKind::Graph, "g", false},
+                 {a, b, model::SegmentKind::Op, "fixed", true},
+                 {b, c, model::SegmentKind::Op, "adaptive", false},
+                 {c, len, model::SegmentKind::Data, "data", false}};
+    ep.hasData = true;
+    enc.dyn = ep;
+    enc.hasDyn = true;
+    enc.stat = ep;
+    enc.stat.tokens.resize(c);
+    enc.stat.ranges.pop_back();
+    enc.stat.hasData = false;
+    return enc;
+}
+
+/** FNV-1a over the bytes of `n` values, folded into `h`. */
+template <typename T>
+uint64_t
+digestBits(uint64_t h, const T* v, size_t n)
+{
+    const auto* p = reinterpret_cast<const unsigned char*>(v);
+    for (size_t i = 0; i < n * sizeof(T); ++i) {
+        h ^= p[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(Trainer, TrainedBitsPinnedAtRowBlockEdges)
+{
+    // Absolute trained bits, not just 1-vs-N agreement: a 2-layer model
+    // with a separation mask, on encodings whose lengths sit on and
+    // around the encoder's 16-row blocks, trained for a few minibatch
+    // steps. Every parameter's bits and every epoch loss fold into one
+    // digest, taken from the per-op autograd graph before attention
+    // became one op. A change to any gradient sum moves it.
+    auto mcfg = model::configForScale(model::ModelScale::Tiny);
+    mcfg.enc.layers = 2;
+    mcfg.enc.maxSeq = 40;
+    model::CostModel proto(mcfg);
+    util::Rng rng(1601);
+    std::vector<model::TrainingEncoding> encs;
+    std::vector<model::Targets> targets;
+    for (int len : {1, 15, 16, 17, 33, mcfg.enc.maxSeq}) {
+        for (int copy = 0; copy < 2; ++copy) {
+            encs.push_back(syntheticEncoding(len, proto.config().enc.vocab,
+                                             rng));
+            model::Targets t;
+            t.power = rng.uniformInt(1, 99999);
+            t.area = rng.uniformInt(1, 99999);
+            t.flipFlops = rng.uniformInt(1, 9999);
+            t.cycles = rng.uniformInt(1, 999999);
+            targets.push_back(t);
+        }
+    }
+
+    for (int threads : {1, 4}) {
+        model::CostModel master(mcfg);
+        std::vector<std::unique_ptr<model::CostModel>> clones;
+        auto lossFor = [&](const model::CostModel* rm) {
+            return [rm, &encs, &targets](size_t i) {
+                const model::TrainingEncoding& e = encs[i];
+                return rm->lossOnSample(e.stat, e.hasDyn ? &e.dyn : nullptr,
+                                        targets[i]);
+            };
+        };
+        std::vector<harness::TrainReplica> replicas;
+        replicas.push_back({master.parameters(), lossFor(&master)});
+        for (int t = 1; t < threads; ++t) {
+            clones.push_back(master.clone());
+            replicas.push_back(
+                {clones.back()->parameters(), lossFor(clones.back().get())});
+        }
+        harness::TrainerConfig cfg;
+        cfg.epochs = 2;
+        cfg.batchSize = 4;
+        cfg.seed = 5;
+        harness::TrainStats stats = harness::trainMinibatch(
+            master.parameters(), replicas, encs.size(), cfg);
+        ASSERT_EQ(stats.steps, 6);
+
+        uint64_t h = 14695981039346656037ull;
+        h = digestBits(h, stats.epochLoss.data(), stats.epochLoss.size());
+        for (const auto& prm : master.parameters())
+            h = digestBits(h, prm->value.data(), prm->value.size());
+        EXPECT_EQ(h, 16836040173347280143ull) << threads << " threads";
     }
 }
 
