@@ -54,10 +54,8 @@ void
 BM_FullForward(benchmark::State& state)
 {
     Fixture& f = Fixture::get();
-    model::InferenceSession session(*f.ours);
     for (auto _ : state) {
-        auto pred =
-            session.predict(f.probe, model::Metric::Cycles, false);
+        auto pred = f.ours->predict(f.probe, model::Metric::Cycles);
         benchmark::DoNotOptimize(pred.value);
     }
 }
@@ -67,9 +65,9 @@ BM_CachedForward(benchmark::State& state)
 {
     Fixture& f = Fixture::get();
     model::InferenceSession session(*f.ours);
-    session.predict(f.prime, model::Metric::Cycles, true); // prime cache
+    session.predict(f.prime, model::Metric::Cycles); // prime cache
     for (auto _ : state) {
-        auto pred = session.predict(f.probe, model::Metric::Cycles, true);
+        auto pred = session.predict(f.probe, model::Metric::Cycles);
         benchmark::DoNotOptimize(pred.value);
     }
 }

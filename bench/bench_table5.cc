@@ -47,21 +47,20 @@ main(int argc, char** argv)
         auto ep_probe = ours->encode(w.graph, &probe);
 
         // Without acceleration: every prediction is a full forward.
-        model::InferenceSession cold(*ours);
         auto t0 = Clock::now();
         for (int rep = 0; rep < 3; ++rep)
-            cold.predict(ep_probe, model::Metric::Cycles, false);
+            ours->predict(ep_probe, model::Metric::Cycles);
         double no_accel =
             std::chrono::duration<double>(Clock::now() - t0).count() / 3;
 
         // With acceleration: prime on the canonical input, then the probe
         // input reuses the static prefix.
         model::InferenceSession warm(*ours);
-        warm.predict(ep_prime, model::Metric::Cycles, true);
+        warm.predict(ep_prime, model::Metric::Cycles);
         long reused_before = warm.stats().rowsReused;
         auto t1 = Clock::now();
         for (int rep = 0; rep < 3; ++rep)
-            warm.predict(ep_probe, model::Metric::Cycles, true);
+            warm.predict(ep_probe, model::Metric::Cycles);
         double has_accel =
             std::chrono::duration<double>(Clock::now() - t1).count() / 3;
         long reused =

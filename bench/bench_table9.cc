@@ -104,18 +104,17 @@ main(int argc, char** argv)
         auto ep_prime = ours->encode(g, &prime);
         auto ep_probe = ours->encode(g, &probe);
 
-        model::InferenceSession cold(*ours);
         auto t0 = Clock::now();
         for (int r = 0; r < 3; ++r)
-            cold.predict(ep_probe, model::Metric::Cycles, false);
+            ours->predict(ep_probe, model::Metric::Cycles);
         double noopt =
             std::chrono::duration<double>(Clock::now() - t0).count() / 3;
 
         model::InferenceSession warm(*ours);
-        warm.predict(ep_prime, model::Metric::Cycles, true);
+        warm.predict(ep_prime, model::Metric::Cycles);
         auto t1 = Clock::now();
         for (int r = 0; r < 3; ++r)
-            warm.predict(ep_probe, model::Metric::Cycles, true);
+            warm.predict(ep_probe, model::Metric::Cycles);
         double opt =
             std::chrono::duration<double>(Clock::now() - t1).count() / 3;
 

@@ -89,9 +89,9 @@ main()
         DataflowGraph g = makeConv(cc.unroll, cc.parallel, cc.memDelay);
         auto ep = model->encode(g);
         cc.predCycles =
-            session.predict(ep, model::Metric::Cycles, true).value;
+            session.predict(ep, model::Metric::Cycles).value;
         cc.predArea =
-            session.predict(ep, model::Metric::Area, true).value;
+            session.predict(ep, model::Metric::Area).value;
         sim::Profile prof = sim::profileStatic(g);
         cc.trueCycles = prof.cycles;
         cc.trueArea = static_cast<long>(prof.areaUm2);

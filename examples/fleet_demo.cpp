@@ -97,8 +97,7 @@ main()
         LLM_CHECK(client.connectLoopback(fleet.port()),
                   "fleet_demo: connect failed");
         net::NetResponse resp;
-        LLM_CHECK(client.predict(g, &d, model::Metric::Cycles,
-                                 serve::Priority::Normal, resp),
+        LLM_CHECK(client.predict(g, &d, model::Metric::Cycles, resp),
                   "fleet_demo: round trip failed");
         LLM_CHECK(resp.status == net::Status::Ok,
                   "fleet_demo: first query not Ok");
@@ -117,8 +116,7 @@ main()
                 DataflowGraph cg = makeGraph(i + 1);
                 RuntimeData cd;
                 cd.scalars["N"] = 16 + i * 4;
-                LLM_CHECK(client.predict(cg, &cd, model::Metric::Cycles,
-                                         serve::Priority::Normal, resp),
+                LLM_CHECK(client.predict(cg, &cd, model::Metric::Cycles, resp),
                           "fleet_demo: corpus round trip failed");
                 LLM_CHECK(resp.status == net::Status::Ok,
                           "fleet_demo: corpus query not Ok");
@@ -151,8 +149,7 @@ main()
         LLM_CHECK(client.connectLoopback(fleet.port()),
                   "fleet_demo: reconnect failed");
         net::NetResponse resp;
-        LLM_CHECK(client.predict(g, &d, model::Metric::Cycles,
-                                 serve::Priority::Normal, resp),
+        LLM_CHECK(client.predict(g, &d, model::Metric::Cycles, resp),
                   "fleet_demo: replay round trip failed");
         LLM_CHECK(resp.status == net::Status::Ok,
                   "fleet_demo: replay not Ok");

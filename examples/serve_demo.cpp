@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "harness/harness.h"
-#include "model/fast_encoder.h"
 #include "obs/trace.h"
 #include "serve/server.h"
 #include "util/env.h"
@@ -116,9 +115,7 @@ main()
     auto servedPred =
         server.predict(w.graph, &w.canonicalData, model::Metric::Cycles);
     auto ep = reference->encode(w.graph, &w.canonicalData);
-    model::InferenceSession sequential(*reference);
-    auto direct = sequential.predict(ep, model::Metric::Cycles,
-                                     /*use_cache=*/false);
+    auto direct = reference->predict(ep, model::Metric::Cycles);
     std::printf("== cross-check (%s cycles) ==\nserved=%ld direct=%ld "
                 "-> %s\n",
                 w.name.c_str(), servedPred.value, direct.value,

@@ -1,5 +1,6 @@
 #include "dfir/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <limits>
 #include <set>
@@ -323,7 +324,7 @@ class Parser
         expect(")");
         expect("{");
         while (ok_ && lex_.peek().text != "}")
-            op.body.push_back(parseStmt());
+            op.body.push_back(parseStmt(1));
         expect("}");
         if (ok_)
             res.graph.ops.push_back(std::move(op));
@@ -331,9 +332,16 @@ class Parser
 
     // ---- statements ----
 
+    /** One statement, `depth` levels deep (top-level statements are 1). */
     StmtPtr
-    parseStmt()
+    parseStmt(int depth)
     {
+        if (depth > kMaxStmtDepth) {
+            fail(util::format(
+                "statements nest deeper than kMaxStmtDepth (%d)",
+                kMaxStmtDepth));
+            return assignScalar("err", c(0));
+        }
         // Pragmas attach to the next for-loop.
         int unroll = 1;
         bool parallel = false;
@@ -356,16 +364,16 @@ class Parser
         }
 
         if (lex_.peek().text == "for")
-            return parseFor(unroll, parallel);
+            return parseFor(unroll, parallel, depth);
         if (unroll != 1 || parallel)
             fail("pragma must precede a for loop");
         if (lex_.peek().text == "if")
-            return parseIf();
+            return parseIf(depth);
         return parseAssign();
     }
 
     StmtPtr
-    parseFor(int unroll, bool parallel)
+    parseFor(int unroll, bool parallel, int depth)
     {
         expect("for");
         expect("(");
@@ -386,7 +394,7 @@ class Parser
         expect("{");
         std::vector<StmtPtr> body;
         while (ok_ && lex_.peek().text != "}")
-            body.push_back(parseStmt());
+            body.push_back(parseStmt(depth + 1));
         expect("}");
         if (!ok_)
             return assignScalar("err", c(0));
@@ -395,7 +403,7 @@ class Parser
     }
 
     StmtPtr
-    parseIf()
+    parseIf(int depth)
     {
         expect("if");
         expect("(");
@@ -404,13 +412,13 @@ class Parser
         expect("{");
         std::vector<StmtPtr> then_body, else_body;
         while (ok_ && lex_.peek().text != "}")
-            then_body.push_back(parseStmt());
+            then_body.push_back(parseStmt(depth + 1));
         expect("}");
         if (lex_.peek().text == "else") {
             lex_.next();
             expect("{");
             while (ok_ && lex_.peek().text != "}")
-                else_body.push_back(parseStmt());
+                else_body.push_back(parseStmt(depth + 1));
             expect("}");
         }
         if (!ok_)
@@ -441,7 +449,44 @@ class Parser
     ExprPtr
     parseExpression()
     {
-        return parseBinary(0);
+        int height = 0;
+        return parseBinary(0, 0, height);
+    }
+
+    /**
+     * The height of a node over children of height `childHeight`; fails
+     * the parse past kMaxExprHeight, which stops the left-leaning chains
+     * parseBinary builds in a loop as well as recursion.
+     */
+    int
+    nodeHeight(int childHeight)
+    {
+        if (childHeight >= kMaxExprHeight)
+            failExprTooDeep();
+        return childHeight + 1;
+    }
+
+    /**
+     * A sub-expression one nesting level in: inside parentheses, a
+     * subscript or a min/max call. Fails the parse past kMaxExprHeight
+     * levels, which bounds the parser's own recursion.
+     */
+    ExprPtr
+    parseNested(int nesting, int& height)
+    {
+        height = 1;
+        if (nesting >= kMaxExprHeight) {
+            failExprTooDeep();
+            return c(0);
+        }
+        return parseBinary(0, nesting + 1, height);
+    }
+
+    void
+    failExprTooDeep()
+    {
+        fail(util::format("expression deeper than kMaxExprHeight (%d)",
+                          kMaxExprHeight));
     }
 
     /** Precedence table: || < && < comparisons < +- < * / %. */
@@ -480,10 +525,14 @@ class Parser
         return BinOp::Or;
     }
 
+    /**
+     * A binary expression `nesting` levels deep (see parseNested);
+     * `height` gets its tree height.
+     */
     ExprPtr
-    parseBinary(int min_prec)
+    parseBinary(int min_prec, int nesting, int& height)
     {
-        ExprPtr lhs = parsePrimary();
+        ExprPtr lhs = parsePrimary(nesting, height);
         while (ok_) {
             // Copy: lex_.next() below invalidates references into peek().
             std::string op = lex_.peek().text;
@@ -491,15 +540,18 @@ class Parser
             if (prec == 0 || prec < min_prec)
                 break;
             lex_.next();
-            ExprPtr rhs = parseBinary(prec + 1);
+            int rhsHeight = 0;
+            ExprPtr rhs = parseBinary(prec + 1, nesting, rhsHeight);
+            height = nodeHeight(std::max(height, rhsHeight));
             lhs = bin(binOpOf(op), lhs, rhs);
         }
         return lhs;
     }
 
     ExprPtr
-    parsePrimary()
+    parsePrimary(int nesting, int& height)
     {
+        height = 1;
         if (!ok_)
             return c(0);
         const Tok& t = lex_.peek();
@@ -507,28 +559,34 @@ class Parser
             return c(takeNumber());
         if (t.text == "(") {
             lex_.next();
-            ExprPtr e = parseExpression();
+            ExprPtr e = parseNested(nesting, height);
             expect(")");
             return e;
         }
         if (t.text == "min" || t.text == "max") {
             std::string fn = lex_.next().text;
             expect("(");
-            ExprPtr lhs = parseExpression();
+            int lhsHeight = 0, rhsHeight = 0;
+            ExprPtr lhs = parseNested(nesting, lhsHeight);
             expect(",");
-            ExprPtr rhs = parseExpression();
+            ExprPtr rhs = parseNested(nesting, rhsHeight);
             expect(")");
+            height = nodeHeight(std::max(lhsHeight, rhsHeight));
             return bin(fn == "min" ? BinOp::Min : BinOp::Max, lhs, rhs);
         }
         if (t.kind == Tok::Ident) {
             std::string name = lex_.next().text;
             if (lex_.peek().text == "[") {
                 std::vector<ExprPtr> idx;
+                int idxHeight = 0;
                 while (ok_ && lex_.peek().text == "[") {
                     lex_.next();
-                    idx.push_back(parseExpression());
+                    int h = 0;
+                    idx.push_back(parseNested(nesting, h));
+                    idxHeight = std::max(idxHeight, h);
                     expect("]");
                 }
+                height = nodeHeight(idxHeight);
                 return a(name, std::move(idx));
             }
             // Loop variables bind tighter than parameters; anything not

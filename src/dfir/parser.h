@@ -26,6 +26,14 @@
  *   dataline   := IDENT "=" INT            (runtime scalar data)
  *
  * Errors are reported via ParseResult (no exceptions): message + line.
+ *
+ * Program text may come from a socket, so nesting is bounded: every walk
+ * over the IR (verify, canonicalize, hash, print, profile, the trees'
+ * own destructors) recurses on it, and must fit a thread's stack. The
+ * parser stops with an error naming the limit once an expression or the
+ * statement nesting grows past it. Both limits sit far above the deepest
+ * program the workloads, their equivalent mutants and the synthesizer
+ * produce (expression height 6, statement nesting 4).
  */
 
 #include <string>
@@ -35,6 +43,16 @@
 
 namespace llmulator {
 namespace dfir {
+
+/**
+ * The most nodes on a root-to-leaf path of a parsed expression tree; it
+ * also bounds how deep parentheses, subscripts and min/max calls nest
+ * inside one expression.
+ */
+constexpr int kMaxExprHeight = 256;
+
+/** The deepest nesting of for/if statements; top-level statements are 1. */
+constexpr int kMaxStmtDepth = 64;
 
 /** Outcome of a parse. */
 struct ParseResult

@@ -352,10 +352,10 @@ InferenceSession::forwardPooledBatch(
 }
 
 nn::TensorPtr
-InferenceSession::pooled(const EncodedProgram& ep, bool use_cache)
+InferenceSession::pooled(const EncodedProgram& ep)
 {
     Layout lay = computeLayout(ep);
-    bool partial = use_cache && cacheValid_ && cacheKey_ == lay.staticKey &&
+    bool partial = cacheValid_ && cacheKey_ == lay.staticKey &&
                    cacheLen_ >= lay.staticLen;
     // Rows served from the cache; a miss recomputes every row.
     std::vector<uint8_t> reuse;
@@ -380,10 +380,9 @@ InferenceSession::pooled(const EncodedProgram& ep, bool use_cache)
 }
 
 NumericPrediction
-InferenceSession::predict(const EncodedProgram& ep, Metric m, bool use_cache,
-                          int beam_width)
+InferenceSession::predict(const EncodedProgram& ep, Metric m, int beam_width)
 {
-    return model_.head(m).decode(pooled(ep, use_cache), beam_width);
+    return model_.head(m).decode(pooled(ep), beam_width);
 }
 
 } // namespace model

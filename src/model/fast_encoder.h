@@ -80,31 +80,29 @@ class InferenceSession
     explicit InferenceSession(const CostModel& model);
 
     /**
-     * Predict one metric. With use_cache=true, a hit on the static-prefix
-     * key activates partial recomputation; any miss falls back to a full
-     * forward and re-primes the cache.
+     * Predict one metric with prefix reuse: a hit on the static-prefix
+     * key activates partial recomputation; a miss runs a full forward
+     * and re-primes the cache. A full forward without the cache is
+     * CostModel::predict or forwardPooledBatch.
      */
     NumericPrediction predict(const EncodedProgram& ep, Metric m,
-                              bool use_cache, int beam_width = 3);
+                              int beam_width = 3);
 
     /**
-     * Pooled encoder output as a [1, dim] tensor, ready for
-     * DigitHead::decode. This is the forward half of predict(),
-     * exposed so callers querying several metrics for one encoding —
-     * the batched prediction server — can share a single forward
-     * across the per-metric decodes. Without a cache hit the row equals
+     * Pooled encoder output of predict() as a [1, dim] tensor, ready
+     * for DigitHead::decode. Without a cache hit the row equals
      * CostModel::pooledForward(ep) bit for bit.
      */
-    nn::TensorPtr pooled(const EncodedProgram& ep, bool use_cache);
+    nn::TensorPtr pooled(const EncodedProgram& ep);
 
     /**
      * Batched autograd-free pooled forward: one pass over B encodings,
      * returning pooled rows [B, dim]. Row i equals
-     * CostModel::pooledForward(*eps[i]) and pooled(*eps[i], false) bit
-     * for bit — sequences never interact. The prefix cache is neither
-     * consulted nor re-primed (batch traffic has no single "previous"
-     * program), so interleaving batched and cached calls is safe. This
-     * is the serving workers' per-micro-batch entry point.
+     * CostModel::pooledForward(*eps[i]) bit for bit — sequences never
+     * interact. The prefix cache is neither consulted nor re-primed
+     * (batch traffic has no single "previous" program), so interleaving
+     * batched and cached calls is safe. This is the serving workers'
+     * per-micro-batch entry point and every full forward's.
      */
     nn::TensorPtr
     forwardPooledBatch(const std::vector<const EncodedProgram*>& eps);

@@ -68,7 +68,7 @@ FleetClient::call(const NetRequest& req, NetResponse& resp)
 bool
 FleetClient::predict(const dfir::DataflowGraph& g,
                      const dfir::RuntimeData* data, model::Metric metric,
-                     serve::Priority priority, NetResponse& resp)
+                     NetResponse& resp)
 {
     NetRequest req;
     req.program = dfir::printStatic(g);
@@ -77,7 +77,6 @@ FleetClient::predict(const dfir::DataflowGraph& g,
         req.hasData = true;
     }
     req.metric = metric;
-    req.priority = priority;
     return call(req, resp);
 }
 

@@ -48,7 +48,7 @@ class FleetClient
     /** Build the request from a graph + optional data, then call(). */
     bool predict(const dfir::DataflowGraph& g,
                  const dfir::RuntimeData* data, model::Metric metric,
-                 serve::Priority priority, NetResponse& resp);
+                 NetResponse& resp);
 
   private:
     int fd_ = -1;

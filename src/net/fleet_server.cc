@@ -71,14 +71,6 @@ fleetConfigFromEnv(FleetConfig base)
         util::envInt("LLMULATOR_NET_MAX_CONNS", base.maxConnections);
     base.persistPath =
         util::envString("LLMULATOR_NET_CACHE_FILE", base.persistPath);
-    const char* admitKnob[serve::kNumPriorities] = {
-        "LLMULATOR_NET_ADMIT_HIGH", "LLMULATOR_NET_ADMIT_NORMAL",
-        "LLMULATOR_NET_ADMIT_LOW"};
-    for (int k = 0; k < serve::kNumPriorities; ++k) {
-        int v = util::envInt(admitKnob[k], 0);
-        if (v > 0)
-            base.serve.admitDepth[size_t(k)] = static_cast<size_t>(v);
-    }
     return base;
 }
 
@@ -255,13 +247,11 @@ FleetServer::handle(const NetRequest& req)
         serve::makeResultKey(parsed.graph, data, req.metric);
     serve::Admission adm =
         shards_[shardOf(key.program, shards_.size())]->submitIfAdmitted(
-            key, parsed.graph, data, req.priority);
+            key, parsed.graph, data);
     if (adm.status != serve::AdmitStatus::Accepted) {
         overloadedCount_.add(1);
         resp.status = Status::Overloaded;
-        resp.error = adm.status == serve::AdmitStatus::Shed
-                         ? "shed: queue over this priority's depth limit"
-                         : "rejected: queue full";
+        resp.error = "rejected: queue full";
         return resp;
     }
 
@@ -332,8 +322,6 @@ FleetServer::stats() const
         s.shardCacheMisses += ss.cacheMisses;
         s.shardModelCalls += ss.modelCalls;
         s.shardRejected += ss.rejected;
-        for (int k = 0; k < serve::kNumPriorities; ++k)
-            s.shardShed[size_t(k)] += ss.shed[size_t(k)];
     }
     return s;
 }

@@ -25,9 +25,8 @@
  *  3. hand that key to the shard's admission control
  *     (PredictionServer::submitIfAdmitted), which does not canonicalize
  *     again: a shard-cache hit answers at once and is flagged `cacheHit`
- *     on the wire; otherwise per-priority queue-depth limits shed Low
- *     traffic first, and a full queue refuses instead of blocking —
- *     both surface as an explicit OVERLOADED reply, so an overloaded
+ *     on the wire; otherwise a full queue refuses instead of blocking,
+ *     which surfaces as an explicit OVERLOADED reply, so an overloaded
  *     fleet degrades by answering fast, not by stalling every client,
  *  4. wait for the prediction (the shard fills its cache with it).
  *
@@ -75,8 +74,8 @@ struct FleetConfig
     int port = 0;          //!< loopback TCP port; 0 = ephemeral
     int shards = 2;        //!< PredictionServer instances
     int maxConnections = 64; //!< concurrent connections (excess refused)
-    //! Per-shard serving knobs (admission limits included). The
-    //! calibration sub-config must stay disabled — see the file header.
+    //! Per-shard serving knobs. The calibration sub-config must stay
+    //! disabled — see the file header.
     serve::ServeConfig serve;
     //! Result snapshot path: stop() saves the shard result caches
     //! here and the constructor warms them from it; "" = no snapshot.
@@ -86,8 +85,7 @@ struct FleetConfig
 /**
  * Overlay the LLMULATOR_NET_* environment knobs (parsed via util/env.h)
  * onto `base`: LLMULATOR_NET_PORT, LLMULATOR_NET_SHARDS,
- * LLMULATOR_NET_MAX_CONNS, LLMULATOR_NET_CACHE_FILE, and the admission
- * depth limits LLMULATOR_NET_ADMIT_HIGH/NORMAL/LOW.
+ * LLMULATOR_NET_MAX_CONNS and LLMULATOR_NET_CACHE_FILE.
  */
 FleetConfig fleetConfigFromEnv(FleetConfig base = {});
 
@@ -96,7 +94,7 @@ struct FleetStats
 {
     uint64_t requests = 0;   //!< decoded requests handled
     uint64_t ok = 0;         //!< answered with Status::Ok
-    uint64_t overloaded = 0; //!< shed or rejected by admission control
+    uint64_t overloaded = 0; //!< refused: the shard's queue was full
     uint64_t badRequest = 0; //!< undecodable payload / invalid program
     uint64_t errors = 0;     //!< server-side failures
     //! Connections closed for a frame header over kMaxFrameBytes.
@@ -110,7 +108,6 @@ struct FleetStats
     uint64_t shardCacheMisses = 0;
     uint64_t shardModelCalls = 0;
     uint64_t shardRejected = 0;
-    std::array<uint64_t, serve::kNumPriorities> shardShed{{0, 0, 0}};
 
     /** Fraction of Ok answers served from a shard result cache. */
     double hitRate() const

@@ -210,7 +210,6 @@ encodeRequest(const NetRequest& req)
     wire::putU32(buf, kRequestMagic);
     wire::putU16(buf, kProtocolVersion);
     wire::putU8(buf, static_cast<uint8_t>(req.metric));
-    wire::putU8(buf, static_cast<uint8_t>(req.priority));
     wire::putU8(buf, req.hasData ? 1 : 0);
     wire::putString(buf, req.program);
     if (req.hasData) {
@@ -243,15 +242,12 @@ decodeRequest(const std::string& payload, NetRequest& out, std::string* error)
         return false;
     }
     uint8_t metric = r.u8();
-    uint8_t priority = r.u8();
     uint8_t hasData = r.u8();
-    if (!r.ok() || metric >= model::kNumMetrics ||
-        priority >= serve::kNumPriorities || hasData > 1) {
+    if (!r.ok() || metric >= model::kNumMetrics || hasData > 1) {
         fail(error, "malformed request header");
         return false;
     }
     out.metric = static_cast<model::Metric>(metric);
-    out.priority = static_cast<serve::Priority>(priority);
     out.hasData = hasData != 0;
     out.program = r.str();
     out.data = dfir::RuntimeData();

@@ -16,7 +16,6 @@
  * Request payload (after magic + version):
  *
  *   u8  metric        model::Metric
- *   u8  priority      serve::Priority (admission class)
  *   u8  hasData       0/1
  *   str program       u32 length + bytes: dfir::printStatic() text
  *   if hasData:
@@ -54,7 +53,6 @@
 
 #include "dfir/ir.h"
 #include "model/numeric_head.h"
-#include "serve/request_queue.h"
 
 // Metric lives in cost_model.h; forward-include the real definition.
 #include "model/cost_model.h"
@@ -64,7 +62,8 @@ namespace net {
 
 constexpr uint32_t kRequestMagic = 0x4C4D5251;  // "LMRQ" big-endian read
 constexpr uint32_t kResponseMagic = 0x4C4D5253; // "LMRS"
-constexpr uint16_t kProtocolVersion = 1;
+//! 2: the request lost version 1's priority byte (after the metric).
+constexpr uint16_t kProtocolVersion = 2;
 //! Framing guard: readFrame() refuses a longer announced payload.
 constexpr size_t kMaxFrameBytes = 4u << 20;
 
@@ -80,7 +79,7 @@ enum class FrameRead
 enum class Status : uint8_t
 {
     Ok = 0,
-    Overloaded = 1, //!< admission control shed/rejected the request
+    Overloaded = 1, //!< the shard's queue was full (or it was stopping)
     BadRequest = 2, //!< undecodable payload or unparsable program
     Error = 3       //!< server-side failure (e.g. shutting down)
 };
@@ -92,7 +91,6 @@ struct NetRequest
     dfir::RuntimeData data;
     bool hasData = false;
     model::Metric metric = model::Metric::Power;
-    serve::Priority priority = serve::Priority::Normal;
 };
 
 /** One prediction response as it travels the wire. */

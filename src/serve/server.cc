@@ -6,7 +6,6 @@
 #include "dfir/ir.h"
 #include "obs/trace.h"
 #include "util/common.h"
-#include "util/string_util.h"
 
 namespace llmulator {
 namespace serve {
@@ -33,17 +32,6 @@ normalized(ServeConfig cfg)
     cfg.workers = std::max(1, cfg.workers);
     cfg.batchMax = std::max(1, cfg.batchMax);
     cfg.queueCapacity = std::max<size_t>(1, cfg.queueCapacity);
-    // Admission limits: 0 = auto (High: full capacity, Normal: 3/4,
-    // Low: 1/2, each at least one slot); explicit values clamp to the
-    // capacity so config() reports what is actually enforced.
-    const size_t cap = cfg.queueCapacity;
-    const size_t autoDepth[kNumPriorities] = {
-        cap, std::max<size_t>(1, cap * 3 / 4), std::max<size_t>(1, cap / 2)};
-    for (int k = 0; k < kNumPriorities; ++k) {
-        if (cfg.admitDepth[size_t(k)] == 0)
-            cfg.admitDepth[size_t(k)] = autoDepth[k];
-        cfg.admitDepth[size_t(k)] = std::min(cfg.admitDepth[size_t(k)], cap);
-    }
     return cfg;
 }
 
@@ -62,12 +50,16 @@ PredictionServer::PredictionServer(std::unique_ptr<model::CostModel> model,
       forwardMs_(telemetry_.histogram("serve.stage.forward_ms")),
       decodeMs_(telemetry_.histogram("serve.stage.decode_ms")),
       cacheFillMs_(telemetry_.histogram("serve.stage.cache_fill_ms")),
-      swapCount_(telemetry_.counter("calib.swaps")),
-      rejectedCount_(telemetry_.counter("serve.rejected"))
+      submitted_(telemetry_.counter("serve.submitted")),
+      completed_(telemetry_.counter("serve.completed")),
+      cacheHits_(telemetry_.counter("serve.cache_hits")),
+      cacheMisses_(telemetry_.counter("serve.cache_misses")),
+      batches_(telemetry_.counter("serve.batches")),
+      dispatched_(telemetry_.counter("serve.dispatched")),
+      modelCalls_(telemetry_.counter("serve.model_calls")),
+      rejected_(telemetry_.counter("serve.rejected")),
+      swapCount_(telemetry_.counter("calib.swaps"))
 {
-    for (int k = 0; k < kNumPriorities; ++k)
-        shedCount_[size_t(k)] = &telemetry_.counter(
-            util::format("serve.shed_p%d", k));
     LLM_CHECK(model_ != nullptr, "PredictionServer needs a model");
     version_.store(model_->version(), std::memory_order_release);
     if (cfg_.calibration.enabled) {
@@ -91,13 +83,12 @@ PredictionServer::~PredictionServer()
 
 Admission
 PredictionServer::submit(const ResultKey& key, const dfir::DataflowGraph& g,
-                         const dfir::RuntimeData* data, Priority priority,
-                         bool admit)
+                         const dfir::RuntimeData* data, bool admit)
 {
     Admission adm; // Rejected until proven otherwise
     if (stopped_.load(std::memory_order_acquire)) {
         if (admit)
-            rejectedCount_.add(1);
+            rejected_.add(1);
         return adm;
     }
 
@@ -116,22 +107,11 @@ PredictionServer::submit(const ResultKey& key, const dfir::DataflowGraph& g,
     model::NumericPrediction cached;
     if (cache_.get(req.key, cached)) {
         adm.future = req.promise.get_future();
-        submitted_.fetch_add(1, std::memory_order_relaxed);
-        cacheHits_.fetch_add(1, std::memory_order_relaxed);
+        submitted_.add(1);
+        cacheHits_.add(1);
         fulfil(req, cached);
         adm.status = AdmitStatus::Accepted;
         adm.cacheHit = true;
-        return adm;
-    }
-
-    // Shed when the backlog already reached this class's depth limit.
-    // The depth read and the push are not atomic together; the race
-    // only lets an occasional request through one slot early or late,
-    // which is fine for load-shedding.
-    const size_t k = static_cast<size_t>(priority);
-    if (admit && queue_.depth() >= cfg_.admitDepth[k]) {
-        shedCount_[k]->add(1);
-        adm.status = AdmitStatus::Shed;
         return adm;
     }
 
@@ -141,17 +121,17 @@ PredictionServer::submit(const ResultKey& key, const dfir::DataflowGraph& g,
         req.hasData = true;
     }
     auto future = req.promise.get_future();
-    const bool queued = admit ? queue_.tryPush(std::move(req), priority)
+    const bool queued = admit ? queue_.tryPush(std::move(req))
                               : queue_.push(std::move(req));
     if (!queued) {
-        // Lost the race for the last slot, or with a concurrent stop().
+        // The queue is full (admission path only), or a stop() won.
         if (admit)
-            rejectedCount_.add(1);
+            rejected_.add(1);
         return adm;
     }
     // Counted only once accepted, so submitted == completed holds after
     // a drain even when a submit races stop().
-    submitted_.fetch_add(1, std::memory_order_relaxed);
+    submitted_.add(1);
     adm.status = AdmitStatus::Accepted;
     adm.future = std::move(future);
     return adm;
@@ -162,8 +142,8 @@ PredictionServer::submitAsync(const dfir::DataflowGraph& g,
                               const dfir::RuntimeData* data,
                               model::Metric metric)
 {
-    Admission adm = submit(makeResultKey(g, data, metric), g, data,
-                           Priority::Normal, /*admit=*/false);
+    Admission adm =
+        submit(makeResultKey(g, data, metric), g, data, /*admit=*/false);
     if (adm.status == AdmitStatus::Accepted)
         return std::move(adm.future);
     // The blocking path only refuses a stopped server.
@@ -181,21 +161,11 @@ PredictionServer::predict(const dfir::DataflowGraph& g,
 }
 
 Admission
-PredictionServer::submitIfAdmitted(const dfir::DataflowGraph& g,
-                                   const dfir::RuntimeData* data,
-                                   model::Metric metric, Priority priority)
-{
-    return submitIfAdmitted(makeResultKey(g, data, metric), g, data,
-                            priority);
-}
-
-Admission
 PredictionServer::submitIfAdmitted(const ResultKey& key,
                                    const dfir::DataflowGraph& g,
-                                   const dfir::RuntimeData* data,
-                                   Priority priority)
+                                   const dfir::RuntimeData* data)
 {
-    return submit(key, g, data, priority, /*admit=*/true);
+    return submit(key, g, data, /*admit=*/true);
 }
 
 void
@@ -227,9 +197,11 @@ PredictionServer::processBatch(std::vector<Request>& batch,
                                model::InferenceSession& session,
                                const model::CostModel& m)
 {
-    const uint64_t batchId =
-        batches_.fetch_add(1, std::memory_order_relaxed) + 1;
-    dispatched_.fetch_add(batch.size(), std::memory_order_relaxed);
+    // A request sits in exactly one batch, so the first one's id also
+    // names the batch in the trace.
+    const uint64_t batchId = batch.front().id;
+    batches_.add(1);
+    dispatched_.add(batch.size());
 
     // Stage boundaries are stamped so every queue-dispatched request's
     // end-to-end span strictly contains its queue-wait, the batch
@@ -268,12 +240,12 @@ PredictionServer::processBatch(std::vector<Request>& batch,
         req.key.version = m.version();
         // A sibling batch may have finished this key since submission.
         if (cache_.get(req.key, cached)) {
-            cacheHits_.fetch_add(1, std::memory_order_relaxed);
+            cacheHits_.add(1);
             fulfil(req, cached);
             continue;
         }
         if (cache_.enabled())
-            cacheMisses_.fetch_add(1, std::memory_order_relaxed);
+            cacheMisses_.add(1);
         auto it = std::find_if(groups.begin(), groups.end(), [&](Group& g) {
             return g.program == req.key.program && g.input == req.key.input;
         });
@@ -363,7 +335,7 @@ PredictionServer::processBatch(std::vector<Request>& batch,
             static_cast<int>(bucket.size()), dim, std::move(rows));
         std::vector<model::NumericPrediction> preds =
             m.head(static_cast<model::Metric>(mi)).decodeBatch(bucketPooled);
-        modelCalls_.fetch_add(preds.size(), std::memory_order_relaxed);
+        modelCalls_.add(preds.size());
 
         const auto decodeEnd = Clock::now();
         decodeMs_.record(msBetween(decodeStart, decodeEnd));
@@ -400,7 +372,7 @@ PredictionServer::fulfil(Request& req, const model::NumericPrediction& pred)
     e2eMs_.record(msBetween(req.submitTime, now));
     if (obs::traceEnabled())
         obs::recordSpan("serve.request", req.submitTime, now, req.id);
-    completed_.fetch_add(1, std::memory_order_relaxed);
+    completed_.add(1);
     req.promise.set_value(pred);
 }
 
@@ -456,18 +428,16 @@ ServerStats
 PredictionServer::stats() const
 {
     ServerStats s;
-    s.submitted = submitted_.load(std::memory_order_relaxed);
-    s.completed = completed_.load(std::memory_order_relaxed);
-    s.cacheHits = cacheHits_.load(std::memory_order_relaxed);
-    s.cacheMisses = cacheMisses_.load(std::memory_order_relaxed);
-    s.batches = batches_.load(std::memory_order_relaxed);
-    s.modelCalls = modelCalls_.load(std::memory_order_relaxed);
-    s.rejected = rejectedCount_.total();
-    for (int k = 0; k < kNumPriorities; ++k)
-        s.shed[size_t(k)] = shedCount_[size_t(k)]->total();
-    uint64_t dispatched = dispatched_.load(std::memory_order_relaxed);
-    s.meanBatch =
-        s.batches == 0 ? 0.0 : double(dispatched) / double(s.batches);
+    s.submitted = submitted_.total();
+    s.completed = completed_.total();
+    s.cacheHits = cacheHits_.total();
+    s.cacheMisses = cacheMisses_.total();
+    s.batches = batches_.total();
+    s.modelCalls = modelCalls_.total();
+    s.rejected = rejected_.total();
+    s.meanBatch = s.batches == 0 ? 0.0
+                                 : double(dispatched_.total()) /
+                                       double(s.batches);
     s.queueDepth = queue_.depth();
 
     obs::HistogramSnapshot e2e = e2eMs_.snapshot();

@@ -45,10 +45,10 @@
  *
  * Clients use the blocking predict(), the future-based submitAsync(), or
  * the admission-controlled submitIfAdmitted(); all three run one submit
- * path and differ only in blocking push vs. shed-or-refuse. A caller
- * that already derived the key (the fleet front-end shards by it) hands
- * it to submitIfAdmitted(), so the program is canonicalized once per
- * request. stats() returns a ServerStats snapshot (throughput, p50/p95
+ * path and differ only in blocking push vs. refusing when the queue is
+ * full. submitIfAdmitted() takes the key its caller already derived (the
+ * fleet front-end shards by it), so the program is canonicalized once
+ * per request. stats() returns a ServerStats snapshot (throughput, p50/p95
  * latency, hit rate, queue depth). stop() — also run by the destructor
  * — closes the intake and drains the queue, so every accepted request
  * is answered before the workers exit.
@@ -78,7 +78,6 @@
  * feature.
  */
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -105,17 +104,6 @@ struct ServeConfig
     int batchMax = 8;       //!< micro-batch size cap
     size_t queueCapacity = 256; //!< bounded queue (backpressure)
     size_t cacheCapacity = 4096; //!< result-cache entries; 0 disables
-    /**
-     * Per-priority admission depth limits for submitIfAdmitted(): a
-     * request of class k is *shed* (answered OVERLOADED by the fleet
-     * front-end instead of blocking) when the queue already holds at
-     * least admitDepth[k] items. 0 = auto: High gets the full queue
-     * capacity, Normal 3/4 of it, Low 1/2 — so under load the queue's
-     * tail is reserved for high-priority traffic. The blocking
-     * submitAsync()/predict() path ignores these and applies
-     * backpressure instead.
-     */
-    std::array<size_t, kNumPriorities> admitDepth{{0, 0, 0}};
     //! Live calibration pipeline (off by default; see the file header).
     CalibrationConfig calibration;
 };
@@ -124,7 +112,6 @@ struct ServeConfig
 enum class AdmitStatus
 {
     Accepted, //!< future is valid (may already be fulfilled via cache)
-    Shed,     //!< queue depth over the priority's admitDepth limit
     Rejected  //!< queue full at push time, or server stopped
 };
 
@@ -136,23 +123,24 @@ struct Admission
     bool cacheHit = false; //!< the result cache answered at submit
 };
 
-/** Point-in-time server statistics snapshot. */
+/**
+ * Point-in-time server statistics snapshot. Every count is a `serve.*`
+ * counter of the server's registry, named in its comment.
+ */
 struct ServerStats
 {
-    uint64_t submitted = 0;  //!< requests accepted
-    uint64_t completed = 0;  //!< futures fulfilled
-    uint64_t cacheHits = 0;
-    uint64_t cacheMisses = 0;
-    uint64_t batches = 0;    //!< micro-batches dispatched
-    uint64_t modelCalls = 0; //!< head decodes actually run
-    //! Admission-control refusals (submitIfAdmitted only; the blocking
-    //! submit path never refuses). `rejected` counts queue-full/stopped
-    //! refusals (`serve.rejected`), `shed[k]` counts per-priority
-    //! depth-limit sheds (`serve.shed_p<k>`).
+    uint64_t submitted = 0;  //!< requests accepted (serve.submitted)
+    uint64_t completed = 0;  //!< futures fulfilled (serve.completed)
+    uint64_t cacheHits = 0;  //!< serve.cache_hits
+    uint64_t cacheMisses = 0; //!< serve.cache_misses
+    uint64_t batches = 0;    //!< micro-batches dispatched (serve.batches)
+    uint64_t modelCalls = 0; //!< head decodes run (serve.model_calls)
+    //! Admission refusals (serve.rejected): submitIfAdmitted() found the
+    //! queue full or the server stopped. The blocking submit path never
+    //! refuses.
     uint64_t rejected = 0;
-    std::array<uint64_t, kNumPriorities> shed{{0, 0, 0}};
-    //! Queue-dispatched requests per batch (submit-path cache hits
-    //! never enter a batch, so they are excluded).
+    //! Queue-dispatched requests (serve.dispatched) per batch;
+    //! submit-path cache hits never enter a batch, so they are excluded.
     double meanBatch = 0;
     //! Submit -> fulfil latency quantiles, from the server's
     //! `serve.e2e_ms` histogram (bucket-edge quantiles; whole run, not
@@ -217,29 +205,17 @@ class PredictionServer
                                      model::Metric metric);
 
     /**
-     * Admission-controlled submit: never blocks on a full queue.
-     * Submit-path cache hits are always Accepted (they bypass the
-     * queue). Otherwise the request is Shed when the queue depth is at
-     * or over cfg.admitDepth[priority], and Rejected when the push
-     * loses the race for the last slot (or the server is stopped).
-     * Refusals are counted in ServerStats and as `serve.rejected` /
-     * `serve.shed_p<k>` registry counters; the caller turns them into
-     * an explicit OVERLOADED reply instead of backpressure.
-     */
-    Admission submitIfAdmitted(const dfir::DataflowGraph& g,
-                               const dfir::RuntimeData* data,
-                               model::Metric metric,
-                               Priority priority = Priority::Normal);
-
-    /**
-     * The same, with the key already derived by makeResultKey(g, data,
-     * metric) — the metric is read from it and its version is ignored
-     * (the server stamps its own).
+     * Admission-controlled submit: never blocks on a full queue. `key`
+     * is makeResultKey(g, data, metric); the metric is read from it and
+     * its version is ignored (the server stamps its own). Submit-path
+     * cache hits are always Accepted (they bypass the queue); otherwise
+     * the request is Rejected only when the queue is full or the server
+     * is stopped. Refusals count as `serve.rejected`; the caller turns
+     * them into an explicit OVERLOADED reply instead of backpressure.
      */
     Admission submitIfAdmitted(const ResultKey& key,
                                const dfir::DataflowGraph& g,
-                               const dfir::RuntimeData* data,
-                               Priority priority = Priority::Normal);
+                               const dfir::RuntimeData* data);
 
     /**
      * Stop intake, answer everything already queued, join the workers.
@@ -315,12 +291,11 @@ class PredictionServer
     /**
      * The one submit path: refuse when stopped, answer cache hits on the
      * spot, else queue a copy of the graph and data — by blocking push,
-     * or with `admit` by submitIfAdmitted()'s shed-or-tryPush rule.
+     * or with `admit` by a tryPush that refuses when the queue is full.
      * Only the admission path counts refusals.
      */
     Admission submit(const ResultKey& key, const dfir::DataflowGraph& g,
-                     const dfir::RuntimeData* data, Priority priority,
-                     bool admit);
+                     const dfir::RuntimeData* data, bool admit);
 
     ServeConfig cfg_;
     //! RCU write side: the published snapshot, guarded by modelMu_ (the
@@ -333,13 +308,6 @@ class PredictionServer
     std::vector<std::thread> workers_;
     std::chrono::steady_clock::time_point startTime_;
 
-    std::atomic<uint64_t> submitted_{0};
-    std::atomic<uint64_t> completed_{0};
-    std::atomic<uint64_t> cacheHits_{0};
-    std::atomic<uint64_t> cacheMisses_{0};
-    std::atomic<uint64_t> batches_{0};
-    std::atomic<uint64_t> dispatched_{0};
-    std::atomic<uint64_t> modelCalls_{0};
     std::atomic<bool> stopped_{false};
     std::atomic<uint64_t> reqSeq_{0};
 
@@ -353,10 +321,15 @@ class PredictionServer
     obs::Histogram& forwardMs_;   //!< serve.stage.forward_ms
     obs::Histogram& decodeMs_;    //!< serve.stage.decode_ms
     obs::Histogram& cacheFillMs_; //!< serve.stage.cache_fill_ms
+    obs::Counter& submitted_;     //!< serve.submitted
+    obs::Counter& completed_;     //!< serve.completed
+    obs::Counter& cacheHits_;     //!< serve.cache_hits
+    obs::Counter& cacheMisses_;   //!< serve.cache_misses
+    obs::Counter& batches_;       //!< serve.batches
+    obs::Counter& dispatched_;    //!< serve.dispatched
+    obs::Counter& modelCalls_;    //!< serve.model_calls
+    obs::Counter& rejected_;      //!< serve.rejected (queue-full refusals)
     obs::Counter& swapCount_;     //!< calib.swaps
-    obs::Counter& rejectedCount_; //!< serve.rejected (queue-full refusals)
-    //! serve.shed_p<k>: per-priority admission sheds.
-    std::array<obs::Counter*, kNumPriorities> shedCount_{};
 
     //! Declared after telemetry_ (holds references into it) so it is
     //! destroyed first; null when calibration is disabled.

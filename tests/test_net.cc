@@ -29,6 +29,7 @@
 #include <cstring>
 #include <dirent.h>
 #include <fstream>
+#include <map>
 #include <netinet/in.h>
 #include <string>
 #include <sys/socket.h>
@@ -152,6 +153,24 @@ vmSizeKb()
     return 0;
 }
 
+/** A plain loopback TCP connection to `port`; -1 on failure. */
+int
+connectRaw(int port)
+{
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<uint16_t>(port));
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
 /** Live threads of this process (the entries of /proc/self/task). */
 size_t
 liveThreads()
@@ -179,7 +198,6 @@ TEST(Protocol, RequestRoundTrip)
     req.data.scalars["M"] = -9;
     req.data.tensors["X"] = {1.5, -2.25, 1e300, 0.0};
     req.metric = model::Metric::Cycles;
-    req.priority = serve::Priority::Low;
 
     net::NetRequest out;
     std::string err;
@@ -190,7 +208,57 @@ TEST(Protocol, RequestRoundTrip)
     EXPECT_EQ(out.data.scalars, req.data.scalars);
     EXPECT_EQ(out.data.tensors, req.data.tensors);
     EXPECT_EQ(out.metric, req.metric);
-    EXPECT_EQ(out.priority, req.priority);
+}
+
+namespace {
+
+/**
+ * A request spelled out field by field, independent of encodeRequest():
+ * Cycles for "void f() {}" with one scalar (N = -9) and one tensor
+ * (X = {1.5}). Version 1 carried a priority byte after the metric;
+ * `priority` >= 0 writes one.
+ */
+std::string
+handWrittenRequest(uint16_t version, int priority = -1)
+{
+    std::string bytes;
+    net::wire::putU32(bytes, 0x4C4D5251); // "LMRQ"
+    net::wire::putU16(bytes, version);
+    net::wire::putU8(bytes, 3);           // metric: Cycles
+    if (priority >= 0)
+        net::wire::putU8(bytes, uint8_t(priority));
+    net::wire::putU8(bytes, 1);           // hasData
+    net::wire::putString(bytes, "void f() {}");
+    net::wire::putU32(bytes, 1);          // scalars
+    net::wire::putString(bytes, "N");
+    net::wire::putI64(bytes, -9);
+    net::wire::putU32(bytes, 1);          // tensors
+    net::wire::putString(bytes, "X");
+    net::wire::putU32(bytes, 1);          // elements
+    net::wire::putF64(bytes, 1.5);
+    return bytes;
+}
+
+} // namespace
+
+TEST(Protocol, HandWrittenVersionTwoRequestDecodes)
+{
+    ASSERT_EQ(int(model::Metric::Cycles), 3);
+    const std::string bytes = handWrittenRequest(2);
+    net::NetRequest out;
+    std::string err;
+    ASSERT_TRUE(net::decodeRequest(bytes, out, &err)) << err;
+    EXPECT_EQ(out.metric, model::Metric::Cycles);
+    EXPECT_TRUE(out.hasData);
+    EXPECT_EQ(out.program, "void f() {}");
+    EXPECT_EQ(out.data.scalars, (std::map<std::string, long>{{"N", -9}}));
+    EXPECT_EQ(out.data.tensors.at("X"), std::vector<double>{1.5});
+    EXPECT_EQ(net::encodeRequest(out), bytes);
+
+    // A version 1 request, priority byte and all, is refused at the
+    // version field instead of being read one byte off.
+    EXPECT_FALSE(net::decodeRequest(handWrittenRequest(1, 1), out, &err));
+    EXPECT_EQ(err, "unsupported protocol version");
 }
 
 TEST(Protocol, StaticRequestHasNoDataSection)
@@ -263,7 +331,6 @@ TEST(Protocol, RejectsMalformedPayloads)
     net::wire::putU32(hostile, net::kRequestMagic);
     net::wire::putU16(hostile, net::kProtocolVersion);
     net::wire::putU8(hostile, 0);  // metric
-    net::wire::putU8(hostile, 0);  // priority
     net::wire::putU8(hostile, 1);  // hasData
     net::wire::putString(hostile, "void f() {}");
     net::wire::putU32(hostile, 0); // scalars
@@ -525,8 +592,7 @@ TEST(FleetServer, WireRoundTripIsBitIdenticalToInProcessServing)
             const dfir::RuntimeData* data =
                 metric == model::Metric::Cycles ? &d : nullptr;
             net::NetResponse resp;
-            ASSERT_TRUE(client.predict(g, data, metric,
-                                       serve::Priority::Normal, resp));
+            ASSERT_TRUE(client.predict(g, data, metric, resp));
             ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
             expectBitEqual(resp.prediction, local.predict(g, data, metric));
         }
@@ -551,8 +617,7 @@ TEST(FleetServer, EquivalentMutantsLandOnTheSameShardCache)
     net::FleetClient client;
     ASSERT_TRUE(client.connectLoopback(fleet.port()));
     net::NetResponse first;
-    ASSERT_TRUE(client.predict(g, &d, model::Metric::Cycles,
-                               serve::Priority::Normal, first));
+    ASSERT_TRUE(client.predict(g, &d, model::Metric::Cycles, first));
     ASSERT_EQ(first.status, net::Status::Ok) << first.error;
     EXPECT_FALSE(first.cacheHit);
 
@@ -564,8 +629,8 @@ TEST(FleetServer, EquivalentMutantsLandOnTheSameShardCache)
                   net::FleetServer::shardOf(canon, 4));
         RuntimeData md = remapRuntimeData(d, mut.scalarRenames);
         net::NetResponse resp;
-        ASSERT_TRUE(client.predict(mut.graph, &md, model::Metric::Cycles,
-                                   serve::Priority::Normal, resp));
+        ASSERT_TRUE(
+            client.predict(mut.graph, &md, model::Metric::Cycles, resp));
         ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
         EXPECT_TRUE(resp.cacheHit); // the shard cache answered
         expectBitEqual(resp.prediction, first.prediction);
@@ -599,10 +664,105 @@ TEST(FleetServer, UnparsableProgramAnswersBadRequestAndKeepsConnection)
 
     // The connection survives a BadRequest: a valid query still works.
     DataflowGraph g = makeGraph("after-bad", 2);
-    ASSERT_TRUE(client.predict(g, nullptr, model::Metric::Power,
-                               serve::Priority::Normal, resp));
+    ASSERT_TRUE(client.predict(g, nullptr, model::Metric::Power, resp));
     EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
     EXPECT_EQ(fleet.stats().badRequest, 1u);
+}
+
+TEST(FleetServer, DeepProgramAnswersBadRequestAndKeepsConnection)
+{
+    net::FleetConfig cfg;
+    cfg.shards = 1;
+    net::FleetServer fleet(tinyModel(), cfg);
+    fleet.start();
+
+    net::FleetClient client;
+    ASSERT_TRUE(client.connectLoopback(fleet.port()));
+
+    // Nested parentheses filling almost a whole frame (4 MiB). The
+    // parser refuses them at its nesting limit instead of overflowing
+    // the connection thread's stack.
+    const std::string parens(net::kMaxFrameBytes / 2 - 64, '(');
+    net::NetRequest req;
+    req.program = "void f(float A[4]) {\n  A[0] = " + parens + "1" +
+                  std::string(parens.size(), ')') + ";\n}\n";
+    ASSERT_LT(req.program.size(), net::kMaxFrameBytes);
+    req.metric = model::Metric::Power;
+    net::NetResponse resp;
+    ASSERT_TRUE(client.call(req, resp));
+    EXPECT_EQ(resp.status, net::Status::BadRequest);
+    EXPECT_NE(resp.error.find("kMaxExprHeight"), std::string::npos)
+        << resp.error;
+
+    DataflowGraph g = makeGraph("after-deep", 2);
+    ASSERT_TRUE(client.predict(g, nullptr, model::Metric::Power, resp));
+    EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
+    EXPECT_EQ(fleet.stats().badRequest, 1u);
+}
+
+// The parse limits also bound every walk after the parser (verify,
+// canonicalize, hash, print, the forward's tokenizer): a program at both
+// limits is served from a connection thread's stack.
+TEST(FleetServer, ProgramAtTheParseLimitsIsServed)
+{
+    net::FleetConfig cfg;
+    cfg.shards = 1;
+    net::FleetServer fleet(tinyModel(), cfg);
+    fleet.start();
+
+    // An assignment of kMaxExprHeight terms, kMaxStmtDepth deep.
+    std::string sum = "N";
+    for (int i = 1; i < dfir::kMaxExprHeight; ++i)
+        sum += " + N";
+    std::string body = "A[0] = " + sum + ";\n";
+    for (int i = 1; i < dfir::kMaxStmtDepth; ++i)
+        body = "if (N > 0) {\n" + body + "}\n";
+    net::NetRequest req;
+    req.program = "void f(int N, float A[4]) {\n" + body + "}\n";
+    req.hasData = true;
+    req.data.scalars["N"] = 3;
+    req.metric = model::Metric::Cycles;
+
+    net::FleetClient client;
+    ASSERT_TRUE(client.connectLoopback(fleet.port()));
+    net::NetResponse resp;
+    ASSERT_TRUE(client.call(req, resp));
+    EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
+}
+
+TEST(FleetServer, VersionOneRequestAnswersBadRequestAndKeepsConnection)
+{
+    net::FleetConfig cfg;
+    cfg.shards = 1;
+    net::FleetServer fleet(tinyModel(), cfg);
+    fleet.start();
+
+    // A raw connection: FleetClient only speaks the current version.
+    int fd = connectRaw(fleet.port());
+    ASSERT_GE(fd, 0);
+    auto roundTrip = [fd](const std::string& payload, net::NetResponse& r) {
+        std::string reply;
+        return net::writeFrame(fd, payload) &&
+               net::readFrame(fd, reply) == net::FrameRead::Ok &&
+               net::decodeResponse(reply, r);
+    };
+
+    net::NetResponse resp;
+    ASSERT_TRUE(roundTrip(handWrittenRequest(1, /*priority=*/1), resp));
+    EXPECT_EQ(resp.status, net::Status::BadRequest);
+    EXPECT_EQ(resp.error, "unsupported protocol version");
+
+    // The same connection then serves a current request.
+    net::NetRequest req;
+    req.program = dfir::printStatic(makeGraph("after-v1", 3));
+    req.metric = model::Metric::Power;
+    ASSERT_TRUE(roundTrip(net::encodeRequest(req), resp));
+    EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
+    ::close(fd);
+
+    net::FleetStats stats = fleet.stats();
+    EXPECT_EQ(stats.badRequest, 1u);
+    EXPECT_EQ(stats.ok, 1u);
 }
 
 TEST(FleetServer, VerifierErrorsAnswerBadRequest)
@@ -679,8 +839,7 @@ TEST(FleetServer, VerifierErrorsAnswerBadRequest)
     EXPECT_NE(resp.error.find(rejects.front().second), std::string::npos)
         << resp.error;
     DataflowGraph g = makeGraph("after-verify-error", 2);
-    ASSERT_TRUE(client.predict(g, nullptr, model::Metric::Power,
-                               serve::Priority::Normal, resp));
+    ASSERT_TRUE(client.predict(g, nullptr, model::Metric::Power, resp));
     EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
     net::FleetStats stats = fleet.stats();
     EXPECT_EQ(stats.badRequest, rejects.size() + 1);
@@ -692,7 +851,7 @@ TEST(FleetServer, OverloadAnswersExplicitlyUnderEightClientThreads)
     net::FleetConfig cfg;
     cfg.shards = 1;
     cfg.serve.workers = 1;
-    cfg.serve.queueCapacity = 2; // auto admit depths: {2, 1, 1}
+    cfg.serve.queueCapacity = 2;
     cfg.serve.cacheCapacity = 0; // every accepted request costs work
     net::FleetServer fleet(tinyModel(), cfg);
     fleet.start();
@@ -714,8 +873,7 @@ TEST(FleetServer, OverloadAnswersExplicitlyUnderEightClientThreads)
                 // Distinct inputs -> every accepted request is a miss.
                 RuntimeData d = makeData(1000 + t * 100 + i);
                 net::NetResponse resp;
-                if (!client.predict(g, &d, model::Metric::Cycles,
-                                    serve::Priority::Low, resp)) {
+                if (!client.predict(g, &d, model::Metric::Cycles, resp)) {
                     failed.fetch_add(1);
                     continue;
                 }
@@ -736,17 +894,14 @@ TEST(FleetServer, OverloadAnswersExplicitlyUnderEightClientThreads)
     EXPECT_EQ(failed.load(), 0u);
     EXPECT_GT(ok.load(), 0u);
     // Eight blocking clients against one worker and a two-slot queue
-    // with a Low admit depth of one must shed.
+    // must find it full.
     EXPECT_GT(overloaded.load(), 0u);
 
+    // A full queue is the only refusal: each OVERLOADED reply is one
+    // shard rejection.
     net::FleetStats stats = fleet.stats();
     EXPECT_EQ(stats.overloaded, overloaded.load());
-    EXPECT_EQ(stats.shardRejected +
-                  stats.shardShed[0] + stats.shardShed[1] +
-                  stats.shardShed[2],
-              overloaded.load());
-    EXPECT_EQ(stats.shardShed[0], 0u); // only Low traffic was shed
-    EXPECT_EQ(stats.shardShed[1], 0u);
+    EXPECT_EQ(stats.shardRejected, overloaded.load());
 }
 
 TEST(FleetServer, PersistentCacheSurvivesRestart)
@@ -768,13 +923,11 @@ TEST(FleetServer, PersistentCacheSurvivesRestart)
         net::FleetClient client;
         ASSERT_TRUE(client.connectLoopback(fleet.port()));
         net::NetResponse resp;
-        ASSERT_TRUE(client.predict(g1, &d, model::Metric::Cycles,
-                                   serve::Priority::Normal, resp));
+        ASSERT_TRUE(client.predict(g1, &d, model::Metric::Cycles, resp));
         ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
         EXPECT_FALSE(resp.cacheHit);
         firstPred = resp.prediction;
-        ASSERT_TRUE(client.predict(g2, nullptr, model::Metric::Area,
-                                   serve::Priority::Normal, resp));
+        ASSERT_TRUE(client.predict(g2, nullptr, model::Metric::Area, resp));
         ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
         fleet.stop(); // snapshots the shard caches
     }
@@ -795,13 +948,11 @@ TEST(FleetServer, PersistentCacheSurvivesRestart)
         net::FleetClient client;
         ASSERT_TRUE(client.connectLoopback(fleet.port()));
         net::NetResponse resp;
-        ASSERT_TRUE(client.predict(g1, &d, model::Metric::Cycles,
-                                   serve::Priority::Normal, resp));
+        ASSERT_TRUE(client.predict(g1, &d, model::Metric::Cycles, resp));
         ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
         EXPECT_TRUE(resp.cacheHit);
         expectBitEqual(resp.prediction, firstPred);
-        ASSERT_TRUE(client.predict(g2, nullptr, model::Metric::Area,
-                                   serve::Priority::Normal, resp));
+        ASSERT_TRUE(client.predict(g2, nullptr, model::Metric::Area, resp));
         EXPECT_TRUE(resp.cacheHit);
         net::FleetStats warm = fleet.stats();
         EXPECT_EQ(warm.shardCacheHits, 2u);
@@ -820,14 +971,8 @@ TEST(FleetServer, OversizedFrameHeaderClosesOnlyItsOwnConnection)
     ASSERT_TRUE(bystander.connectLoopback(fleet.port()));
     const uint64_t badFramesBefore = fleet.stats().badFrames;
 
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    int fd = connectRaw(fleet.port());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(fleet.port()));
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-              0);
     timeval timeout{10, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
     // A header announcing one byte over the bound, and no payload.
@@ -844,8 +989,7 @@ TEST(FleetServer, OversizedFrameHeaderClosesOnlyItsOwnConnection)
     // The other connection is still served.
     net::NetResponse resp;
     ASSERT_TRUE(bystander.predict(makeGraph("bystander", 5), nullptr,
-                                  model::Metric::Power,
-                                  serve::Priority::Normal, resp));
+                                  model::Metric::Power, resp));
     EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
     EXPECT_EQ(fleet.stats().requests, 1u); // a framing violation is none
     // ...but it is counted, once, in the stats and the registry row.
@@ -875,8 +1019,7 @@ TEST(FleetServer, ClosedConnectionsReleaseTheirThreads)
             net::FleetClient client;
             ASSERT_TRUE(client.connectLoopback(fleet.port()));
             net::NetResponse resp;
-            ASSERT_TRUE(client.predict(g, nullptr, model::Metric::Power,
-                                       serve::Priority::Normal, resp));
+            ASSERT_TRUE(client.predict(g, nullptr, model::Metric::Power, resp));
             EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
         }
         const auto deadline =

@@ -125,7 +125,7 @@ TEST(InferenceSessionBatch, ForwardPooledBatchMatchesSequential)
     model::InferenceSession seq(m);
     const model::EncodedProgram* eps[] = {&epA, &epB, &epC};
     for (int i = 0; i < 3; ++i) {
-        nn::TensorPtr ref = seq.pooled(*eps[i], /*use_cache=*/false);
+        nn::TensorPtr ref = seq.forwardPooledBatch({eps[i]});
         EXPECT_EQ(rowSpan(batch, i, 1), rowSpan(ref, 0, 1))
             << "fast-path pooled row " << i;
     }

@@ -3,7 +3,7 @@
  * Parser tests: printer/parser round trips (the key invariant: a parsed
  * program profiles identically to the original), expression precedence,
  * pragma handling, hardware parameters, data lines, and error reporting
- * (out-of-range integer literals included).
+ * (out-of-range integer literals and over-deep nesting included).
  */
 
 #include <gtest/gtest.h>
@@ -197,6 +197,91 @@ TEST(Parser, RoundTripTextIsAFixedPoint)
     ASSERT_TRUE(res.ok) << res.error;
     std::string t2 = printStatic(res.graph);
     EXPECT_EQ(t1, t2);
+}
+
+/** One operator whose body is `body`, a statement list. */
+std::string
+operatorWith(const std::string& body)
+{
+    return "void f(int N, float A[4]) {\n" + body + "}\n";
+}
+
+/** `A[0] = 1 + 1 + ... + 1;`: a left-leaning tree of height `terms`. */
+std::string
+sumProgram(int terms)
+{
+    std::string rhs = "1";
+    for (int i = 1; i < terms; ++i)
+        rhs += " + 1";
+    return operatorWith("A[0] = " + rhs + ";\n");
+}
+
+/** `A[0] = ((...(1)...));` inside `depth` parentheses. */
+std::string
+parenProgram(int depth)
+{
+    return operatorWith("A[0] = " + std::string(size_t(depth), '(') + "1" +
+                        std::string(size_t(depth), ')') + ";\n");
+}
+
+/** `A[0] = 1;` inside `blocks` nested if blocks. */
+std::string
+ifProgram(int blocks)
+{
+    std::string body;
+    for (int i = 0; i < blocks; ++i)
+        body += "if (N > 0) {\n";
+    body += "A[0] = 1;\n";
+    for (int i = 0; i < blocks; ++i)
+        body += "}\n";
+    return operatorWith(body);
+}
+
+// Program text comes from sockets, and every walk over the IR recurses
+// on it: a program deeper than the limits is a parse error naming the
+// limit, before any deep tree exists. These three shapes each crashed
+// the parser (or a walk after it) with a stack overflow.
+TEST(Parser, DeepProgramsAreParseErrorsNamingTheLimit)
+{
+    const std::pair<std::string, const char*> deep[] = {
+        {sumProgram(300000), "kMaxExprHeight"},  // 1.2 MB
+        {parenProgram(200000), "kMaxExprHeight"}, // 400 KB
+        {ifProgram(100000), "kMaxStmtDepth"},     // 1.3 MB
+    };
+    for (const auto& [text, limit] : deep) {
+        ParseResult res = parseProgram(text);
+        EXPECT_FALSE(res.ok);
+        EXPECT_NE(res.error.find(limit), std::string::npos) << res.error;
+    }
+}
+
+// The limits are exact: a program at each one parses, and its printed
+// text parses back to the same text; one level more is refused.
+TEST(Parser, ProgramsAtTheLimitsParseAndRoundTrip)
+{
+    // The if blocks hold the assignment one statement level deeper.
+    const std::pair<std::string, std::string> atAndOver[] = {
+        {sumProgram(kMaxExprHeight), sumProgram(kMaxExprHeight + 1)},
+        {parenProgram(kMaxExprHeight), parenProgram(kMaxExprHeight + 1)},
+        {ifProgram(kMaxStmtDepth - 1), ifProgram(kMaxStmtDepth)},
+    };
+    for (const auto& [at, over] : atAndOver) {
+        ParseResult res = parseProgram(at);
+        ASSERT_TRUE(res.ok) << res.error;
+        EXPECT_TRUE(res.diagnostics.ok()) << res.diagnostics.str();
+        std::string printed = printStatic(res.graph);
+        ParseResult again = parseProgram(printed);
+        ASSERT_TRUE(again.ok) << again.error;
+        EXPECT_EQ(printStatic(again.graph), printed);
+        EXPECT_FALSE(parseProgram(over).ok);
+    }
+    // min/max calls and subscripts nest like parentheses.
+    std::string nested = "1";
+    for (int i = 0; i < kMaxExprHeight; ++i)
+        nested = (i % 2 ? "min(N, " : "A[") + nested + (i % 2 ? ")" : "]");
+    std::string err;
+    EXPECT_EQ(parseExpr(nested, &err), nullptr);
+    EXPECT_NE(err.find("kMaxExprHeight"), std::string::npos) << err;
 }
 
 } // namespace

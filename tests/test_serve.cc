@@ -25,7 +25,6 @@
 
 #include "dfir/builder.h"
 #include "dfir/passes.h"
-#include "model/fast_encoder.h"
 #include "obs/trace.h"
 #include "serve/request_queue.h"
 #include "serve/result_cache.h"
@@ -139,22 +138,6 @@ TEST(BoundedQueue, TryPushRefusesWhenFullInsteadOfBlocking)
     EXPECT_FALSE(q.tryPush(5)); // closed: refused even with room
 }
 
-TEST(BoundedQueue, DrainsHighBeforeNormalBeforeLowFifoWithinClass)
-{
-    serve::BoundedQueue<int> q(8);
-    EXPECT_TRUE(q.push(10, serve::Priority::Normal));
-    EXPECT_TRUE(q.push(11, serve::Priority::Normal));
-    EXPECT_TRUE(q.push(20, serve::Priority::Low));
-    EXPECT_TRUE(q.push(1, serve::Priority::High));
-    EXPECT_TRUE(q.push(2, serve::Priority::High));
-
-    std::vector<int> batch;
-    ASSERT_TRUE(q.popBatch(batch, 8, std::chrono::microseconds(0)));
-    // High first (FIFO within the class), then Normal, then Low —
-    // regardless of arrival interleaving.
-    EXPECT_EQ(batch, (std::vector<int>{1, 2, 10, 11, 20}));
-}
-
 TEST(BoundedQueue, ShutdownUnblocksWaitersAndDrainsBacklog)
 {
     serve::BoundedQueue<int> q(2);
@@ -251,11 +234,10 @@ TEST(ResultCache, RuntimeDataHashIsOrderInsensitiveAndValueSensitive)
 TEST(PredictionServer, BatchedResultsBitIdenticalToSequential)
 {
     // Reference model: same config + seed => identical weights. The
-    // sequential baseline is the same autograd-free full forward the
-    // server workers run (InferenceSession, prefix cache off), so
-    // every field must match exactly, not approximately.
+    // sequential baseline, CostModel::predict, is the same autograd-free
+    // full forward the server workers run, so every field must match
+    // exactly, not approximately.
     auto reference = tinyModel();
-    model::InferenceSession sequential(*reference);
 
     serve::ServeConfig cfg;
     cfg.workers = 4;
@@ -290,8 +272,7 @@ TEST(PredictionServer, BatchedResultsBitIdenticalToSequential)
         const Case& cs = cases[i];
         auto ep = reference->encode(cs.graph,
                                     cs.hasData ? &cs.data : nullptr);
-        auto expected = sequential.predict(ep, cs.metric,
-                                           /*use_cache=*/false);
+        auto expected = reference->predict(ep, cs.metric);
         expectSamePrediction(futures[i].get(), expected);
     }
 
@@ -361,7 +342,6 @@ TEST(PredictionServer, CanonicalKeysShareCacheAcrossEquivalentPrograms)
 TEST(PredictionServer, ManyConcurrentClientThreads)
 {
     auto reference = tinyModel();
-    model::InferenceSession sequential(*reference);
 
     serve::ServeConfig cfg;
     cfg.workers = 4;
@@ -386,8 +366,7 @@ TEST(PredictionServer, ManyConcurrentClientThreads)
             auto ep = reference->encode(
                 graphs[gi],
                 metric == model::Metric::Cycles ? &datas[gi] : nullptr);
-            expected[gi][m] =
-                sequential.predict(ep, metric, /*use_cache=*/false);
+            expected[gi][m] = reference->predict(ep, metric);
         }
 
     std::atomic<int> mismatches{0};
@@ -468,63 +447,51 @@ TEST(PredictionServer, AdmissionRejectsAfterStopWithoutBlocking)
     serve::PredictionServer server(tinyModel(), {});
     server.stop();
     DataflowGraph g = makeGraph("stopped", 1);
-    serve::Admission adm =
-        server.submitIfAdmitted(g, nullptr, model::Metric::Power);
+    serve::Admission adm = server.submitIfAdmitted(
+        serve::makeResultKey(g, nullptr, model::Metric::Power), g, nullptr);
     EXPECT_EQ(adm.status, serve::AdmitStatus::Rejected);
     EXPECT_FALSE(adm.future.valid()); // nothing was ever enqueued
     EXPECT_EQ(server.stats().rejected, 1u);
 }
 
-TEST(PredictionServer, AdmissionShedsAtPerPriorityDepthLimits)
+TEST(PredictionServer, AdmissionRejectsOnlyWhenTheQueueIsFull)
 {
     serve::ServeConfig cfg;
     cfg.workers = 1;
-    cfg.queueCapacity = 2; // auto admit depths: High 2, Normal 1, Low 1
+    cfg.queueCapacity = 2;
     cfg.cacheCapacity = 0; // every accepted request reaches the model
     serve::PredictionServer server(tinyModel(), cfg);
 
     DataflowGraph g = makeGraph("admit", 5);
     std::vector<std::future<model::NumericPrediction>> accepted;
-    uint64_t shedSeen = 0, rejectedSeen = 0;
+    uint64_t rejectedSeen = 0;
     // A single producer floods distinct inputs at a one-worker server:
     // canonicalization is microseconds, a forward pass milliseconds, so
-    // the queue saturates long before 200 submissions run out.
+    // the queue fills long before 200 submissions run out.
     for (long i = 0; i < 200; ++i) {
         RuntimeData d = makeData(1000 + i);
         serve::Admission adm = server.submitIfAdmitted(
-            g, &d, model::Metric::Cycles, serve::Priority::Low);
-        switch (adm.status) {
-        case serve::AdmitStatus::Accepted:
+            serve::makeResultKey(g, &d, model::Metric::Cycles), g, &d);
+        if (adm.status == serve::AdmitStatus::Accepted)
             accepted.push_back(std::move(adm.future));
-            break;
-        case serve::AdmitStatus::Shed:
-            ++shedSeen;
-            break;
-        case serve::AdmitStatus::Rejected:
+        else
             ++rejectedSeen;
-            break;
-        }
     }
     for (auto& f : accepted)
         EXPECT_GE(f.get().value, 0); // accepted work always completes
     server.stop();
 
-    EXPECT_GT(shedSeen, 0u); // the flood had to shed Low traffic
+    EXPECT_GT(rejectedSeen, 0u); // the flood had to find the queue full
+    EXPECT_EQ(accepted.size() + rejectedSeen, 200u);
     serve::ServerStats stats = server.stats();
-    EXPECT_EQ(stats.shed[2], shedSeen);
-    EXPECT_EQ(stats.shed[0] + stats.shed[1], 0u); // only Low was sent
+    EXPECT_EQ(stats.submitted, accepted.size());
+    EXPECT_EQ(stats.completed, accepted.size());
     EXPECT_EQ(stats.rejected, rejectedSeen);
-    EXPECT_EQ(accepted.size() + shedSeen + rejectedSeen, 200u);
-
-    // The counters are real llm_obs rows, not ad-hoc fields.
+    // The count is a real llm_obs row, not an ad-hoc field.
     const obs::Counter* rej =
         server.telemetry().findCounter("serve.rejected");
-    const obs::Counter* shed =
-        server.telemetry().findCounter("serve.shed_p2");
     ASSERT_NE(rej, nullptr);
-    ASSERT_NE(shed, nullptr);
     EXPECT_EQ(rej->total(), rejectedSeen);
-    EXPECT_EQ(shed->total(), shedSeen);
 }
 
 TEST(PredictionServer, AdmissionBypassesQueueOnCacheHit)
@@ -540,10 +507,11 @@ TEST(PredictionServer, AdmissionBypassesQueueOnCacheHit)
     auto warm = server.predict(g, &d, model::Metric::Cycles);
 
     // Repeats are admitted straight from the cache: they never touch
-    // the queue, so no depth limit can shed them.
+    // the queue, so a full one cannot refuse them.
+    const serve::ResultKey key =
+        serve::makeResultKey(g, &d, model::Metric::Cycles);
     for (int i = 0; i < 5; ++i) {
-        serve::Admission adm = server.submitIfAdmitted(
-            g, &d, model::Metric::Cycles, serve::Priority::Low);
+        serve::Admission adm = server.submitIfAdmitted(key, g, &d);
         ASSERT_EQ(adm.status, serve::AdmitStatus::Accepted);
         EXPECT_TRUE(adm.cacheHit);
         expectSamePrediction(adm.future.get(), warm);
@@ -711,7 +679,6 @@ TEST(Telemetry, SingleRequestStageSpansNestExactly)
 TEST(Telemetry, TracingEnabledKeepsResultsBitIdentical)
 {
     auto reference = tinyModel();
-    model::InferenceSession sequential(*reference);
     DataflowGraph g = makeGraph("traced", 4);
     RuntimeData d = makeData(14);
 
@@ -723,7 +690,7 @@ TEST(Telemetry, TracingEnabledKeepsResultsBitIdentical)
         auto metric = static_cast<model::Metric>(m);
         auto ep = reference->encode(
             g, metric == model::Metric::Cycles ? &d : nullptr);
-        expected[m] = sequential.predict(ep, metric, /*use_cache=*/false);
+        expected[m] = reference->predict(ep, metric);
     }
 
     obs::setTraceEnabled(true);
@@ -778,8 +745,6 @@ TEST(PredictionServer, HotSwapUnderConcurrentClientsIsCoherent)
 {
     auto refA = tinyModel();
     auto refB = tinyModelSeeded(777);
-    model::InferenceSession seqA(*refA);
-    model::InferenceSession seqB(*refB);
 
     struct Case
     {
@@ -796,10 +761,8 @@ TEST(PredictionServer, HotSwapUnderConcurrentClientsIsCoherent)
     for (const Case& cs : cases) {
         auto epA = refA->encode(cs.graph, &cs.data);
         auto epB = refB->encode(cs.graph, &cs.data);
-        expectedA.push_back(
-            seqA.predict(epA, model::Metric::Cycles, /*use_cache=*/false));
-        expectedB.push_back(
-            seqB.predict(epB, model::Metric::Cycles, /*use_cache=*/false));
+        expectedA.push_back(refA->predict(epA, model::Metric::Cycles));
+        expectedB.push_back(refB->predict(epB, model::Metric::Cycles));
         // The two weight inits must actually disagree, or "old or new"
         // below would be vacuous.
         ASSERT_FALSE(samePrediction(expectedA.back(), expectedB.back()));
@@ -856,7 +819,6 @@ TEST(PredictionServer, HotSwapUnderConcurrentClientsIsCoherent)
 TEST(PredictionServer, VersionKeyedCacheNeverServesStaleVersion)
 {
     auto refB = tinyModelSeeded(777);
-    model::InferenceSession seqB(*refB);
 
     serve::ServeConfig cfg;
     cfg.workers = 1;
@@ -879,9 +841,7 @@ TEST(PredictionServer, VersionKeyedCacheNeverServesStaleVersion)
     auto swapped = server.predict(g, &d, model::Metric::Cycles);
     EXPECT_EQ(server.stats().modelCalls, 2u);
     auto ep = refB->encode(g, &d);
-    expectSamePrediction(
-        swapped,
-        seqB.predict(ep, model::Metric::Cycles, /*use_cache=*/false));
+    expectSamePrediction(swapped, refB->predict(ep, model::Metric::Cycles));
     EXPECT_FALSE(samePrediction(swapped, first));
 
     // The new version's entry is itself cached and re-served bitwise.
@@ -926,6 +886,41 @@ TEST(PredictionServer, CalibrationStatsReadTheRegistryCounters)
     EXPECT_EQ(stats.calibSwaps, swaps->total());
     EXPECT_EQ(stats.shadowProfiled, profiled->total());
     EXPECT_EQ(stats.modelVersion, 1u);
+}
+
+TEST(PredictionServer, ServeStatsReadTheRegistryCounters)
+{
+    serve::ServeConfig cfg;
+    cfg.workers = 2;
+    serve::PredictionServer server(tinyModel(), cfg);
+    // Four misses, then two of them again from the cache.
+    for (long n : {8, 9, 10, 11, 8, 9}) {
+        RuntimeData d = makeData(n);
+        server.predict(makeGraph("rows", 3), &d, model::Metric::Cycles);
+    }
+    server.stop();
+
+    const obs::Registry& reg = server.telemetry();
+    auto row = [&reg](const char* name) -> uint64_t {
+        const obs::Counter* c = reg.findCounter(name);
+        EXPECT_NE(c, nullptr) << name;
+        return c ? c->total() : 0;
+    };
+    serve::ServerStats stats = server.stats();
+    EXPECT_EQ(stats.submitted, 6u);
+    EXPECT_EQ(stats.cacheHits, 2u);
+    EXPECT_EQ(stats.cacheMisses, 4u);
+    EXPECT_EQ(stats.modelCalls, 4u);
+    ASSERT_GT(stats.batches, 0u);
+    EXPECT_EQ(stats.submitted, row("serve.submitted"));
+    EXPECT_EQ(stats.completed, row("serve.completed"));
+    EXPECT_EQ(stats.cacheHits, row("serve.cache_hits"));
+    EXPECT_EQ(stats.cacheMisses, row("serve.cache_misses"));
+    EXPECT_EQ(stats.batches, row("serve.batches"));
+    EXPECT_EQ(stats.modelCalls, row("serve.model_calls"));
+    EXPECT_EQ(stats.rejected, row("serve.rejected"));
+    EXPECT_EQ(stats.meanBatch,
+              double(row("serve.dispatched")) / double(stats.batches));
 }
 
 TEST(PredictionServer, CalibrationRoundResetsTheResidualGauge)
