@@ -12,10 +12,13 @@
  * result trajectories can be scraped without parsing the pretty tables.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "harness/harness.h"
 #include "obs/metrics.h"
@@ -63,6 +66,44 @@ dumpRegistryCsv(const char* benchName, const obs::Registry& reg,
 {
     for (const obs::Registry::Row& row : reg.rows(prefix))
         csv(benchName, (row.name + "." + row.metric).c_str(), row.value);
+}
+
+/** Rounds timePairs() runs; odd, so each median is one measured call. */
+constexpr int kTimedPairs = 15;
+
+/** Median seconds per call of each side of a paired timing. */
+struct PairTiming
+{
+    double fullS = 0;  //!< median of the full predictions
+    double reuseS = 0; //!< median of the prefix-reuse predictions
+};
+
+/**
+ * Time a full prediction against its prefix-reuse counterpart:
+ * kTimedPairs rounds of one full() call then one reuse() call, and the
+ * median of each side. Alternating spreads a slow stretch of the host
+ * over both sides; the median drops the odd preempted call.
+ */
+template <typename Full, typename Reuse>
+PairTiming
+timePairs(Full&& full, Reuse&& reuse)
+{
+    using Clock = std::chrono::steady_clock;
+    auto seconds = [](auto& fn) {
+        const auto t0 = Clock::now();
+        fn();
+        return std::chrono::duration<double>(Clock::now() - t0).count();
+    };
+    std::vector<double> fullS, reuseS;
+    for (int i = 0; i < kTimedPairs; ++i) {
+        fullS.push_back(seconds(full));
+        reuseS.push_back(seconds(reuse));
+    }
+    auto median = [](std::vector<double>& v) {
+        std::nth_element(v.begin(), v.begin() + long(v.size() / 2), v.end());
+        return v[v.size() / 2];
+    };
+    return {median(fullS), median(reuseS)};
 }
 
 } // namespace bench

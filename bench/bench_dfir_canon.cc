@@ -46,7 +46,7 @@ struct Query
 double
 replayHitRate(const std::vector<Query>& stream, bool canonical)
 {
-    serve::ResultCache cache(4096, 8);
+    serve::ResultCache cache(4096);
     model::NumericPrediction dummy;
     dummy.value = 1.0;
     size_t hits = 0;

@@ -8,12 +8,12 @@
  * input (priming the static-prefix cache), then the timed prediction runs
  * on a *different* runtime input — the design-space-exploration pattern
  * the paper accelerates. NoAccel recomputes everything; HasAccel reuses
- * cached Class-I-operator and parameter rows.
+ * cached Class-I-operator and parameter rows. Each row is the median of
+ * bench::kTimedPairs alternating NoAccel/HasAccel predictions.
  *
  * Expected shape (paper): HasAccel < NoAccel on average (1.23s -> 1.00s).
  */
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_common.h"
@@ -22,7 +22,6 @@
 #include "model/fast_encoder.h"
 
 using namespace llmulator;
-using Clock = std::chrono::steady_clock;
 
 int
 main(int argc, char** argv)
@@ -46,25 +45,19 @@ main(int argc, char** argv)
         auto ep_prime = ours->encode(w.graph, &w.canonicalData);
         auto ep_probe = ours->encode(w.graph, &probe);
 
-        // Without acceleration: every prediction is a full forward.
-        auto t0 = Clock::now();
-        for (int rep = 0; rep < 3; ++rep)
-            ours->predict(ep_probe, model::Metric::Cycles);
-        double no_accel =
-            std::chrono::duration<double>(Clock::now() - t0).count() / 3;
-
-        // With acceleration: prime on the canonical input, then the probe
-        // input reuses the static prefix.
+        // Without acceleration every prediction is a full forward; with
+        // it, a session primed on the canonical input lets the probe
+        // input reuse the static prefix.
         model::InferenceSession warm(*ours);
         warm.predict(ep_prime, model::Metric::Cycles);
         long reused_before = warm.stats().rowsReused;
-        auto t1 = Clock::now();
-        for (int rep = 0; rep < 3; ++rep)
-            warm.predict(ep_probe, model::Metric::Cycles);
-        double has_accel =
-            std::chrono::duration<double>(Clock::now() - t1).count() / 3;
+        bench::PairTiming timing = bench::timePairs(
+            [&] { ours->predict(ep_probe, model::Metric::Cycles); },
+            [&] { warm.predict(ep_probe, model::Metric::Cycles); });
+        double no_accel = timing.fullS;
+        double has_accel = timing.reuseS;
         long reused =
-            (warm.stats().rowsReused - reused_before) / 3;
+            (warm.stats().rowsReused - reused_before) / bench::kTimedPairs;
 
         sum_no += no_accel;
         sum_acc += has_accel;

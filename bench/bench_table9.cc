@@ -10,12 +10,14 @@
  * exactly the knob that controls how many rows the Section 5.3 cache may
  * reuse.
  *
+ * Each row's times are the medians of bench::kTimedPairs alternating
+ * NoOpt/Opt predictions.
+ *
  * Expected shape (paper): OptTime <= NoOptTime across the sweep, with a
  * stable gap (std-dev ~0.13s there); the win shrinks as DataDepLen grows
  * (fewer reusable rows).
  */
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_common.h"
@@ -29,7 +31,6 @@
 
 using namespace llmulator;
 using namespace llmulator::dfir;
-using Clock = std::chrono::steady_clock;
 
 namespace {
 
@@ -104,19 +105,13 @@ main(int argc, char** argv)
         auto ep_prime = ours->encode(g, &prime);
         auto ep_probe = ours->encode(g, &probe);
 
-        auto t0 = Clock::now();
-        for (int r = 0; r < 3; ++r)
-            ours->predict(ep_probe, model::Metric::Cycles);
-        double noopt =
-            std::chrono::duration<double>(Clock::now() - t0).count() / 3;
-
         model::InferenceSession warm(*ours);
         warm.predict(ep_prime, model::Metric::Cycles);
-        auto t1 = Clock::now();
-        for (int r = 0; r < 3; ++r)
-            warm.predict(ep_probe, model::Metric::Cycles);
-        double opt =
-            std::chrono::duration<double>(Clock::now() - t1).count() / 3;
+        bench::PairTiming timing = bench::timePairs(
+            [&] { ours->predict(ep_probe, model::Metric::Cycles); },
+            [&] { warm.predict(ep_probe, model::Metric::Cycles); });
+        double noopt = timing.fullS;
+        double opt = timing.reuseS;
 
         speedups.push_back(noopt / std::max(1e-12, opt));
         t.addRow({std::to_string(dep_len), std::to_string(total_len),

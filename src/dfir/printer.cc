@@ -113,20 +113,32 @@ printOperator(const Operator& op)
 }
 
 std::string
-printStatic(const DataflowGraph& g)
+printGraphFunction(const DataflowGraph& g)
+{
+    std::string out = "void dataflow() {\n";
+    for (const auto& call : g.calls)
+        out += "  " + call.opName + "();\n";
+    return out + "}\n";
+}
+
+std::string
+printParams(const HardwareParams& params)
 {
     std::ostringstream out;
-    for (const auto& op : g.ops)
-        out << printOperator(op) << "\n";
-    out << "void dataflow() {\n";
-    for (const auto& call : g.calls)
-        out << "  " << call.opName << "();\n";
-    out << "}\n";
-    out << "-mem-read-delay=" << g.params.memReadDelay << "\n";
-    out << "-mem-write-delay=" << g.params.memWriteDelay << "\n";
-    out << "-read-ports=" << g.params.readPorts << "\n";
-    out << "-write-ports=" << g.params.writePorts << "\n";
+    out << "-mem-read-delay=" << params.memReadDelay << "\n"
+        << "-mem-write-delay=" << params.memWriteDelay << "\n"
+        << "-read-ports=" << params.readPorts << "\n"
+        << "-write-ports=" << params.writePorts << "\n";
     return out.str();
+}
+
+std::string
+printStatic(const DataflowGraph& g)
+{
+    std::string out;
+    for (const auto& op : g.ops)
+        out += printOperator(op) + "\n";
+    return out + printGraphFunction(g) + printParams(g.params);
 }
 
 std::string

@@ -30,6 +30,12 @@ std::string printStmt(const StmtPtr& s, int indent = 0);
 /** Render one operator as a C function with mapping pragmas. */
 std::string printOperator(const Operator& op);
 
+/** Render the graph function: "void dataflow() {" and one call a line. */
+std::string printGraphFunction(const DataflowGraph& g);
+
+/** Render the hardware parameter block ("-mem-read-delay=10" lines). */
+std::string printParams(const HardwareParams& params);
+
 /** Render {G, Op, Params} (no runtime data). */
 std::string printStatic(const DataflowGraph& g);
 

@@ -1,7 +1,6 @@
 #include "model/input.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "dfir/printer.h"
 
@@ -14,15 +13,8 @@ renderSegments(const dfir::DataflowGraph& g, const dfir::RuntimeData* data,
 {
     std::vector<Segment> segs;
 
-    // Graph function segment.
-    {
-        std::ostringstream out;
-        out << "void dataflow() {\n";
-        for (const auto& call : g.calls)
-            out << "  " << call.opName << "();\n";
-        out << "}\n";
-        segs.push_back({SegmentKind::Graph, "dataflow", out.str(), false});
-    }
+    segs.push_back({SegmentKind::Graph, "dataflow",
+                    dfir::printGraphFunction(g), false});
 
     // One segment per distinct operator, labelled Class I/II.
     for (const auto& op : g.ops) {
@@ -32,15 +24,8 @@ renderSegments(const dfir::DataflowGraph& g, const dfir::RuntimeData* data,
             {SegmentKind::Op, op.name, dfir::printOperator(op), class_i});
     }
 
-    // Hardware parameter segment.
-    {
-        std::ostringstream out;
-        out << "-mem-read-delay=" << g.params.memReadDelay << "\n"
-            << "-mem-write-delay=" << g.params.memWriteDelay << "\n"
-            << "-read-ports=" << g.params.readPorts << "\n"
-            << "-write-ports=" << g.params.writePorts << "\n";
-        segs.push_back({SegmentKind::Params, "params", out.str(), false});
-    }
+    segs.push_back(
+        {SegmentKind::Params, "params", dfir::printParams(g.params), false});
 
     if (!reasoning.empty())
         segs.push_back({SegmentKind::Reasoning, "think",

@@ -205,7 +205,7 @@ FleetServer::connectionLoop(int fd)
         if (!writeFrame(fd, encodeResponse(resp)))
             break;
     }
-    if (got == FrameRead::Oversized)
+    if (got == FrameRead::Oversized || got == FrameRead::Stalled)
         badFrameCount_.add(1);
     {
         // Deregister before close so stop() never shutdown()s a

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 
@@ -350,22 +351,34 @@ sendAll(int fd, const char* buf, size_t n)
     return true;
 }
 
-bool
-recvAll(int fd, char* buf, size_t n)
+/** Receive exactly `n` bytes, polling before each recv so the read
+ *  ends by `deadline`. */
+FrameRead
+recvBy(int fd, char* buf, size_t n,
+       std::chrono::steady_clock::time_point deadline)
 {
     size_t off = 0;
     while (off < n) {
-        ssize_t k = ::recv(fd, buf + off, n - off, 0);
-        if (k < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (k == 0)
-            return false; // peer closed
+        const auto left =
+            std::chrono::ceil<std::chrono::milliseconds>(
+                deadline - std::chrono::steady_clock::now())
+                .count();
+        if (left <= 0)
+            return FrameRead::Stalled;
+        pollfd pfd{fd, POLLIN, 0};
+        const int ready = ::poll(&pfd, 1, int(left));
+        if (ready < 0 && errno == EINTR)
+            continue;
+        if (ready <= 0)
+            return ready == 0 ? FrameRead::Stalled : FrameRead::Closed;
+        const ssize_t k = ::recv(fd, buf + off, n - off, 0);
+        if (k < 0 && errno == EINTR)
+            continue;
+        if (k <= 0)
+            return FrameRead::Closed; // error or peer closed
         off += static_cast<size_t>(k);
     }
-    return true;
+    return FrameRead::Ok;
 }
 
 } // namespace
@@ -383,16 +396,25 @@ writeFrame(int fd, const std::string& payload)
 FrameRead
 readFrame(int fd, std::string& payload)
 {
+    // An idle connection may wait as long as it likes for its next
+    // frame; once the first byte is in, the rest is due by the deadline.
     char hdr[4];
-    if (!recvAll(fd, hdr, sizeof hdr))
+    ssize_t first = 0;
+    while ((first = ::recv(fd, hdr, sizeof hdr, 0)) < 0 && errno == EINTR)
+        ;
+    if (first <= 0)
         return FrameRead::Closed;
+    const auto deadline = std::chrono::steady_clock::now() + kFrameDeadline;
+    FrameRead got =
+        recvBy(fd, hdr + first, sizeof hdr - size_t(first), deadline);
+    if (got != FrameRead::Ok)
+        return got;
     wire::Reader r(hdr, sizeof hdr);
     uint32_t len = r.u32();
     if (len > kMaxFrameBytes)
         return FrameRead::Oversized;
     payload.resize(len);
-    return len == 0 || recvAll(fd, &payload[0], len) ? FrameRead::Ok
-                                                     : FrameRead::Closed;
+    return recvBy(fd, &payload[0], len, deadline);
 }
 
 } // namespace net

@@ -47,6 +47,7 @@
  * with an error string instead of over-allocating or crashing.
  */
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -66,13 +67,17 @@ constexpr uint32_t kResponseMagic = 0x4C4D5253; // "LMRS"
 constexpr uint16_t kProtocolVersion = 2;
 //! Framing guard: readFrame() refuses a longer announced payload.
 constexpr size_t kMaxFrameBytes = 4u << 20;
+//! Framing guard: once a frame's first byte has arrived, readFrame()
+//! waits at most this long for the rest of its header and payload.
+constexpr std::chrono::milliseconds kFrameDeadline{2000};
 
 /** How one readFrame() call ended. */
 enum class FrameRead
 {
-    Ok,       //!< one whole frame is in the payload
-    Closed,   //!< EOF or a socket error
-    Oversized //!< a length prefix over kMaxFrameBytes, refused unread
+    Ok,        //!< one whole frame is in the payload
+    Closed,    //!< EOF or a socket error
+    Oversized, //!< a length prefix over kMaxFrameBytes, refused unread
+    Stalled    //!< the frame was not complete within kFrameDeadline
 };
 
 /** Response status byte. */
@@ -118,10 +123,13 @@ bool decodeResponse(const std::string& payload, NetResponse& out,
 /**
  * Blocking frame I/O over a connected socket. writeFrame sends the
  * length prefix + payload (looping over partial sends, SIGPIPE
- * suppressed) and returns false on error. readFrame reads one whole
- * frame into `payload` and says why it stopped otherwise: EOF or
- * error, or a length prefix over kMaxFrameBytes, refused before any
- * payload is allocated. Either way the caller closes the connection.
+ * suppressed) and returns false on error. readFrame waits as long as
+ * it takes for the first byte of a frame, then reads the whole frame
+ * into `payload` within kFrameDeadline, and says why it stopped
+ * otherwise: EOF or error, a length prefix over kMaxFrameBytes
+ * (refused before any payload is allocated), or a frame still
+ * incomplete at the deadline. Either way the caller closes the
+ * connection.
  */
 bool writeFrame(int fd, const std::string& payload);
 FrameRead readFrame(int fd, std::string& payload);

@@ -9,18 +9,6 @@
 namespace llmulator {
 namespace obs {
 
-namespace detail {
-
-int
-shardIndexSlow()
-{
-    static std::atomic<unsigned> next{0};
-    return static_cast<int>(next.fetch_add(1, std::memory_order_relaxed) %
-                            unsigned(kMetricShards));
-}
-
-} // namespace detail
-
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -51,34 +39,25 @@ HistogramSnapshot::quantile(double q) const
 
 Histogram::Histogram(const Registry* owner, std::string name,
                      std::vector<double> bounds)
-    : owner_(owner), name_(std::move(name)), bounds_(std::move(bounds))
+    : owner_(owner), name_(std::move(name)), bounds_(std::move(bounds)),
+      buckets_(bounds_.size() + 1)
 {
     LLM_CHECK(!bounds_.empty(),
               "histogram '" << name_ << "' needs >= 1 bucket bound");
     LLM_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()),
               "histogram '" << name_ << "' bounds must be ascending");
-    // +1 overflow bucket; pad the per-shard stripe to a cache line so
-    // two shards never share one.
-    int nb = static_cast<int>(bounds_.size()) + 1;
-    stride_ = (nb + 7) & ~7;
-    cells_ = std::make_unique<std::atomic<uint64_t>[]>(
-        size_t(kMetricShards) * size_t(stride_));
     resetValues();
 }
 
 void
 Histogram::resetValues()
 {
-    for (size_t i = 0; i < size_t(kMetricShards) * size_t(stride_); ++i)
-        cells_[i].store(0, std::memory_order_relaxed);
-    for (int s = 0; s < kMetricShards; ++s) {
-        sum_[s].v.store(0, std::memory_order_relaxed);
-        // Sentinels: untouched shards must not win the min/max folds.
-        min_[s].v.store(detail::doubleBits(kInf),
-                        std::memory_order_relaxed);
-        max_[s].v.store(detail::doubleBits(-kInf),
-                        std::memory_order_relaxed);
-    }
+    for (auto& b : buckets_)
+        b.store(0, std::memory_order_relaxed);
+    sum_.store(0, std::memory_order_relaxed);
+    // Sentinels: the first record() wins both folds.
+    min_.store(detail::doubleBits(kInf), std::memory_order_relaxed);
+    max_.store(detail::doubleBits(-kInf), std::memory_order_relaxed);
 }
 
 HistogramSnapshot
@@ -86,23 +65,15 @@ Histogram::snapshot() const
 {
     HistogramSnapshot snap;
     snap.bounds = bounds_;
-    snap.buckets.assign(bounds_.size() + 1, 0);
-    double mn = kInf, mx = -kInf;
-    for (int s = 0; s < kMetricShards; ++s) {
-        for (size_t b = 0; b < snap.buckets.size(); ++b)
-            snap.buckets[b] += cells_[size_t(s) * size_t(stride_) + b]
-                                   .load(std::memory_order_relaxed);
-        snap.sum += detail::bitsDouble(
-            sum_[s].v.load(std::memory_order_relaxed));
-        mn = std::min(mn, detail::bitsDouble(
-                              min_[s].v.load(std::memory_order_relaxed)));
-        mx = std::max(mx, detail::bitsDouble(
-                              max_[s].v.load(std::memory_order_relaxed)));
+    for (const auto& b : buckets_) {
+        snap.buckets.push_back(b.load(std::memory_order_relaxed));
+        snap.count += snap.buckets.back();
     }
-    for (uint64_t b : snap.buckets)
-        snap.count += b;
-    snap.min = snap.count == 0 ? 0.0 : mn;
-    snap.max = snap.count == 0 ? 0.0 : mx;
+    snap.sum = detail::bitsDouble(sum_.load(std::memory_order_relaxed));
+    if (snap.count > 0) {
+        snap.min = detail::bitsDouble(min_.load(std::memory_order_relaxed));
+        snap.max = detail::bitsDouble(max_.load(std::memory_order_relaxed));
+    }
     return snap;
 }
 

@@ -4,7 +4,7 @@
 /**
  * @file
  * Lock-free metrics registry: monotonic counters, gauges, and
- * fixed-bucket histograms, aggregated from per-thread shards.
+ * fixed-bucket histograms.
  *
  * ## Shape
  *
@@ -14,12 +14,16 @@
  * allocate — it is a COLD path; callers cache the returned reference,
  * which stays valid for the registry's lifetime (instruments are never
  * erased, reset() only zeroes values). The update path (add / set /
- * record) is lock-free: each thread writes a private shard slot picked
- * by a thread-local shard index, so concurrent writers on one
- * instrument never contend on a cache line (kMetricShards striping;
- * readers sum the shards). Reads (total / snapshot / rows) are
- * relaxed-atomic sums — exact once writers quiesce, momentarily stale
- * while they run.
+ * record) is lock-free: a counter is one atomic cell (one relaxed
+ * fetch_add), a histogram one bucket array plus one sum, min and max
+ * cell (a fetch_add and three CAS loops on bit-cast doubles). All
+ * writers of an instrument share its cells: a serving registry sees a
+ * few hundred updates a second, and the busiest instruments, the GEMM
+ * counters of a metered 4-thread training run, ~10^5 from 4 threads,
+ * a rate at which one shared cell costs no measurable training
+ * throughput (bench_train_throughput). Reads
+ * (total / snapshot / rows) are relaxed loads — exact once writers
+ * quiesce, momentarily stale while they run.
  *
  * ## Gating
  *
@@ -58,20 +62,7 @@
 namespace llmulator {
 namespace obs {
 
-/** Shard-stripe width for per-thread instrument slots. */
-constexpr int kMetricShards = 16;
-
 namespace detail {
-
-/** Thread-local shard slot in [0, kMetricShards). */
-int shardIndexSlow();
-
-inline int
-shardIndex()
-{
-    thread_local int idx = shardIndexSlow();
-    return idx;
-}
 
 inline uint64_t
 doubleBits(double d)
@@ -119,29 +110,17 @@ atomicMaxDouble(std::atomic<uint64_t>& cell, double v)
         ;
 }
 
-/** One cache line per shard so concurrent writers never false-share. */
-struct alignas(64) U64Shard
-{
-    std::atomic<uint64_t> v{0};
-};
-
 } // namespace detail
 
 class Registry;
 
-/** Monotonic counter, summed across per-thread shards. */
+/** Monotonic counter. */
 class Counter
 {
   public:
     inline void add(uint64_t n = 1);
 
-    uint64_t total() const
-    {
-        uint64_t t = 0;
-        for (const auto& s : shards_)
-            t += s.v.load(std::memory_order_relaxed);
-        return t;
-    }
+    uint64_t total() const { return value_.load(std::memory_order_relaxed); }
 
     const std::string& name() const { return name_; }
 
@@ -151,15 +130,11 @@ class Counter
         : owner_(owner), name_(std::move(name))
     {
     }
-    void resetValues()
-    {
-        for (auto& s : shards_)
-            s.v.store(0, std::memory_order_relaxed);
-    }
+    void resetValues() { value_.store(0, std::memory_order_relaxed); }
 
     const Registry* owner_;
     std::string name_;
-    detail::U64Shard shards_[kMetricShards];
+    std::atomic<uint64_t> value_{0};
 };
 
 /** Last-write-wins double gauge. */
@@ -244,11 +219,11 @@ class Histogram
     const Registry* owner_;
     std::string name_;
     std::vector<double> bounds_;
-    int stride_; //!< buckets per shard, padded to a cache line
-    std::unique_ptr<std::atomic<uint64_t>[]> cells_; //!< [shard][stride]
-    detail::U64Shard sum_[kMetricShards];
-    detail::U64Shard min_[kMetricShards];
-    detail::U64Shard max_[kMetricShards];
+    //! bounds_.size() + 1 counts, the overflow bucket last.
+    std::vector<std::atomic<uint64_t>> buckets_;
+    std::atomic<uint64_t> sum_{0}; //!< double bits
+    std::atomic<uint64_t> min_{0}; //!< double bits, +inf when empty
+    std::atomic<uint64_t> max_{0}; //!< double bits, -inf when empty
 };
 
 /**
@@ -318,8 +293,7 @@ Counter::add(uint64_t n)
 {
     if (!owner_->recording())
         return;
-    shards_[detail::shardIndex()].v.fetch_add(n,
-                                              std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
 }
 
 inline void
@@ -335,12 +309,10 @@ Histogram::record(double v)
 {
     if (!owner_->recording())
         return;
-    int s = detail::shardIndex();
-    cells_[size_t(s) * size_t(stride_) + size_t(bucketOf(v))].fetch_add(
-        1, std::memory_order_relaxed);
-    detail::atomicAddDouble(sum_[s].v, v);
-    detail::atomicMinDouble(min_[s].v, v);
-    detail::atomicMaxDouble(max_[s].v, v);
+    buckets_[size_t(bucketOf(v))].fetch_add(1, std::memory_order_relaxed);
+    detail::atomicAddDouble(sum_, v);
+    detail::atomicMinDouble(min_, v);
+    detail::atomicMaxDouble(max_, v);
 }
 
 } // namespace obs

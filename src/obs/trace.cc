@@ -1,10 +1,11 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <mutex>
+#include <vector>
 
 #include "util/common.h"
 
@@ -14,60 +15,55 @@ namespace obs {
 namespace {
 
 /**
- * Fixed-capacity span ring owned by the global collector (never
- * freed), written by exactly one thread. The write index is released
- * after the slot is filled so a quiescent reader sees complete events.
+ * The process span ring: kTraceRingCapacity events, oldest
+ * overwritten. Its storage is reserved by the first recorded span and
+ * fills as spans arrive; one mutex guards the events and the write
+ * index, so a collection never sees half an event.
  */
-struct TraceBuffer
+struct Ring
 {
-    uint32_t tid = 0;
-    SpanEvent ring[kTraceRingCapacity];
-    std::atomic<uint64_t> writeIdx{0};
+    std::mutex mu;
+    std::vector<SpanEvent> events;
+    uint64_t writeIdx = 0; //!< spans pushed since the last clear
 
     void
     push(const SpanEvent& ev)
     {
-        uint64_t idx = writeIdx.load(std::memory_order_relaxed);
-        ring[idx % kTraceRingCapacity] = ev;
-        writeIdx.store(idx + 1, std::memory_order_release);
+        std::lock_guard<std::mutex> lk(mu);
+        if (events.capacity() == 0)
+            events.reserve(kTraceRingCapacity);
+        if (events.size() < kTraceRingCapacity)
+            events.push_back(ev);
+        else
+            events[writeIdx % kTraceRingCapacity] = ev;
+        ++writeIdx;
     }
 };
 
-struct Collector
+Ring&
+ring()
 {
-    std::mutex mu;
-    std::vector<std::unique_ptr<TraceBuffer>> buffers;
-    uint32_t nextTid = 0;
-};
-
-Collector&
-collector()
-{
-    static Collector* c = new Collector(); // immortal: TLS destructors
-                                           // may record after main()
-    return *c;
+    static Ring* r = new Ring(); // immortal: TLS destructors may record
+                                 // after main()
+    return *r;
 }
 
-/** Per-thread trace state: ring pointer plus the live nesting depth. */
+/** Per-thread trace state: dense thread id plus the live nesting depth. */
 struct TraceTls
 {
-    TraceBuffer* buf = nullptr;
+    uint32_t tid = 0; //!< 0 until the thread records its first span
     int32_t depth = 0;
 };
 
 thread_local TraceTls g_tls;
+std::atomic<uint32_t> g_nextTid{0};
 
-TraceBuffer&
-threadBuffer()
+uint32_t
+threadId()
 {
-    if (!g_tls.buf) {
-        Collector& c = collector();
-        std::lock_guard<std::mutex> lk(c.mu);
-        c.buffers.push_back(std::make_unique<TraceBuffer>());
-        c.buffers.back()->tid = ++c.nextTid;
-        g_tls.buf = c.buffers.back().get();
-    }
-    return *g_tls.buf;
+    if (g_tls.tid == 0)
+        g_tls.tid = g_nextTid.fetch_add(1, std::memory_order_relaxed) + 1;
+    return g_tls.tid;
 }
 
 std::chrono::steady_clock::time_point
@@ -99,15 +95,14 @@ recordSpan(const char* name, std::chrono::steady_clock::time_point start,
 {
     if (!traceEnabled())
         return;
-    TraceBuffer& buf = threadBuffer();
     SpanEvent ev;
     ev.name = name;
-    ev.tid = buf.tid;
+    ev.tid = threadId();
     ev.depth = g_tls.depth;
     ev.id = id;
     ev.startNs = nsSinceEpoch(start);
     ev.durNs = std::max<int64_t>(0, nsSinceEpoch(end) - ev.startNs);
-    buf.push(ev);
+    ring().push(ev);
 }
 
 void
@@ -125,44 +120,41 @@ ScopedSpan::close()
     // Depth is decremented before recording so the event carries the
     // depth the span OPENED at.
     --g_tls.depth;
-    TraceBuffer& buf = threadBuffer();
     SpanEvent ev;
     ev.name = name_;
-    ev.tid = buf.tid;
+    ev.tid = threadId();
     ev.depth = g_tls.depth;
     ev.id = id_;
     ev.startNs = startNs_;
     ev.durNs = std::max<int64_t>(0, traceNowNs() - startNs_);
-    buf.push(ev);
+    ring().push(ev);
 }
 
 std::vector<SpanEvent>
 collectSpans(uint64_t* dropped)
 {
-    std::vector<SpanEvent> out;
-    uint64_t lost = 0;
-    Collector& c = collector();
-    std::lock_guard<std::mutex> lk(c.mu);
-    for (const auto& buf : c.buffers) {
-        uint64_t idx = buf->writeIdx.load(std::memory_order_acquire);
-        uint64_t n = std::min<uint64_t>(idx, kTraceRingCapacity);
-        lost += idx - n;
-        uint64_t first = idx - n; // oldest surviving event
-        for (uint64_t i = first; i < idx; ++i)
-            out.push_back(buf->ring[i % kTraceRingCapacity]);
-    }
+    Ring& r = ring();
+    std::lock_guard<std::mutex> lk(r.mu);
     if (dropped)
-        *dropped = lost;
+        *dropped = r.writeIdx - r.events.size();
+    // Once the ring is full, the oldest surviving event sits at the
+    // write position.
+    const size_t head = r.events.size() < kTraceRingCapacity
+                            ? 0
+                            : size_t(r.writeIdx % kTraceRingCapacity);
+    const auto oldest = r.events.begin() + long(head);
+    std::vector<SpanEvent> out(oldest, r.events.end());
+    out.insert(out.end(), r.events.begin(), oldest);
     return out;
 }
 
 void
 clearSpans()
 {
-    Collector& c = collector();
-    std::lock_guard<std::mutex> lk(c.mu);
-    for (auto& buf : c.buffers)
-        buf->writeIdx.store(0, std::memory_order_release);
+    Ring& r = ring();
+    std::lock_guard<std::mutex> lk(r.mu);
+    r.events.clear();
+    r.writeIdx = 0;
 }
 
 void

@@ -3,7 +3,7 @@
 
 /**
  * @file
- * Scoped trace spans recorded into per-thread ring buffers.
+ * Scoped trace spans recorded into one process-wide ring buffer.
  *
  * ## Usage
  *
@@ -26,20 +26,22 @@
  *
  * Gated by LLMULATOR_TRACE / setTraceEnabled (telemetry.h): when off, a
  * span is one relaxed load + branch — no clock read, no allocation.
- * When on, each thread appends completed spans to its own fixed-size
- * ring buffer (kTraceRingCapacity events, oldest overwritten; no locks
- * on the record path — the only mutex guards first-touch buffer
- * registration). Buffers outlive their threads, so spans from joined
- * workers still export.
+ * When on, every completed span is appended to one process-wide ring
+ * of kTraceRingCapacity events (oldest overwritten) under one mutex;
+ * the ring's storage is reserved by the first recorded span, so a
+ * process that never traces never pays for it, and a process that
+ * traces holds one ring however many threads it runs. The thread id
+ * and the nesting depth are thread-local. Spans from joined threads
+ * stay in the ring and still export.
  *
  * ## Export
  *
- * collectSpans() snapshots every buffer; writeChromeTrace() emits the
- * chrome://tracing / Perfetto JSON format ("ph":"X" complete events,
- * microsecond timestamps). Collect after the traced work has quiesced
- * (workers joined / server stopped): collection concurrent with
- * still-tracing threads may miss or tear in-flight events (it never
- * corrupts the buffers themselves).
+ * collectSpans() copies the ring under its mutex, so it never sees a
+ * half-written event; writeChromeTrace() emits the chrome://tracing /
+ * Perfetto JSON format ("ph":"X" complete events, microsecond
+ * timestamps). Collect after the traced work has quiesced (workers
+ * joined / server stopped): a span still open while collecting is not
+ * in the ring yet.
  */
 
 #include <chrono>
@@ -53,8 +55,12 @@
 namespace llmulator {
 namespace obs {
 
-/** Per-thread span ring capacity (oldest events overwritten). */
-constexpr size_t kTraceRingCapacity = 16384;
+/**
+ * Process span ring capacity (oldest events overwritten): 40 bytes an
+ * event, ~2.5 MiB once full. A traced e2ebench run of any workload
+ * records fewer events than this.
+ */
+constexpr size_t kTraceRingCapacity = 65536;
 
 /** One completed span. Times are ns since the process trace epoch. */
 struct SpanEvent
@@ -105,15 +111,15 @@ class ScopedSpan
 };
 
 /**
- * Snapshot every thread's ring, oldest first within a thread. Total
- * dropped-by-wraparound event count (across all buffers) is returned
- * through `dropped` when non-null.
+ * Snapshot the ring, oldest event first. The count of events lost to
+ * wraparound since the last clearSpans() is returned through `dropped`
+ * when non-null.
  */
 std::vector<SpanEvent> collectSpans(uint64_t* dropped = nullptr);
 
 /**
- * Clear all recorded spans (buffers stay registered). Call only while
- * no thread is inside a span (quiescence, as for collection).
+ * Clear all recorded spans (the ring keeps its storage). A span open
+ * across the call lands in the cleared ring when it closes.
  */
 void clearSpans();
 

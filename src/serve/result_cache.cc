@@ -1,6 +1,5 @@
 #include "serve/result_cache.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "dfir/passes.h"
@@ -53,36 +52,16 @@ hashResultKey(const ResultKey& k)
     return util::hashCombine(h, k.version);
 }
 
-ResultCache::ResultCache(size_t capacity, size_t shards)
-{
-    if (shards == 0)
-        shards = 1;
-    perShard_ = capacity == 0 ? 0 : std::max<size_t>(1, capacity / shards);
-    shards_.reserve(shards);
-    for (size_t i = 0; i < shards; ++i)
-        shards_.push_back(std::make_unique<Shard>());
-}
-
-ResultCache::Shard&
-ResultCache::shardFor(const ResultKey& key)
-{
-    // The low bits pick the bucket inside a shard's unordered_map; use
-    // the high bits for shard selection so the two stay decorrelated.
-    uint64_t h = hashResultKey(key);
-    return *shards_[(h >> 48) % shards_.size()];
-}
-
 bool
 ResultCache::get(const ResultKey& key, model::NumericPrediction& out)
 {
     if (!enabled())
         return false;
-    Shard& s = shardFor(key);
-    std::lock_guard<std::mutex> lk(s.mu);
-    auto it = s.index.find(key);
-    if (it == s.index.end())
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = index_.find(key);
+    if (it == index_.end())
         return false;
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     out = it->second->second;
     return true;
 }
@@ -92,42 +71,33 @@ ResultCache::put(const ResultKey& key, const model::NumericPrediction& value)
 {
     if (!enabled())
         return;
-    Shard& s = shardFor(key);
-    std::lock_guard<std::mutex> lk(s.mu);
-    auto it = s.index.find(key);
-    if (it != s.index.end()) {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = index_.find(key);
+    if (it != index_.end()) {
         it->second->second = value;
-        s.lru.splice(s.lru.begin(), s.lru, it->second);
+        lru_.splice(lru_.begin(), lru_, it->second);
         return;
     }
-    s.lru.emplace_front(key, value);
-    s.index[key] = s.lru.begin();
-    if (s.lru.size() > perShard_) {
-        s.index.erase(s.lru.back().first);
-        s.lru.pop_back();
+    lru_.emplace_front(key, value);
+    index_[key] = lru_.begin();
+    if (lru_.size() > capacity_) {
+        index_.erase(lru_.back().first);
+        lru_.pop_back();
     }
 }
 
 size_t
 ResultCache::size() const
 {
-    size_t n = 0;
-    for (const auto& s : shards_) {
-        std::lock_guard<std::mutex> lk(s->mu);
-        n += s->lru.size();
-    }
-    return n;
+    std::lock_guard<std::mutex> lk(mu_);
+    return lru_.size();
 }
 
 std::vector<ResultCache::Entry>
 ResultCache::entries() const
 {
-    std::vector<Entry> out;
-    for (const auto& s : shards_) {
-        std::lock_guard<std::mutex> lk(s->mu);
-        out.insert(out.end(), s->lru.rbegin(), s->lru.rend());
-    }
-    return out;
+    std::lock_guard<std::mutex> lk(mu_);
+    return std::vector<Entry>(lru_.rbegin(), lru_.rend());
 }
 
 } // namespace serve

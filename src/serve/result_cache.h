@@ -3,13 +3,16 @@
 
 /**
  * @file
- * Sharded LRU cache of finished predictions, keyed by (canonical
- * program hash, remapped runtime-input hash, metric, model version).
- * makeResultKey() is the one place that key is derived. Sharding by key
- * hash keeps lock contention bounded when many workers and client
- * threads hit the cache concurrently; each shard holds an independent
- * LRU list. A capacity of zero disables caching entirely (used by
- * throughput benchmarks that want to measure raw model throughput).
+ * LRU cache of finished predictions, keyed by (canonical program
+ * hash, remapped runtime-input hash, metric, model version).
+ * makeResultKey() is the one place that key is derived. One mutex
+ * guards one LRU list and its index, so `capacity` bounds the whole
+ * cache whatever the keys hash to. A lookup holds the mutex for one
+ * hash probe and a list splice, and a fleet answering a few hundred
+ * requests a second takes it at most three times an answer, so that
+ * lock is never what an answer waits on. A capacity of zero
+ * disables caching entirely (used by throughput benchmarks that want
+ * to measure raw model throughput).
  *
  * The model-version component makes calibration hot-swaps cache-safe:
  * entries produced by a retired weight generation simply stop being
@@ -19,7 +22,6 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -58,10 +60,10 @@ uint64_t hashRuntimeData(const dfir::RuntimeData& data);
 ResultKey makeResultKey(const dfir::DataflowGraph& g,
                         const dfir::RuntimeData* data, model::Metric metric);
 
-/** Mix a ResultKey down to one 64-bit hash (shard + bucket selector). */
+/** Mix a ResultKey down to one 64-bit hash (the index's bucket hash). */
 uint64_t hashResultKey(const ResultKey& k);
 
-/** Hasher so ResultKey can key the per-shard unordered_map directly. */
+/** Hasher so ResultKey can key an unordered_map directly. */
 struct ResultKeyHash
 {
     size_t operator()(const ResultKey& k) const
@@ -70,53 +72,44 @@ struct ResultKeyHash
     }
 };
 
-/** Sharded LRU map: ResultKey -> NumericPrediction. */
+/** Thread-safe LRU map: ResultKey -> NumericPrediction. */
 class ResultCache
 {
   public:
     using Entry = std::pair<ResultKey, model::NumericPrediction>;
 
     /**
-     * `capacity` is the total entry budget split evenly across
-     * `shards` (each shard gets at least one entry). capacity == 0
-     * disables the cache: get() always misses, put() is a no-op, and
-     * neither counts toward hit-rate statistics.
+     * `capacity` is the total entry budget. capacity == 0 disables the
+     * cache: get() always misses, put() is a no-op, and neither counts
+     * toward hit-rate statistics.
      */
-    ResultCache(size_t capacity, size_t shards);
+    explicit ResultCache(size_t capacity) : capacity_(capacity) {}
 
     /** Look up a key; fills `out` and refreshes LRU order on hit. */
     bool get(const ResultKey& key, model::NumericPrediction& out);
 
-    /** Insert (or refresh) a key, evicting the shard's LRU tail. */
+    /** Insert (or refresh) a key, evicting the LRU tail when full. */
     void put(const ResultKey& key, const model::NumericPrediction& value);
 
-    bool enabled() const { return perShard_ > 0; }
+    bool enabled() const { return capacity_ > 0; }
 
-    /** Total cached entries across shards (approximate under load). */
+    /** Cached entries right now. */
     size_t size() const;
 
     /**
-     * Copy of every entry, shard by shard, each shard least recently
-     * used first — so put()ting them back in order into a cache with
-     * the same shard count rebuilds every shard's LRU order.
+     * Copy of every entry, least recently used first — so put()ting
+     * them back in order into a cache of the same capacity rebuilds its
+     * LRU order.
      */
     std::vector<Entry> entries() const;
 
   private:
-    struct Shard
-    {
-        std::mutex mu;
-        //! Most-recently-used entries sit at the front.
-        std::list<Entry> lru;
-        std::unordered_map<ResultKey, decltype(lru)::iterator,
-                           ResultKeyHash>
-            index;
-    };
-
-    Shard& shardFor(const ResultKey& key);
-
-    size_t perShard_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    const size_t capacity_;
+    mutable std::mutex mu_;
+    //! Most-recently-used entries sit at the front.
+    std::list<Entry> lru_;
+    std::unordered_map<ResultKey, std::list<Entry>::iterator, ResultKeyHash>
+        index_;
 };
 
 } // namespace serve

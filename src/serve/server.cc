@@ -16,8 +16,6 @@ using Clock = std::chrono::steady_clock;
 
 //! How long a worker waits for stragglers to fill a micro-batch.
 constexpr std::chrono::microseconds kBatchTimeout{200};
-//! Result-cache shard count (lock striping across workers).
-constexpr size_t kCacheShards = 8;
 
 double
 msBetween(Clock::time_point a, Clock::time_point b)
@@ -41,7 +39,7 @@ PredictionServer::PredictionServer(std::unique_ptr<model::CostModel> model,
                                    const ServeConfig& cfg)
     : cfg_(normalized(cfg)),
       model_(std::move(model)),
-      cache_(cfg_.cacheCapacity, kCacheShards),
+      cache_(cfg_.cacheCapacity),
       queue_(cfg_.queueCapacity),
       startTime_(Clock::now()),
       e2eMs_(telemetry_.histogram("serve.e2e_ms")),

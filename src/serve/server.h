@@ -21,7 +21,7 @@
  * its documented fast/slow-path tolerance. Decodes use the digit head's
  * default beam width.
  *
- * Finished predictions land in a sharded LRU ResultCache keyed by
+ * Finished predictions land in an LRU ResultCache keyed by
  * (canonical program hash, runtime-input hash, metric, model version);
  * repeated queries are
  * answered without touching the model. Each server owns an always-on

@@ -23,6 +23,10 @@ using dfir::StmtPtr;
 
 constexpr int kMaxParallelLanes = 8;
 constexpr long kCallOverheadCycles = 5;
+//! Loop trips executed exactly; the rest extrapolate from their mean.
+constexpr long kMaxExactTripsPerLoop = 4096;
+//! Value of a scalar parameter the runtime data leaves unbound.
+constexpr long kDefaultParam = 16;
 
 /** FU latencies (cycles), mirroring hw::spec latencies. */
 int
@@ -67,9 +71,8 @@ exprDemand(const ExprPtr& e, StmtDemand& d, const std::string& target)
 class Interp
 {
   public:
-    Interp(const dfir::DataflowGraph& g, const dfir::RuntimeData& data,
-           const SimConfig& cfg)
-        : g_(g), cfg_(cfg)
+    Interp(const dfir::DataflowGraph& g, const dfir::RuntimeData& data)
+        : g_(g)
     {
         for (const auto& [name, value] : data.scalars)
             scalars_[name] = static_cast<double>(value);
@@ -93,7 +96,6 @@ class Interp
 
   private:
     const dfir::DataflowGraph& g_;
-    const SimConfig& cfg_;
     std::map<std::string, double> scalars_;
     std::map<std::string, std::vector<double>> arrays_;
     std::map<std::string, double> loopVars_;
@@ -143,7 +145,7 @@ class Interp
             auto it = scalars_.find(e->name);
             return it != scalars_.end()
                        ? it->second
-                       : static_cast<double>(cfg_.defaultParam);
+                       : static_cast<double>(kDefaultParam);
           }
           case ExprKind::ArrayRef: {
             auto it = arrays_.find(e->name);
@@ -280,7 +282,7 @@ class Interp
         if (had_var)
             saved_var = loopVars_[s->loop.var];
 
-        long exact = std::min(trips, cfg_.maxExactTripsPerLoop);
+        long exact = std::min(trips, kMaxExactTripsPerLoop);
         long cycles = 0;
 
         if (isPipelineable(s)) {
@@ -365,8 +367,7 @@ class Interp
 } // namespace
 
 Profile
-profile(const dfir::DataflowGraph& g, const dfir::RuntimeData& data,
-        const SimConfig& cfg)
+profile(const dfir::DataflowGraph& g, const dfir::RuntimeData& data)
 {
     // Speed-only telemetry: how long each ground-truth cycle
     // estimation takes (the quantity the calibration loop compares
@@ -376,7 +377,7 @@ profile(const dfir::DataflowGraph& g, const dfir::RuntimeData& data,
     const auto t0 = metrics ? std::chrono::steady_clock::now()
                             : std::chrono::steady_clock::time_point();
 
-    Interp interp(g, data, cfg);
+    Interp interp(g, data);
     Profile prof = interp.run();
     prof.rtl = hls::compile(g);
     prof.powerUw = prof.rtl.powerUw;
@@ -397,9 +398,9 @@ profile(const dfir::DataflowGraph& g, const dfir::RuntimeData& data,
 }
 
 Profile
-profileStatic(const dfir::DataflowGraph& g, const SimConfig& cfg)
+profileStatic(const dfir::DataflowGraph& g)
 {
-    return profile(g, dfir::RuntimeData{}, cfg);
+    return profile(g, dfir::RuntimeData{});
 }
 
 } // namespace sim

@@ -26,9 +26,10 @@
  *    iteration sequential cost + 1 counter cycle), matching how HLS tools
  *    lose pipelining under irregular control flow. Unroll/parallel divide
  *    the total.
- *  - Loops beyond maxExactTripsPerLoop execute a prefix exactly and
+ *  - Loops beyond 4096 trips execute a prefix exactly and
  *    extrapolate the remainder from the observed mean (keeps pathological
  *    synthesized programs bounded).
+ *  - A scalar parameter the runtime data leaves unbound reads 16.
  *
  * Static metrics (power/area/FF) come from hls::compile and are merged into
  * the returned Profile, so one call yields the full target vector
@@ -40,13 +41,6 @@
 
 namespace llmulator {
 namespace sim {
-
-/** Simulator knobs. */
-struct SimConfig
-{
-    long maxExactTripsPerLoop = 4096; //!< execute exactly up to this
-    long defaultParam = 16;           //!< unbound scalar parameter value
-};
 
 /** Full profiling result for one (program, input) pair. */
 struct Profile
@@ -62,12 +56,10 @@ struct Profile
 };
 
 /** Profile a dataflow program on concrete runtime data. */
-Profile profile(const dfir::DataflowGraph& g, const dfir::RuntimeData& data,
-                const SimConfig& cfg = {});
+Profile profile(const dfir::DataflowGraph& g, const dfir::RuntimeData& data);
 
 /** Convenience: profile with empty runtime data (defaults synthesized). */
-Profile profileStatic(const dfir::DataflowGraph& g,
-                      const SimConfig& cfg = {});
+Profile profileStatic(const dfir::DataflowGraph& g);
 
 } // namespace sim
 } // namespace llmulator

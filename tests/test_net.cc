@@ -10,8 +10,9 @@
  * fail to parse or verify, overload answered with an explicit
  * OVERLOADED status under 8 client threads without deadlock (TSan job
  * coverage), warm restart from the snapshot, an oversized frame header
- * closing only its own connection, and closed connections releasing
- * their threads while the fleet runs.
+ * closing only its own connection, a half-sent frame dropped at the
+ * frame deadline, and closed connections releasing their threads (and,
+ * traced, holding no span ring each) while the fleet runs.
  *
  * Like test_serve, every suite runs an *untrained* Tiny model: weight
  * initialization is seeded, so two separately constructed models have
@@ -46,6 +47,7 @@
 #include "net/fleet_server.h"
 #include "net/snapshot.h"
 #include "net/protocol.h"
+#include "obs/trace.h"
 #include "serve/server.h"
 #include "synth/generators.h"
 #include "util/rng.h"
@@ -371,7 +373,7 @@ findEntry(const std::vector<serve::ResultCache::Entry>& entries,
 
 TEST(PersistentCache, PutGetAndLruEviction)
 {
-    serve::ResultCache cache(3, /*shards=*/1);
+    serve::ResultCache cache(3);
     for (uint64_t i = 0; i < 3; ++i)
         cache.put(someKey(i), somePrediction(long(i)));
     EXPECT_EQ(cache.size(), 3u);
@@ -390,7 +392,7 @@ TEST(PersistentCache, PutGetAndLruEviction)
 TEST(PersistentCache, SaveLoadRoundTripIsBitExact)
 {
     std::string path = tempPath("roundtrip");
-    serve::ResultCache cache(16, 4);
+    serve::ResultCache cache(16);
     model::NumericPrediction pred = somePrediction(98765);
     pred.digitProbs = {0.3333333333333333, 1e-300};
     pred.logProb = -2.718281828459045;
@@ -410,7 +412,7 @@ TEST(PersistentCache, SaveLoadRoundTripIsBitExact)
 TEST(PersistentCache, ReloadIntoASmallerCacheKeepsTheMostRecentlyUsed)
 {
     std::string path = tempPath("recency");
-    serve::ResultCache cache(8, /*shards=*/1);
+    serve::ResultCache cache(8);
     for (uint64_t i = 0; i < 4; ++i)
         cache.put(someKey(i), somePrediction(long(i)));
     // Use order, oldest to newest: 2, 0, 3, 1.
@@ -419,7 +421,7 @@ TEST(PersistentCache, ReloadIntoASmallerCacheKeepsTheMostRecentlyUsed)
         ASSERT_TRUE(cache.get(someKey(i), out));
     ASSERT_TRUE(net::saveSnapshot(path, cache.entries()));
 
-    serve::ResultCache small(2, /*shards=*/1);
+    serve::ResultCache small(2);
     for (const auto& e : net::loadSnapshot(path, 0).entries)
         small.put(e.first, e.second);
     EXPECT_EQ(small.size(), 2u);
@@ -496,7 +498,7 @@ TEST(PersistentCache, MissingFileIsACleanColdStart)
 TEST(PersistentCache, StaleModelVersionEntriesAreSkipped)
 {
     std::string path = tempPath("stale");
-    serve::ResultCache cache(16, 1);
+    serve::ResultCache cache(16);
     cache.put(someKey(1, /*version=*/0), somePrediction(1));
     cache.put(someKey(2, /*version=*/5), somePrediction(2));
     cache.put(someKey(3, /*version=*/5), somePrediction(3));
@@ -514,7 +516,7 @@ TEST(PersistentCache, StaleModelVersionEntriesAreSkipped)
 TEST(PersistentCache, TruncatedFileKeepsCleanPrefixWithoutCrashing)
 {
     std::string path = tempPath("trunc");
-    serve::ResultCache cache(16, 1);
+    serve::ResultCache cache(16);
     for (uint64_t i = 0; i < 4; ++i)
         cache.put(someKey(i), somePrediction(long(i)));
     ASSERT_TRUE(net::saveSnapshot(path, cache.entries()));
@@ -1038,5 +1040,88 @@ TEST(FleetServer, ClosedConnectionsReleaseTheirThreads)
     // as their connections close, they leave a stack or two at most.
     const long grownMb = (vmSizeKb() - before) / 1024;
     EXPECT_LT(grownMb, 100) << "VmSize grew " << grownMb << " MB";
+    EXPECT_EQ(fleet.stats().ok, 101u);
+}
+
+TEST(FleetServer, StalledHalfFrameIsDroppedAtTheDeadline)
+{
+    net::FleetConfig cfg;
+    cfg.shards = 1;
+    cfg.maxConnections = 1;
+    net::FleetServer fleet(tinyModel(), cfg);
+    fleet.start();
+
+    int fd = connectRaw(fleet.port());
+    ASSERT_GE(fd, 0);
+    timeval timeout{8, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    // Two of the four header bytes, then silence: the connection holds
+    // the fleet's only slot until the server gives up on the frame.
+    const char half[2] = {8, 0};
+    const auto sent = std::chrono::steady_clock::now();
+    ASSERT_EQ(::send(fd, half, sizeof half, MSG_NOSIGNAL),
+              ssize_t(sizeof half));
+    char byte = 0;
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0); // EOF, not our own timeout
+    const auto waited = std::chrono::steady_clock::now() - sent;
+    ::close(fd);
+    EXPECT_GE(waited, net::kFrameDeadline);
+    EXPECT_LT(waited, net::kFrameDeadline + std::chrono::seconds(3));
+
+    // The slot is free again: the next client is served.
+    net::FleetClient later;
+    ASSERT_TRUE(later.connectLoopback(fleet.port()));
+    net::NetResponse resp;
+    ASSERT_TRUE(later.predict(makeGraph("after-stall", 2), nullptr,
+                              model::Metric::Power, resp));
+    EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
+    EXPECT_EQ(fleet.stats().badFrames, 1u);
+    EXPECT_EQ(fleet.stats().requests, 1u);
+}
+
+TEST(FleetServer, TracedConnectionsShareOneSpanRing)
+{
+    struct TraceOn
+    {
+        TraceOn() { obs::setTraceEnabled(true); }
+        ~TraceOn()
+        {
+            obs::setTraceEnabled(false);
+            obs::clearSpans();
+        }
+    } traceOn;
+    net::FleetConfig cfg;
+    cfg.shards = 1;
+    cfg.serve.workers = 1;
+    net::FleetServer fleet(tinyModel(), cfg);
+    fleet.start();
+    const size_t idleThreads = liveThreads();
+    DataflowGraph g = makeGraph("traced-reap", 4);
+    // As in ClosedConnectionsReleaseTheirThreads, but each connection
+    // thread records a serve.request span when its cache hit answers.
+    auto connectPredictClose = [&] {
+        {
+            net::FleetClient client;
+            ASSERT_TRUE(client.connectLoopback(fleet.port()));
+            net::NetResponse resp;
+            ASSERT_TRUE(client.predict(g, nullptr, model::Metric::Power, resp));
+            EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (liveThreads() > idleThreads &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    connectPredictClose(); // first thread stack, arena, cache, span ring
+    const long before = vmSizeKb();
+    ASSERT_GT(before, 0);
+    for (int i = 0; i < 100; ++i)
+        connectPredictClose();
+    // Every cycle's connection thread records a span; a 640 KiB ring
+    // per recording thread would add ~64 MB here. The process ring is
+    // reserved once, in the first cycle.
+    const long grownMb = (vmSizeKb() - before) / 1024;
+    EXPECT_LT(grownMb, 32) << "VmSize grew " << grownMb << " MB";
     EXPECT_EQ(fleet.stats().ok, 101u);
 }

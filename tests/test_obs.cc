@@ -1,8 +1,9 @@
 /**
  * @file
  * Telemetry subsystem tests: histogram quantile exactness at bucket
- * edges, lock-free shard aggregation under concurrent writers (the
- * suite also runs under TSan in CI), trace-span nesting and the
+ * edges, exact lock-free aggregation under concurrent writers (the
+ * suite also runs under TSan and ASan/UBSan in CI), trace-span nesting,
+ * the process span ring's wraparound accounting, and the
  * chrome://tracing JSON export re-parsed and validated, registry
  * rows/CSV/reset, and the disabled-mode contract — with both gates off,
  * the counter/gauge/histogram/span hot paths record nothing and
@@ -367,10 +368,10 @@ TEST(HistogramQuantiles, EmptyHistogramIsAllZero)
 }
 
 // ---------------------------------------------------------------------
-// Shard aggregation under concurrency (run under TSan in CI)
+// Aggregation under concurrency (run under TSan and ASan/UBSan in CI)
 // ---------------------------------------------------------------------
 
-TEST(MetricShards, EightConcurrentWritersAggregateExactly)
+TEST(Metric, EightConcurrentWritersAggregateExactly)
 {
     obs::Registry reg(/*alwaysOn=*/true);
     obs::Counter& hits = reg.counter("test.conc.hits");
@@ -395,7 +396,7 @@ TEST(MetricShards, EightConcurrentWritersAggregateExactly)
         th.join();
 
     // Counters and bucket counts must be EXACT after the writers
-    // quiesce — shards only stripe the storage, never drop updates.
+    // quiesce: concurrent updates of one cell never drop a count.
     EXPECT_EQ(hits.total(), uint64_t(kThreads) * kIters);
     obs::HistogramSnapshot s = h.snapshot();
     EXPECT_EQ(s.count, uint64_t(kThreads) * kIters);
@@ -534,6 +535,45 @@ TEST(TraceSpans, SpansFromJoinedThreadsStillExport)
     for (const obs::SpanEvent& ev : spans)
         found |= std::strcmp(ev.name, "test.worker_span") == 0;
     EXPECT_TRUE(found);
+    obs::clearSpans();
+}
+
+TEST(TraceSpans, TwoThreadsPastTheRingCapacityDropTheOldestOverflow)
+{
+    GateGuard gates(/*metrics=*/false, /*trace=*/true);
+    obs::clearSpans();
+    const auto t0 = std::chrono::steady_clock::now();
+    constexpr uint64_t kOverflow = 100;
+    // One thread fills the ring, a second records kOverflow more: the
+    // ring is one per process, so the first thread's oldest spans go.
+    std::thread filler([&] {
+        for (uint64_t i = 0; i < obs::kTraceRingCapacity; ++i)
+            obs::recordSpan("test.ring.first", t0, t0, i);
+    });
+    filler.join();
+    std::thread overflow([&] {
+        for (uint64_t i = 0; i < kOverflow; ++i)
+            obs::recordSpan("test.ring.second", t0, t0, i);
+    });
+    overflow.join();
+
+    uint64_t dropped = 0;
+    std::vector<obs::SpanEvent> spans = obs::collectSpans(&dropped);
+    EXPECT_EQ(dropped, kOverflow);
+    ASSERT_EQ(spans.size(), obs::kTraceRingCapacity);
+    // Oldest first: the first thread's survivors in order, then all of
+    // the second thread's spans.
+    const size_t survivors = obs::kTraceRingCapacity - kOverflow;
+    for (size_t i = 0; i < spans.size(); ++i) {
+        const bool first = i < survivors;
+        ASSERT_STREQ(spans[i].name,
+                     first ? "test.ring.first" : "test.ring.second")
+            << "event " << i;
+        ASSERT_EQ(spans[i].id, first ? kOverflow + i : i - survivors)
+            << "event " << i;
+        ASSERT_EQ(spans[i].tid, spans[first ? 0 : survivors].tid);
+    }
+    EXPECT_NE(spans.front().tid, spans.back().tid);
     obs::clearSpans();
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Prediction-serving runtime tests: the bounded batching queue, the
- * sharded LRU result cache, and the PredictionServer end to end —
+ * LRU result cache, and the PredictionServer end to end —
  * batched results bit-identical to sequential CostModel::predict(),
  * cache-hit accounting, sustained concurrent submission from many
  * client threads, clean shutdown with requests still in flight, and
@@ -182,9 +182,9 @@ TEST(BoundedQueue, ShutdownUnblocksWaitersAndDrainsBacklog)
     EXPECT_FALSE(q.popBatch(batch, 8, std::chrono::microseconds(0)));
 }
 
-TEST(ResultCache, LruEvictsWithinShardAndRefreshesOnGet)
+TEST(ResultCache, LruEvictsAndRefreshesOnGet)
 {
-    serve::ResultCache cache(/*capacity=*/2, /*shards=*/1);
+    serve::ResultCache cache(/*capacity=*/2);
     model::NumericPrediction p1, p2, p3, out;
     p1.value = 1;
     p2.value = 2;
@@ -205,7 +205,7 @@ TEST(ResultCache, LruEvictsWithinShardAndRefreshesOnGet)
 
 TEST(ResultCache, ZeroCapacityDisables)
 {
-    serve::ResultCache cache(0, 8);
+    serve::ResultCache cache(0);
     EXPECT_FALSE(cache.enabled());
     model::NumericPrediction p, out;
     p.value = 42;
@@ -308,6 +308,33 @@ TEST(PredictionServer, CacheServesRepeatsWithoutModelCalls)
     RuntimeData d2 = makeData(13);
     server.predict(g, &d2, model::Metric::Cycles);
     EXPECT_EQ(server.stats().modelCalls, 2u);
+}
+
+// `cacheCapacity` bounds the whole cache, whatever the keys hash to: a
+// server sized to exactly its distinct keys answers a second pass over
+// them without one model call.
+TEST(PredictionServer, CapacityEqualToTheKeyCountServesARepeatPassFromCache)
+{
+    constexpr uint64_t kKeys = 64;
+    serve::ServeConfig cfg;
+    cfg.workers = 2;
+    cfg.cacheCapacity = kKeys;
+    serve::PredictionServer server(tinyModel(), cfg);
+    DataflowGraph g = makeGraph("capacity", 3);
+    std::vector<RuntimeData> inputs;
+    for (uint64_t i = 0; i < kKeys; ++i)
+        inputs.push_back(makeData(long(8 + i)));
+
+    for (const RuntimeData& d : inputs)
+        server.predict(g, &d, model::Metric::Cycles);
+    const uint64_t callsAfterFirstPass = server.stats().modelCalls;
+    EXPECT_EQ(server.stats().cacheMisses, kKeys);
+    EXPECT_EQ(server.cache().size(), kKeys);
+
+    for (const RuntimeData& d : inputs)
+        server.predict(g, &d, model::Metric::Cycles);
+    EXPECT_EQ(server.stats().cacheHits, kKeys);
+    EXPECT_EQ(server.stats().modelCalls, callsAfterFirstPass);
 }
 
 // Pinned canonical-key behaviour: two semantically identical programs
