@@ -6,19 +6,26 @@
  * every request exercises the model), plus the cache hit rate and
  * cached throughput for a repeat-heavy traffic mix.
  *
+ * Each worker count runs one untimed warm-up pass, then kTimedPasses
+ * timed passes on fresh servers, the counts taking turns. Its rows come
+ * from the median pass by throughput, with the throughput quartiles
+ * next to them, so a reader can tell a change from the run-to-run
+ * spread.
+ *
  * CSV lines (name,metric,value):
  *   serve_throughput,hw_threads,<hardware concurrency>
- *   serve_throughput,rps_w<N>,<req/s with N workers>
- *   serve_throughput,p95_ms_w<N>,<p95 latency with N workers>
+ *   serve_throughput,rps_w<N>,<req/s with N workers, median pass>
+ *   serve_throughput,rps_w<N>_q1,<first quartile of the passes' req/s>
+ *   serve_throughput,rps_w<N>_q3,<third quartile of the passes' req/s>
+ *   serve_throughput,p95_ms_w<N>,<p95 latency of the median pass>
+ *   serve_throughput,queue_wait_p99_ms_w<N>,<queue-wait p99 of the
+ *     median pass>
  *   serve_throughput,speedup_w<N>,<rps_wN / rps_w1>
- *   serve_throughput,rps_b<B>,<req/s with micro-batch cap B, 2 workers>
- *   serve_throughput,p95_ms_b<B>,<p95 latency with micro-batch cap B>
- *   serve_throughput,speedup_b<B>,<rps_bB / rps_b1>
+ *   serve_throughput,stage_share_<stage>,<stage share of per-request
+ *     stage time, 4-worker median pass: assembly|forward|decode|
+ *     cache_fill>
  *   serve_throughput,cached_rps,<req/s, cache enabled, repeat mix>
  *   serve_throughput,cache_hit_rate,<fraction in [0,1]>
- *   serve_throughput,queue_wait_p99_ms_w<N>,<queue-wait p99, N workers>
- *   serve_throughput,stage_share_<stage>,<stage share of per-batch
- *     stage time, 4-worker run: assembly|forward|decode|cache_fill>
  *   serve_throughput,serve.*,<stage-histogram registry rows from one
  *     instrumented pass>
  *   serve_throughput,nn.*,<GEMM call/FLOP counters from the same pass>
@@ -29,12 +36,10 @@
  *
  * Multi-worker speedup tracks the machine's core count: on a 1-core
  * host the w4/w8 rows land near 1.0, on CI-class 4-vCPU hosts they
- * exceed the 1-worker baseline. The batch sweep (batchMax 1/4/8 at a
- * fixed worker count) isolates the batched forward instead: larger
- * micro-batches mean fewer, bigger forwardPooledBatch calls per worker,
- * so its speedup is visible even on one core.
+ * exceed the 1-worker baseline.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -136,6 +141,39 @@ runConfig(const model::CostModel& base, const serve::ServeConfig& cfg,
     return res;
 }
 
+//! Timed passes per worker count, after one untimed warm-up pass.
+constexpr int kTimedPasses = 5;
+
+/**
+ * Flooded-queue passes, cache off, for each worker count: per count,
+ * its timed passes sorted by req/s. Passes interleave the counts, so a
+ * burst of load from elsewhere on the host lands on one pass of each
+ * count instead of on every pass of one.
+ */
+std::vector<std::vector<RunResult>>
+timedPasses(const model::CostModel& base, const std::vector<int>& workers,
+            const std::vector<Query>& queries, int repeats, int clients)
+{
+    std::vector<std::vector<RunResult>> passes(workers.size());
+    for (int pass = -1; pass < kTimedPasses; ++pass) { // -1: warm-up
+        for (size_t wi = 0; wi < workers.size(); ++wi) {
+            serve::ServeConfig cfg;
+            cfg.workers = workers[wi];
+            cfg.cacheCapacity = 0;
+            RunResult r = runConfig(base, cfg, queries, repeats, clients,
+                                    /*blocking=*/false);
+            if (pass >= 0)
+                passes[wi].push_back(r);
+        }
+    }
+    for (std::vector<RunResult>& p : passes)
+        std::sort(p.begin(), p.end(),
+                  [](const RunResult& a, const RunResult& b) {
+                      return a.rps < b.rps;
+                  });
+    return passes;
+}
+
 } // namespace
 
 int
@@ -164,13 +202,14 @@ main(int argc, char** argv)
 
     // Phase 1 — worker scaling, cache off: every request runs the model.
     eval::Table table({"workers", "req/s", "p95 (ms)", "speedup"});
+    const std::vector<int> workerCounts = {1, 4, 8};
+    const std::vector<std::vector<RunResult>> allPasses =
+        timedPasses(*model, workerCounts, queries, repeats, clients);
     double baselineRps = 0;
-    for (int workers : {1, 4, 8}) {
-        serve::ServeConfig cfg;
-        cfg.workers = workers;
-        cfg.cacheCapacity = 0;
-        RunResult r = runConfig(*model, cfg, queries, repeats, clients,
-                                /*blocking=*/false);
+    for (size_t wi = 0; wi < workerCounts.size(); ++wi) {
+        const int workers = workerCounts[wi];
+        const std::vector<RunResult>& passes = allPasses[wi];
+        const RunResult& r = passes[kTimedPasses / 2];
         if (workers == 1)
             baselineRps = r.rps;
         double speedup = baselineRps <= 0 ? 0 : r.rps / baselineRps;
@@ -181,6 +220,12 @@ main(int argc, char** argv)
         bench::csv("serve_throughput",
                    util::format("rps_w%d", workers).c_str(), r.rps);
         bench::csv("serve_throughput",
+                   util::format("rps_w%d_q1", workers).c_str(),
+                   passes[kTimedPasses / 4].rps);
+        bench::csv("serve_throughput",
+                   util::format("rps_w%d_q3", workers).c_str(),
+                   passes[3 * kTimedPasses / 4].rps);
+        bench::csv("serve_throughput",
                    util::format("p95_ms_w%d", workers).c_str(), r.p95Ms);
         bench::csv("serve_throughput",
                    util::format("queue_wait_p99_ms_w%d", workers).c_str(),
@@ -190,8 +235,8 @@ main(int argc, char** argv)
                        util::format("speedup_w%d", workers).c_str(),
                        speedup);
         if (workers == 4) {
-            // Per-stage share of the summed per-batch stage means, so
-            // the trajectory shows where batch wall time goes.
+            // Per-stage share of the summed per-request stage means, so
+            // the trajectory shows where a miss's worker time goes.
             double tot = r.stats.meanAssemblyMs + r.stats.meanForwardMs +
                          r.stats.meanDecodeMs + r.stats.meanCacheFillMs;
             if (tot > 0) {
@@ -208,39 +253,6 @@ main(int argc, char** argv)
     }
     std::printf("== worker scaling (cache disabled) ==\n");
     table.print();
-
-    // Phase 1.5 — micro-batch scaling at a fixed worker count: each
-    // pop of up to batchMax requests becomes ONE batched encoder
-    // forward + per-metric batched decode, so this sweep measures the
-    // batched forward path itself.
-    eval::Table btable({"batchMax", "req/s", "p95 (ms)", "speedup"});
-    double batchBaselineRps = 0;
-    for (int batchMax : {1, 4, 8}) {
-        serve::ServeConfig cfg;
-        cfg.workers = 2;
-        cfg.batchMax = batchMax;
-        cfg.cacheCapacity = 0;
-        RunResult r = runConfig(*model, cfg, queries, repeats, clients,
-                                /*blocking=*/false);
-        if (batchMax == 1)
-            batchBaselineRps = r.rps;
-        double speedup =
-            batchBaselineRps <= 0 ? 0 : r.rps / batchBaselineRps;
-        btable.addRow({std::to_string(batchMax),
-                       util::format("%.1f", r.rps),
-                       util::format("%.2f", r.p95Ms),
-                       util::format("%.2fx", speedup)});
-        bench::csv("serve_throughput",
-                   util::format("rps_b%d", batchMax).c_str(), r.rps);
-        bench::csv("serve_throughput",
-                   util::format("p95_ms_b%d", batchMax).c_str(), r.p95Ms);
-        if (batchMax > 1)
-            bench::csv("serve_throughput",
-                       util::format("speedup_b%d", batchMax).c_str(),
-                       speedup);
-    }
-    std::printf("== micro-batch scaling (2 workers, cache disabled) ==\n");
-    btable.print();
 
     // Phase 2 — repeat-heavy traffic with the cache on: after the first
     // pass every query is a repeat, so the hit rate climbs toward 1 and

@@ -88,7 +88,7 @@ main()
     // Part 2 — the same feedback loop, but live inside the serving
     // runtime: the server shadow-profiles answered requests, a drift
     // detector watches the residuals, and a background thread DPO-
-    // calibrates a clone and hot-swaps it in (RCU: in-flight batches
+    // calibrates a clone and hot-swaps it in (RCU: in-flight requests
     // finish on their snapshot; the result cache is version-keyed).
     std::printf("\n== live calibration in the serving loop ==\n");
     serve::ServeConfig scfg;

@@ -49,10 +49,9 @@ main()
     // 2. Stand the server up in front of the trained model.
     serve::ServeConfig cfg;
     cfg.workers = smoke ? 2 : 4;
-    cfg.batchMax = 8;
     serve::PredictionServer server(std::move(trained), cfg);
-    std::printf("== serving: %d workers, batch<=%d, cache %zu entries ==\n",
-                cfg.workers, cfg.batchMax, cfg.cacheCapacity);
+    std::printf("== serving: %d workers, cache %zu entries ==\n",
+                cfg.workers, cfg.cacheCapacity);
 
     // 3. Hammer it: N clients submitting workload queries; repeats are
     //    common (as they would be in a DSE loop), so the cache matters.
@@ -98,16 +97,15 @@ main()
     std::printf("queue_wait: mean=%.2fms p99=%.2fms\n",
                 stats.meanQueueWaitMs, stats.queueWaitP99Ms);
     std::printf("stages: assembly=%.2fms forward=%.2fms decode=%.2fms "
-                "cache_fill=%.2fms (per-batch means)\n",
+                "cache_fill=%.2fms (per-request means)\n",
                 stats.meanAssemblyMs, stats.meanForwardMs,
                 stats.meanDecodeMs, stats.meanCacheFillMs);
     std::printf("cache: hits=%llu misses=%llu hit_rate=%.1f%%  "
-                "model_calls=%llu  mean_batch=%.2f\n",
+                "model_calls=%llu\n",
                 static_cast<unsigned long long>(stats.cacheHits),
                 static_cast<unsigned long long>(stats.cacheMisses),
                 stats.hitRate() * 100.0,
-                static_cast<unsigned long long>(stats.modelCalls),
-                stats.meanBatch);
+                static_cast<unsigned long long>(stats.modelCalls));
 
     // 5. Served results must be exactly what the sequential fast path
     //    computes (the same autograd-free forward the workers run).
@@ -130,7 +128,7 @@ main()
         return 1;
     }
 
-    // 6. With LLMULATOR_TRACE=1, export the request/batch/stage spans
+    // 6. With LLMULATOR_TRACE=1, export the request and stage spans
     //    as chrome://tracing JSON. stop() first: span collection wants
     //    the worker threads quiescent.
     if (obs::traceEnabled()) {

@@ -101,8 +101,8 @@ class InferenceSession
      * CostModel::pooledForward(*eps[i]) bit for bit — sequences never
      * interact. The prefix cache is neither consulted nor re-primed
      * (batch traffic has no single "previous" program), so interleaving
-     * batched and cached calls is safe. This is the serving workers'
-     * per-micro-batch entry point and every full forward's.
+     * batched and cached calls is safe. This is every full forward's
+     * entry point, the serving workers' included.
      */
     nn::TensorPtr
     forwardPooledBatch(const std::vector<const EncodedProgram*>& eps);

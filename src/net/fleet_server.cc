@@ -202,8 +202,13 @@ FleetServer::connectionLoop(int fd)
             resp.status = Status::BadRequest;
             resp.error = err;
         }
-        if (!writeFrame(fd, encodeResponse(resp)))
+        if (!writeFrame(fd, encodeResponse(resp))) {
+            // A reply the peer did not take by the deadline is a stalled
+            // frame; a peer that closed is not.
+            if (errno == ETIMEDOUT)
+                badFrameCount_.add(1);
             break;
+        }
     }
     if (got == FrameRead::Oversized || got == FrameRead::Stalled)
         badFrameCount_.add(1);

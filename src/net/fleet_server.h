@@ -98,7 +98,8 @@ struct FleetStats
     uint64_t badRequest = 0; //!< undecodable payload / invalid program
     uint64_t errors = 0;     //!< server-side failures
     //! Connections closed for a framing violation: a frame header over
-    //! kMaxFrameBytes, or a frame not complete within kFrameDeadline.
+    //! kMaxFrameBytes, a request not complete within kFrameDeadline, or
+    //! a reply the peer did not take within it.
     uint64_t badFrames = 0;
     //! Warm-start view of the snapshot load: entries accepted / skipped
     //! because they were stamped with another model version.

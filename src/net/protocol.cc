@@ -333,20 +333,35 @@ decodeResponse(const std::string& payload, NetResponse& out,
 
 namespace {
 
+/** Send all `n` bytes by `deadline`. Each send is non-blocking; only a
+ *  full socket buffer waits, in poll, for room. */
 bool
-sendAll(int fd, const char* buf, size_t n)
+sendBy(int fd, const char* buf, size_t n,
+       std::chrono::steady_clock::time_point deadline)
 {
     size_t off = 0;
     while (off < n) {
-        ssize_t k = ::send(fd, buf + off, n - off, MSG_NOSIGNAL);
-        if (k < 0) {
-            if (errno == EINTR)
-                continue;
+        const ssize_t k =
+            ::send(fd, buf + off, n - off, MSG_NOSIGNAL | MSG_DONTWAIT);
+        if (k > 0) {
+            off += static_cast<size_t>(k);
+            continue;
+        }
+        if (k < 0 && errno == EINTR)
+            continue;
+        if (k == 0 || (errno != EAGAIN && errno != EWOULDBLOCK))
+            return false; // error or peer closed
+        const auto left =
+            std::chrono::ceil<std::chrono::milliseconds>(
+                deadline - std::chrono::steady_clock::now())
+                .count();
+        if (left <= 0) {
+            errno = ETIMEDOUT;
             return false;
         }
-        if (k == 0)
+        pollfd pfd{fd, POLLOUT, 0};
+        if (::poll(&pfd, 1, int(left)) < 0 && errno != EINTR)
             return false;
-        off += static_cast<size_t>(k);
     }
     return true;
 }
@@ -388,9 +403,10 @@ writeFrame(int fd, const std::string& payload)
 {
     std::string hdr;
     wire::putU32(hdr, static_cast<uint32_t>(payload.size()));
-    return sendAll(fd, hdr.data(), hdr.size()) &&
+    const auto deadline = std::chrono::steady_clock::now() + kFrameDeadline;
+    return sendBy(fd, hdr.data(), hdr.size(), deadline) &&
            (payload.empty() ||
-            sendAll(fd, payload.data(), payload.size()));
+            sendBy(fd, payload.data(), payload.size(), deadline));
 }
 
 FrameRead

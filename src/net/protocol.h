@@ -68,7 +68,8 @@ constexpr uint16_t kProtocolVersion = 2;
 //! Framing guard: readFrame() refuses a longer announced payload.
 constexpr size_t kMaxFrameBytes = 4u << 20;
 //! Framing guard: once a frame's first byte has arrived, readFrame()
-//! waits at most this long for the rest of its header and payload.
+//! waits at most this long for the rest of its header and payload, and
+//! writeFrame() waits at most this long for the peer to take a frame.
 constexpr std::chrono::milliseconds kFrameDeadline{2000};
 
 /** How one readFrame() call ended. */
@@ -121,9 +122,11 @@ bool decodeResponse(const std::string& payload, NetResponse& out,
                     std::string* error = nullptr);
 
 /**
- * Blocking frame I/O over a connected socket. writeFrame sends the
- * length prefix + payload (looping over partial sends, SIGPIPE
- * suppressed) and returns false on error. readFrame waits as long as
+ * Frame I/O over a connected socket. writeFrame sends the length prefix
+ * and the payload (one send each while the socket buffer has room,
+ * SIGPIPE suppressed) and returns false on error, or with errno
+ * ETIMEDOUT when the peer has not taken the whole frame within
+ * kFrameDeadline. readFrame waits as long as
  * it takes for the first byte of a frame, then reads the whole frame
  * into `payload` within kFrameDeadline, and says why it stopped
  * otherwise: EOF or error, a length prefix over kMaxFrameBytes

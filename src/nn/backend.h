@@ -8,8 +8,8 @@
  * Every op in ops.h bottoms out in a small set of raw float kernels —
  * three GEMM variants plus a handful of row-wise/elementwise primitives.
  * A Backend is a dispatch table owning those kernels, so a faster
- * implementation can be swapped in under the whole stack (serve
- * micro-batches, trainer minibatches, all four learned models) without
+ * implementation can be swapped in under the whole stack (serving,
+ * trainer minibatches, all four learned models) without
  * touching the autograd layer.
  *
  * Two implementations ship:

@@ -23,8 +23,8 @@
  * Gauge::set, Histogram::record on gated registries, OBS_SPAN
  * construction/destruction — are a single relaxed atomic load plus a
  * predictable branch: no allocation, no locking, no clock reads. This
- * is what lets the instrumentation live permanently inside serve
- * micro-batching, the training loop, and the nn GEMM dispatch without
+ * is what lets the instrumentation live permanently inside the serve
+ * workers, the training loop, and the nn GEMM dispatch without
  * moving any benchmark when disabled.
  *
  * ## Determinism contract

@@ -166,7 +166,7 @@ CalibrationManager::calibrationRound()
         return false;
 
     // Clone the served snapshot and calibrate the clone: the serving
-    // copy is immutable and stays live for in-flight batches.
+    // copy is immutable and stays live for in-flight requests.
     std::shared_ptr<const model::CostModel> snap = snapshot_();
     calib::DpoCalibrator calibrator(snap->clone(), cfg_.dpo);
 

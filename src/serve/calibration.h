@@ -28,7 +28,7 @@
  *     the window (calib::DpoCalibrator — never touching the serving
  *     copy), then hands the calibrated clone to the server's swap
  *     callback. The server publishes it RCU-style under a new version;
- *     in-flight batches keep their snapshot until they finish. The
+ *     in-flight requests keep their snapshot until they finish. The
  *     detector resets so the next round re-baselines against the new
  *     weights.
  *

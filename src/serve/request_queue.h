@@ -7,19 +7,16 @@
  * server. Producers block while the queue is full (backpressure toward
  * the clients) — or use tryPush() to refuse instead of blocking, which
  * is what the fleet front-end's admission control does.
- * Consumers pop *batches*: the first element blocks, then up to
- * `max_batch - 1` more are collected until `timeout` elapses or the
- * queue drains. close() stops new pushes immediately but lets consumers
- * drain everything already queued, which is what gives the server its
+ * Consumers pop one item at a time, blocking while the queue is empty.
+ * close() stops new pushes immediately but lets consumers drain
+ * everything already queued, which is what gives the server its
  * clean-shutdown guarantee (every accepted request is answered). Order
  * is strictly FIFO.
  */
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <vector>
 
 namespace llmulator {
 namespace serve {
@@ -58,36 +55,19 @@ template <typename T> class BoundedQueue
     }
 
     /**
-     * Pop a batch into `out` (cleared first). Blocks for the first
-     * element; afterwards keeps collecting until `out` holds `max_batch`
-     * items, `timeout` has elapsed, or the queue is empty with no timeout
-     * budget left, in FIFO order. Returns false only when the queue is
-     * closed and fully drained — the consumer-loop exit condition.
+     * Pop the oldest item into `out`, blocking while the queue is empty.
+     * Returns false only when the queue is closed and fully drained —
+     * the consumer-loop exit condition.
      */
-    bool popBatch(std::vector<T>& out, size_t max_batch,
-                  std::chrono::microseconds timeout)
+    bool pop(T& out)
     {
-        out.clear();
         std::unique_lock<std::mutex> lk(mu_);
         notEmpty_.wait(lk, [&] { return closed_ || !items_.empty(); });
         if (items_.empty())
             return false; // closed and drained
-        auto deadline = std::chrono::steady_clock::now() + timeout;
-        for (;;) {
-            while (!items_.empty() && out.size() < max_batch) {
-                out.push_back(std::move(items_.front()));
-                items_.pop_front();
-                notFull_.notify_one();
-            }
-            if (out.size() >= max_batch || closed_)
-                break;
-            // Queue drained but the batch has room: wait out the budget
-            // for stragglers, then dispatch whatever we have.
-            if (!notEmpty_.wait_until(lk, deadline, [&] {
-                    return closed_ || !items_.empty();
-                }))
-                break;
-        }
+        out = std::move(items_.front());
+        items_.pop_front();
+        notFull_.notify_one();
         return true;
     }
 

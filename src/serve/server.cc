@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "dfir/ir.h"
+#include "model/fast_encoder.h"
 #include "obs/trace.h"
 #include "util/common.h"
 
@@ -14,13 +15,20 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-//! How long a worker waits for stragglers to fill a micro-batch.
-constexpr std::chrono::microseconds kBatchTimeout{200};
-
 double
 msBetween(Clock::time_point a, Clock::time_point b)
 {
     return std::chrono::duration<double, std::milli>(b - a).count();
+}
+
+/** Record one request stage in its histogram and, traced, as a span. */
+void
+recordStage(obs::Histogram& ms, const char* span, Clock::time_point from,
+            Clock::time_point to, uint64_t id)
+{
+    ms.record(msBetween(from, to));
+    if (obs::traceEnabled())
+        obs::recordSpan(span, from, to, id);
 }
 
 /** Clamp degenerate knobs so config() reports the effective values. */
@@ -28,7 +36,6 @@ ServeConfig
 normalized(ServeConfig cfg)
 {
     cfg.workers = std::max(1, cfg.workers);
-    cfg.batchMax = std::max(1, cfg.batchMax);
     cfg.queueCapacity = std::max<size_t>(1, cfg.queueCapacity);
     return cfg;
 }
@@ -53,7 +60,6 @@ PredictionServer::PredictionServer(std::unique_ptr<model::CostModel> model,
       cacheHits_(telemetry_.counter("serve.cache_hits")),
       cacheMisses_(telemetry_.counter("serve.cache_misses")),
       batches_(telemetry_.counter("serve.batches")),
-      dispatched_(telemetry_.counter("serve.dispatched")),
       modelCalls_(telemetry_.counter("serve.model_calls")),
       rejected_(telemetry_.counter("serve.rejected")),
       swapCount_(telemetry_.counter("calib.swaps"))
@@ -169,207 +175,80 @@ PredictionServer::submitIfAdmitted(const ResultKey& key,
 void
 PredictionServer::workerLoop()
 {
-    // One autograd-free inference session per worker: sessions carry
-    // mutable state (stats, prefix cache) and so are thread-confined,
-    // while the underlying model is shared read-only. The model is an
-    // RCU snapshot acquired once per micro-batch — the whole batch is
-    // answered by ONE coherent weight generation even if a hot-swap
-    // lands mid-batch — and the session is rebuilt when the snapshot
-    // changes (it holds a reference into the old model).
-    std::shared_ptr<const model::CostModel> snap = modelSnapshot();
-    auto session = std::make_unique<model::InferenceSession>(*snap);
-    std::vector<Request> batch;
-    while (queue_.popBatch(batch, static_cast<size_t>(cfg_.batchMax),
-                           kBatchTimeout)) {
-        std::shared_ptr<const model::CostModel> cur = modelSnapshot();
-        if (cur != snap) {
-            snap = std::move(cur);
-            session = std::make_unique<model::InferenceSession>(*snap);
-        }
-        processBatch(batch, *session, *snap);
-    }
+    Request req;
+    while (queue_.pop(req))
+        process(req);
 }
 
 void
-PredictionServer::processBatch(std::vector<Request>& batch,
-                               model::InferenceSession& session,
-                               const model::CostModel& m)
+PredictionServer::process(Request& req)
 {
-    // A request sits in exactly one batch, so the first one's id also
-    // names the batch in the trace.
-    const uint64_t batchId = batch.front().id;
+    // The RCU snapshot, acquired once per request: the request is
+    // answered by ONE coherent weight generation even if a hot-swap
+    // lands while it runs.
+    const std::shared_ptr<const model::CostModel> snap = modelSnapshot();
+    const model::CostModel& m = *snap;
     batches_.add(1);
-    dispatched_.add(batch.size());
 
-    // Stage boundaries are stamped so every queue-dispatched request's
-    // end-to-end span strictly contains its queue-wait, the batch
-    // forward, and its metric bucket's decode as disjoint sub-intervals
-    // (pinned by test_serve): decode and cache fill are timed BEFORE
-    // any of their bucket's fulfil calls run.
-    const auto batchStart = Clock::now();
-    OBS_SPAN_ID("serve.batch", batchId);
+    // Stage boundaries are stamped so the request's end-to-end span
+    // strictly contains its queue wait, forward and decode as disjoint
+    // sub-intervals (pinned by test_serve): decode and cache fill are
+    // timed BEFORE fulfil runs. The queue-wait span is retroactive
+    // because the interval started on the client's thread.
+    const auto start = Clock::now();
+    recordStage(queueWaitMs_, "serve.queue_wait", req.submitTime, start,
+                req.id);
 
-    // Queue wait per member: submit -> micro-batch start. The span is
-    // retroactive because the interval started on the client's thread.
-    for (Request& req : batch) {
-        queueWaitMs_.record(msBetween(req.submitTime, batchStart));
-        if (obs::traceEnabled())
-            obs::recordSpan("serve.queue_wait", req.submitTime, batchStart,
-                            req.id);
-    }
-
-    // Group cache misses by (program, input): those requests share one
-    // tokenization + encoder forward, the dominant per-request cost.
-    // Requests for the same key additionally share the head decode.
-    struct Group
-    {
-        uint64_t program;
-        uint64_t input;
-        std::vector<Request*> members;
-    };
-    std::vector<Group> groups;
-
-    model::NumericPrediction cached;
-    for (Request& req : batch) {
-        // Restamp with the acquired snapshot's version: a request
-        // submitted before a hot-swap but processed after it must probe
-        // and fill the NEW version's cache entries, never the retired
-        // one's.
-        req.key.version = m.version();
-        // A sibling batch may have finished this key since submission.
-        if (cache_.get(req.key, cached)) {
-            cacheHits_.add(1);
-            fulfil(req, cached);
-            continue;
-        }
-        if (cache_.enabled())
-            cacheMisses_.add(1);
-        auto it = std::find_if(groups.begin(), groups.end(), [&](Group& g) {
-            return g.program == req.key.program && g.input == req.key.input;
-        });
-        if (it == groups.end()) {
-            groups.push_back({req.key.program, req.key.input, {}});
-            it = groups.end() - 1;
-        }
-        it->members.push_back(&req);
-    }
-
-    if (groups.empty())
+    // Restamp with the acquired snapshot's version: a request submitted
+    // before a hot-swap but processed after it must probe and fill the
+    // NEW version's cache entries, never the retired one's.
+    req.key.version = m.version();
+    model::NumericPrediction pred;
+    // Another worker may have finished this key since submission.
+    if (cache_.get(req.key, pred)) {
+        cacheHits_.add(1);
+        fulfil(req, pred);
         return;
-
-    // ONE batched autograd-free encoder forward for the whole
-    // micro-batch: every distinct (program, input) contributes one row.
-    // Bit-identical to running InferenceSession::pooled() per group
-    // sequentially (forwardPooledBatch's contract), so batching changes
-    // throughput, never results. The prefix-reuse cache stays off: its
-    // documented Class-I approximation would make results depend on
-    // request order, breaking the batched == sequential guarantee.
-    std::vector<model::EncodedProgram> eps;
-    std::vector<const model::EncodedProgram*> epPtrs;
-    eps.reserve(groups.size());
-    epPtrs.reserve(groups.size());
-    for (Group& group : groups) {
-        Request& first = *group.members.front();
-        eps.push_back(m.encode(first.graph,
-                               first.hasData ? &first.data : nullptr));
     }
-    for (const auto& ep : eps)
-        epPtrs.push_back(&ep);
+    if (cache_.enabled())
+        cacheMisses_.add(1);
 
-    // Assembly stage: cache probe + grouping + tokenize/encode.
+    // Assembly stage: cache probe + tokenize/encode.
+    const model::EncodedProgram ep =
+        m.encode(req.graph, req.hasData ? &req.data : nullptr);
     const auto assemblyEnd = Clock::now();
-    assemblyMs_.record(msBetween(batchStart, assemblyEnd));
-    if (obs::traceEnabled())
-        obs::recordSpan("serve.batch_assembly", batchStart, assemblyEnd,
-                        batchId);
+    recordStage(assemblyMs_, "serve.assembly", start, assemblyEnd, req.id);
 
-    nn::TensorPtr pooled = session.forwardPooledBatch(epPtrs);
-
+    // The full autograd-free forward CostModel::predict runs. The
+    // prefix-reuse cache stays off: its documented Class-I
+    // approximation would make results depend on request order.
+    const nn::TensorPtr pooled =
+        model::InferenceSession(m).forwardPooledBatch({&ep});
     const auto forwardEnd = Clock::now();
-    forwardMs_.record(msBetween(assemblyEnd, forwardEnd));
-    if (obs::traceEnabled())
-        obs::recordSpan("serve.forward", assemblyEnd, forwardEnd, batchId);
+    recordStage(forwardMs_, "serve.forward", assemblyEnd, forwardEnd, req.id);
 
-    // One decode per distinct key, bucketed by metric so every bucket
-    // shares a single batched beam-search decode; duplicate requests in
-    // the same batch reuse the freshly computed prediction.
-    struct Job
-    {
-        ResultKey key;
-        size_t groupIdx;
-        std::vector<Request*> requests;
-    };
-    std::vector<Job> jobs;
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-        for (Request* rp : groups[gi].members) {
-            auto jit = std::find_if(
-                jobs.begin(), jobs.end(),
-                [&](const Job& j) { return j.key == rp->key; });
-            if (jit == jobs.end()) {
-                jobs.push_back({rp->key, gi, {rp}});
-            } else {
-                jit->requests.push_back(rp);
-            }
-        }
-    }
+    pred = m.head(req.metric).decode(pooled);
+    modelCalls_.add(1);
+    const auto decodeEnd = Clock::now();
+    recordStage(decodeMs_, "serve.decode", forwardEnd, decodeEnd, req.id);
 
-    const int dim = pooled->cols;
-    for (int mi = 0; mi < model::kNumMetrics; ++mi) {
-        std::vector<Job*> bucket;
-        for (Job& j : jobs)
-            if (j.key.metric == mi)
-                bucket.push_back(&j);
-        if (bucket.empty())
-            continue;
-        const auto decodeStart = Clock::now();
-        // Gather the bucket's pooled rows (row copies preserve bits).
-        std::vector<float> rows(bucket.size() * size_t(dim));
-        for (size_t bi = 0; bi < bucket.size(); ++bi) {
-            const float* src =
-                pooled->value.data() + bucket[bi]->groupIdx * size_t(dim);
-            std::copy(src, src + dim, rows.begin() + bi * size_t(dim));
-        }
-        auto bucketPooled = nn::Tensor::fromData(
-            static_cast<int>(bucket.size()), dim, std::move(rows));
-        std::vector<model::NumericPrediction> preds =
-            m.head(static_cast<model::Metric>(mi)).decodeBatch(bucketPooled);
-        modelCalls_.add(preds.size());
+    cache_.put(req.key, pred);
+    recordStage(cacheFillMs_, "serve.cache_fill", decodeEnd, Clock::now(),
+                req.id);
 
-        const auto decodeEnd = Clock::now();
-        decodeMs_.record(msBetween(decodeStart, decodeEnd));
-        if (obs::traceEnabled())
-            obs::recordSpan("serve.decode", decodeStart, decodeEnd, batchId);
-
-        // Cache fill for the whole bucket, then fulfil: the fill is
-        // timed before any member's end-to-end span closes.
-        for (size_t bi = 0; bi < bucket.size(); ++bi)
-            cache_.put(bucket[bi]->key, preds[bi]);
-        const auto fillEnd = Clock::now();
-        cacheFillMs_.record(msBetween(decodeEnd, fillEnd));
-        if (obs::traceEnabled())
-            obs::recordSpan("serve.cache_fill", decodeEnd, fillEnd, batchId);
-
-        for (size_t bi = 0; bi < bucket.size(); ++bi)
-            for (Request* rp : bucket[bi]->requests) {
-                fulfil(*rp, preds[bi]);
-                // Shadow stream: offer freshly computed dynamic-cycles
-                // answers for background profiling (fulfil() only
-                // consumes the promise; the graph/data stay owned by
-                // the batch until processBatch returns).
-                if (calib_ && rp->hasData &&
-                    rp->metric == model::Metric::Cycles)
-                    calib_->offer(rp->graph, rp->data, preds[bi].value);
-            }
-    }
+    fulfil(req, pred);
+    // Shadow stream: offer freshly computed dynamic-cycles answers for
+    // background profiling (fulfil() only consumes the promise; the
+    // graph and data stay owned by the request).
+    if (calib_ && req.hasData && req.metric == model::Metric::Cycles)
+        calib_->offer(req.graph, req.data, pred.value);
 }
 
 void
 PredictionServer::fulfil(Request& req, const model::NumericPrediction& pred)
 {
-    const auto now = Clock::now();
-    e2eMs_.record(msBetween(req.submitTime, now));
-    if (obs::traceEnabled())
-        obs::recordSpan("serve.request", req.submitTime, now, req.id);
+    recordStage(e2eMs_, "serve.request", req.submitTime, Clock::now(),
+                req.id);
     completed_.add(1);
     req.promise.set_value(pred);
 }
@@ -412,8 +291,8 @@ PredictionServer::swapModel(std::unique_ptr<model::CostModel> next)
         version_.store(v, std::memory_order_release);
     }
     swapCount_.add(1);
-    // `retired` drops here, outside the lock: workers mid-batch still
-    // hold their snapshot, so the old weights die with the last batch.
+    // `retired` drops here, outside the lock: workers mid-request still
+    // hold their snapshot, so the old weights die with the last of them.
 }
 
 bool
@@ -433,9 +312,6 @@ PredictionServer::stats() const
     s.batches = batches_.total();
     s.modelCalls = modelCalls_.total();
     s.rejected = rejected_.total();
-    s.meanBatch = s.batches == 0 ? 0.0
-                                 : double(dispatched_.total()) /
-                                       double(s.batches);
     s.queueDepth = queue_.depth();
 
     obs::HistogramSnapshot e2e = e2eMs_.snapshot();

@@ -3,23 +3,17 @@
 
 /**
  * @file
- * Concurrent batched prediction-serving runtime (the ROADMAP "serve
- * heavy traffic" direction).
+ * Concurrent prediction-serving runtime.
  *
  * A PredictionServer owns one trained CostModel and a pool of worker
- * threads behind a bounded MPMC request queue. Workers pop micro-batches
- * (up to `batchMax` requests, or whatever arrives within 200 µs),
- * group a batch's cache misses by (program hash, input hash), and run ONE
- * batched autograd-free encoder forward for the whole micro-batch
- * (InferenceSession::forwardPooledBatch — paper Section 5.3's fast path
- * without its prefix-reuse approximation), followed by one batched
- * digit-head decode per requested metric. No training tape is built on
- * the serving path. Results are identical bit for bit to running the
- * sequential fast path per request — batching and grouping only share
- * work, they never change any row's computation (the forwardPooledBatch
- * / decodeBatch contracts) — and agree with CostModel::predict() up to
- * its documented fast/slow-path tolerance. Decodes use the digit head's
- * default beam width.
+ * threads behind a bounded MPMC request queue. Each worker pops one
+ * request and runs what CostModel::predict() runs: encode, one
+ * autograd-free full forward (InferenceSession::forwardPooledBatch of
+ * the one encoding — paper Section 5.3's fast path without its
+ * prefix-reuse approximation), then the digit head's beam decode at its
+ * default width. No training tape is built on the serving path, and a
+ * served prediction equals CostModel::predict() of the same request bit
+ * for bit (pinned by test_serve).
  *
  * Finished predictions land in an LRU ResultCache keyed by
  * (canonical program hash, runtime-input hash, metric, model version);
@@ -29,10 +23,9 @@
  * — ServerStats is a point-in-time view over it, adding p99 latency,
  * queue-wait and per-stage breakdowns to the counters; when
  * LLMULATOR_TRACE is set the request lifecycle additionally exports
- * trace spans (serve.request / serve.queue_wait per request,
- * serve.batch / serve.batch_assembly / serve.forward / serve.decode /
- * serve.cache_fill per micro-batch, correlated by request and batch
- * ids). Telemetry is speed-only: it is never hashed into cache keys
+ * trace spans (serve.request, serve.queue_wait, serve.assembly,
+ * serve.forward, serve.decode and serve.cache_fill, each carrying the
+ * request id). Telemetry is speed-only: it is never hashed into cache keys
  * and cannot change a result bit. Cache keys come from makeResultKey()
  * (serve/result_cache.h): the program hash is dfir::canonicalHash — the
  * structural hash of the canonicalized graph — and the input hash is
@@ -68,9 +61,9 @@
  * background, and hands the clone back through swapModel(). Publication
  * is RCU-style: the live model is an immutable snapshot behind a
  * shared_ptr + monotonically increasing version; workers acquire the
- * snapshot once per micro-batch, so every request is answered by
- * exactly one coherent weight generation and the retired model is freed
- * only when its last in-flight batch finishes. The result cache is
+ * snapshot once per request, so every request is answered by exactly
+ * one coherent weight generation and the retired model is freed only
+ * when its last in-flight request finishes. The result cache is
  * keyed by that version (ResultKey::version), so a cached prediction
  * can never outlive the weights that produced it. With calibration
  * disabled (the default) no shadow work, profiling, or swapping
@@ -88,7 +81,6 @@
 #include <vector>
 
 #include "model/cost_model.h"
-#include "model/fast_encoder.h"
 #include "obs/metrics.h"
 #include "serve/calibration.h"
 #include "serve/request_queue.h"
@@ -101,7 +93,6 @@ namespace serve {
 struct ServeConfig
 {
     int workers = 4;        //!< worker thread count
-    int batchMax = 8;       //!< micro-batch size cap
     size_t queueCapacity = 256; //!< bounded queue (backpressure)
     size_t cacheCapacity = 4096; //!< result-cache entries; 0 disables
     //! Live calibration pipeline (off by default; see the file header).
@@ -133,28 +124,27 @@ struct ServerStats
     uint64_t completed = 0;  //!< futures fulfilled (serve.completed)
     uint64_t cacheHits = 0;  //!< serve.cache_hits
     uint64_t cacheMisses = 0; //!< serve.cache_misses
-    uint64_t batches = 0;    //!< micro-batches dispatched (serve.batches)
+    //! Requests the workers popped off the queue (serve.batches);
+    //! submit-path cache hits never enter the queue.
+    uint64_t batches = 0;
     uint64_t modelCalls = 0; //!< head decodes run (serve.model_calls)
     //! Admission refusals (serve.rejected): submitIfAdmitted() found the
     //! queue full or the server stopped. The blocking submit path never
     //! refuses.
     uint64_t rejected = 0;
-    //! Queue-dispatched requests (serve.dispatched) per batch;
-    //! submit-path cache hits never enter a batch, so they are excluded.
-    double meanBatch = 0;
     //! Submit -> fulfil latency quantiles, from the server's
     //! `serve.e2e_ms` histogram (bucket-edge quantiles; whole run, not
     //! a sliding window). Monotone: p50 <= p95 <= p99.
     double p50LatencyMs = 0;
     double p95LatencyMs = 0;
     double p99LatencyMs = 0;
-    //! Queue wait (submit -> micro-batch start) of queue-dispatched
-    //! requests; submit-path cache hits never wait.
+    //! Queue wait (submit -> a worker takes the request) of
+    //! queue-dispatched requests; submit-path cache hits never wait.
     double meanQueueWaitMs = 0;
     double queueWaitP99Ms = 0;
-    //! Per-micro-batch stage means: assembly (cache probe + grouping +
-    //! encode), one batched forward, per-metric-bucket decode, and
-    //! result-cache fill. Sourced from the `serve.stage.*` histograms.
+    //! Per-request stage means of the worker's misses: assembly (cache
+    //! re-probe + encode), forward, decode, and result-cache fill.
+    //! Sourced from the `serve.stage.*` histograms.
     double meanAssemblyMs = 0;
     double meanForwardMs = 0;
     double meanDecodeMs = 0;
@@ -177,7 +167,7 @@ struct ServerStats
     }
 };
 
-/** Batched, cached, multi-threaded front end over one CostModel. */
+/** Cached, multi-threaded front end over one CostModel. */
 class PredictionServer
 {
   public:
@@ -244,9 +234,9 @@ class PredictionServer
 
     /**
      * Publish `next` as the live model under a new, strictly increasing
-     * version (stamped via CostModel::setVersion). In-flight batches
-     * finish on the snapshot they already acquired; subsequent batches
-     * and cache keys use the new version. The retired model is released
+     * version (stamped via CostModel::setVersion). In-flight requests
+     * finish on the snapshot they already acquired; later requests and
+     * cache keys use the new version. The retired model is released
      * outside the swap lock, when its last reference drops. Thread-safe;
      * called by the calibration thread and by tests.
      */
@@ -284,9 +274,8 @@ class PredictionServer
     };
 
     void workerLoop();
-    void processBatch(std::vector<Request>& batch,
-                      model::InferenceSession& session,
-                      const model::CostModel& m);
+    /** Answer one popped request on the current model snapshot. */
+    void process(Request& req);
     void fulfil(Request& req, const model::NumericPrediction& pred);
     /**
      * The one submit path: refuse when stopped, answer cache hits on the
@@ -325,8 +314,7 @@ class PredictionServer
     obs::Counter& completed_;     //!< serve.completed
     obs::Counter& cacheHits_;     //!< serve.cache_hits
     obs::Counter& cacheMisses_;   //!< serve.cache_misses
-    obs::Counter& batches_;       //!< serve.batches
-    obs::Counter& dispatched_;    //!< serve.dispatched
+    obs::Counter& batches_;       //!< serve.batches (popped requests)
     obs::Counter& modelCalls_;    //!< serve.model_calls
     obs::Counter& rejected_;      //!< serve.rejected (queue-full refusals)
     obs::Counter& swapCount_;     //!< calib.swaps

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <map>
 
@@ -27,6 +28,42 @@ constexpr long kCallOverheadCycles = 5;
 constexpr long kMaxExactTripsPerLoop = 4096;
 //! Value of a scalar parameter the runtime data leaves unbound.
 constexpr long kDefaultParam = 16;
+//! Elements materialized per tensor the runtime data leaves unbound.
+constexpr long kMaxTensorElems = 1L << 20;
+
+// Trip counts and cycle sums saturate at LONG_MAX instead of
+// overflowing: program text is untrusted, and a count that does not fit
+// in `long` reads as the largest one. Every count that fits is exact.
+// Operands are non-negative (the verifier refuses negative delays).
+
+long
+satAdd(long a, long b)
+{
+    long r;
+    return __builtin_add_overflow(a, b, &r) ? LONG_MAX : r;
+}
+
+long
+satMul(long a, long b)
+{
+    long r;
+    return __builtin_mul_overflow(a, b, &r) ? LONG_MAX : r;
+}
+
+/** ceil(a / b) for a >= 0 and b >= 1, without forming a + b - 1. */
+long
+ceilDiv(long a, long b)
+{
+    return a / b + (a % b != 0);
+}
+
+/** `v` as a cycle count, LONG_MAX when it does not fit. */
+long
+satFromDouble(double v)
+{
+    // 2^63 as a double: the first value past LONG_MAX.
+    return v >= 9223372036854775808.0 ? LONG_MAX : static_cast<long>(v);
+}
 
 /** FU latencies (cycles), mirroring hw::spec latencies. */
 int
@@ -87,9 +124,9 @@ class Interp
             const dfir::Operator* op = g_.findOp(call.opName);
             LLM_CHECK(op != nullptr, "unknown operator " << call.opName);
             bindTensors(*op);
-            prof_.cycles += kCallOverheadCycles;
+            prof_.cycles = satAdd(prof_.cycles, kCallOverheadCycles);
             for (const auto& s : op->body)
-                prof_.cycles += execStmt(s);
+                prof_.cycles = satAdd(prof_.cycles, execStmt(s));
         }
         return prof_;
     }
@@ -108,10 +145,12 @@ class Interp
         for (const auto& t : op.tensors) {
             if (arrays_.count(t.name))
                 continue;
+            // Clamped as it accumulates, so no product can overflow.
             long elems = 1;
             for (const auto& d : t.dims)
-                elems *= std::max<long>(1, lround(evalExpr(d)));
-            elems = std::min<long>(elems, 1 << 20);
+                elems = std::min(kMaxTensorElems,
+                                 satMul(elems, std::max<long>(
+                                                   1, lround(evalExpr(d)))));
             // Deterministic pseudo-data keyed by name: varied enough to
             // exercise data-dependent branches without explicit inputs.
             // This keying is why canonicalization never renames tensors:
@@ -168,15 +207,18 @@ class Interp
      * tracked per array (first binder wins); indices are combined
      * row-major with a synthetic stride and clamped into range, which is
      * both defensive against synthesized out-of-range accesses and cheap.
+     * The combination wraps modulo 2^64 (unsigned), which equals the
+     * signed sum whenever that fits in `long`.
      */
     long
     flattenIndex(const ExprPtr& ref, size_t size)
     {
-        long idx = 0;
+        unsigned long combined = 0;
         for (const auto& ie : ref->args)
-            idx = idx * 131 + lround(evalExpr(ie));
+            combined = combined * 131 +
+                       static_cast<unsigned long>(lround(evalExpr(ie)));
         long n = static_cast<long>(size);
-        idx %= n;
+        long idx = static_cast<long>(combined) % n;
         if (idx < 0)
             idx += n;
         return idx;
@@ -243,7 +285,7 @@ class Interp
             else
                 ++prof_.branchesNotTaken;
             for (const auto& b : body)
-                cost += execStmt(b);
+                cost = satAdd(cost, execStmt(b));
             return cost;
           }
           case StmtKind::For:
@@ -268,9 +310,14 @@ class Interp
         long lo = lround(evalExpr(s->loop.lower));
         long hi = lround(evalExpr(s->loop.upper));
         long step = std::max(1, s->loop.step);
-        long trips = hi > lo ? (hi - lo + step - 1) / step : 0;
-        if (trips == 0)
+        if (hi <= lo)
             return 1; // bound test only
+        // hi - lo in unsigned arithmetic is exact where the signed one
+        // wraps; the trip count then saturates.
+        const unsigned long span =
+            static_cast<unsigned long>(hi) - static_cast<unsigned long>(lo);
+        const long trips = static_cast<long>(std::min<unsigned long>(
+            (span - 1) / static_cast<unsigned long>(step) + 1, LONG_MAX));
 
         long speedup = std::max(1, s->loop.unroll);
         if (s->loop.parallel)
@@ -311,7 +358,7 @@ class Interp
                 ii = std::max(ii, compute); // loop-carried dependence
             long depth = compute + (reads > 0 ? g_.params.memReadDelay : 0) +
                          (writes > 0 ? g_.params.memWriteDelay : 0);
-            cycles = depth + (ii * (trips - 1) + speedup - 1) / speedup;
+            cycles = satAdd(depth, ceilDiv(satMul(ii, trips - 1), speedup));
 
             // Execute for semantics (values may feed later control flow).
             for (long t = 0; t < exact; ++t) {
@@ -323,16 +370,18 @@ class Interp
             long body_cycles = 0;
             for (long t = 0; t < exact; ++t) {
                 loopVars_[s->loop.var] = static_cast<double>(lo + t * step);
-                body_cycles += 1; // counter increment + exit test
+                // counter increment + exit test
+                body_cycles = satAdd(body_cycles, 1);
                 for (const auto& b : s->body)
-                    body_cycles += execStmt(b);
+                    body_cycles = satAdd(body_cycles, execStmt(b));
             }
             if (exact < trips) {
                 double mean = static_cast<double>(body_cycles) / exact;
-                body_cycles +=
-                    static_cast<long>(mean * static_cast<double>(trips - exact));
+                body_cycles = satAdd(
+                    body_cycles,
+                    satFromDouble(mean * static_cast<double>(trips - exact)));
             }
-            cycles = (body_cycles + speedup - 1) / speedup;
+            cycles = ceilDiv(body_cycles, speedup);
         }
 
         if (had_var)

@@ -10,8 +10,9 @@
  * fail to parse or verify, overload answered with an explicit
  * OVERLOADED status under 8 client threads without deadlock (TSan job
  * coverage), warm restart from the snapshot, an oversized frame header
- * closing only its own connection, a half-sent frame dropped at the
- * frame deadline, and closed connections releasing their threads (and,
+ * closing only its own connection, a half-sent frame and an unread
+ * reply dropped at the frame deadline, and closed connections releasing
+ * their threads (and,
  * traced, holding no span ring each) while the fleet runs.
  *
  * Like test_serve, every suite runs an *untrained* Tiny model: weight
@@ -24,6 +25,7 @@
 
 #include <arpa/inet.h>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -350,6 +352,33 @@ TEST(Protocol, RejectsMalformedPayloads)
     for (size_t cut = 0; cut < goodResp.size(); ++cut)
         EXPECT_FALSE(
             net::decodeResponse(goodResp.substr(0, cut), rout, &err));
+}
+
+// A peer that never reads cannot park a writer: once the payload has
+// filled both socket buffers, writeFrame gives up at the deadline and
+// says so in errno, which a closed peer does not.
+TEST(Protocol, WriteFrameGivesUpOnAPeerThatNeverReads)
+{
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    int sndBuf = 0, rcvBuf = 0;
+    socklen_t len = sizeof sndBuf;
+    ::getsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &sndBuf, &len);
+    len = sizeof rcvBuf;
+    ::getsockopt(fds[1], SOL_SOCKET, SO_RCVBUF, &rcvBuf, &len);
+    const std::string payload(size_t(4) * size_t(sndBuf + rcvBuf), 'x');
+
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(net::writeFrame(fds[0], payload));
+    EXPECT_EQ(errno, ETIMEDOUT);
+    const auto waited = std::chrono::steady_clock::now() - start;
+    EXPECT_GE(waited, net::kFrameDeadline);
+    EXPECT_LT(waited, net::kFrameDeadline + std::chrono::seconds(1));
+
+    ::close(fds[1]);
+    EXPECT_FALSE(net::writeFrame(fds[0], "reply"));
+    EXPECT_NE(errno, ETIMEDOUT);
+    ::close(fds[0]);
 }
 
 // ---------------------------------------------------------------------------
@@ -1077,6 +1106,67 @@ TEST(FleetServer, StalledHalfFrameIsDroppedAtTheDeadline)
     EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
     EXPECT_EQ(fleet.stats().badFrames, 1u);
     EXPECT_EQ(fleet.stats().requests, 1u);
+}
+
+// A client that pipelines requests and never reads its replies: the
+// server answers until the replies fill the socket buffers, then drops
+// the connection once a reply has waited out the frame deadline, and
+// frees its only connection slot.
+TEST(FleetServer, UnreadRepliesAreDroppedAtTheDeadline)
+{
+    net::FleetConfig cfg;
+    cfg.shards = 1;
+    cfg.maxConnections = 1;
+    net::FleetServer fleet(tinyModel(), cfg);
+    fleet.start();
+
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    const int smallBuf = 4096; // set before connect: bounds the window
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &smallBuf, sizeof smallBuf);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<uint16_t>(fleet.port()));
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+              0);
+    // 100k one-byte frames, each answered with a BadRequest of ~80
+    // bytes: more replies than the server's send buffer (at most
+    // 4 MiB on Linux) and our window hold.
+    std::string frames;
+    for (int i = 0; i < 100000; ++i) {
+        net::wire::putU32(frames, 1);
+        frames.push_back('x');
+    }
+    // Blocks once the server stops reading; returns when it closes.
+    std::thread sender([&] {
+        ::send(fd, frames.data(), frames.size(), MSG_NOSIGNAL);
+    });
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (fleet.stats().badFrames == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_EQ(fleet.stats().badFrames, 1u);
+    ::shutdown(fd, SHUT_RDWR); // unblocks the sender either way
+    sender.join();
+    ::close(fd);
+
+    // The slot is free again once the dropped connection deregisters.
+    net::NetResponse resp;
+    bool served = false;
+    for (int attempt = 0; attempt < 100 && !served; ++attempt) {
+        net::FleetClient later;
+        served = later.connectLoopback(fleet.port()) &&
+                 later.predict(makeGraph("after-unread", 3), nullptr,
+                               model::Metric::Power, resp);
+        if (!served)
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    ASSERT_TRUE(served);
+    EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
+    EXPECT_EQ(fleet.stats().badFrames, 1u);
 }
 
 TEST(FleetServer, TracedConnectionsShareOneSpanRing)

@@ -1,14 +1,15 @@
 /**
  * @file
- * Batched-inference tests. Serving has one batched path, the ragged and
- * autograd-free InferenceSession::forwardPooledBatch followed by
- * DigitHead::decodeBatch; both must equal B sequential calls bit for
+ * Batched-inference tests. The library has one batched path, the
+ * ragged and autograd-free InferenceSession::forwardPooledBatch followed
+ * by DigitHead::decodeBatch; both must equal B sequential calls bit for
  * bit. Also pins that the encoder forward stays bit-identical with the
  * telemetry gates on.
  *
  * Every equality here is EXPECT_EQ on float values (or whole vectors),
- * not near-comparison: bit-identity is the API contract that keeps
- * serving results byte-stable whatever the micro-batch composition.
+ * not near-comparison: bit-identity is the API contract that keeps a
+ * prediction byte-stable whatever batch it ran in (CostModel::predict,
+ * DPO and the serving workers run B = 1).
  */
 
 #include <gtest/gtest.h>

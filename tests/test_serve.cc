@@ -1,8 +1,8 @@
 /**
  * @file
- * Prediction-serving runtime tests: the bounded batching queue, the
+ * Prediction-serving runtime tests: the bounded request queue, the
  * LRU result cache, and the PredictionServer end to end —
- * batched results bit-identical to sequential CostModel::predict(),
+ * served results bit-identical to sequential CostModel::predict(),
  * cache-hit accounting, sustained concurrent submission from many
  * client threads, clean shutdown with requests still in flight, and
  * the live-calibration contracts: RCU hot-swap coherence under
@@ -90,24 +90,35 @@ expectSamePrediction(const model::NumericPrediction& a,
     EXPECT_DOUBLE_EQ(a.logProb, b.logProb);
 }
 
+/** Pop until the queue reports closed-and-drained. */
+std::vector<int>
+drain(serve::BoundedQueue<int>& q)
+{
+    std::vector<int> out;
+    int item = 0;
+    while (q.pop(item))
+        out.push_back(item);
+    return out;
+}
+
 } // namespace
 
-TEST(BoundedQueue, BatchRespectsCapAndDrainsOnClose)
+TEST(BoundedQueue, PopIsFifoAndDrainsOnClose)
 {
     serve::BoundedQueue<int> q(16);
     for (int i = 0; i < 10; ++i)
         EXPECT_TRUE(q.push(int(i)));
     EXPECT_EQ(q.depth(), 10u);
 
-    std::vector<int> batch;
-    ASSERT_TRUE(q.popBatch(batch, 4, std::chrono::microseconds(0)));
-    EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3}));
+    std::vector<int> popped(4);
+    for (int& item : popped)
+        ASSERT_TRUE(q.pop(item));
+    EXPECT_EQ(popped, (std::vector<int>{0, 1, 2, 3}));
 
     q.close();
     EXPECT_FALSE(q.push(99)); // rejected after close...
-    ASSERT_TRUE(q.popBatch(batch, 100, std::chrono::microseconds(0)));
-    EXPECT_EQ(batch.size(), 6u); // ...but the backlog still drains
-    EXPECT_FALSE(q.popBatch(batch, 4, std::chrono::microseconds(0)));
+    // ...but the backlog still drains, then pop() reports the end.
+    EXPECT_EQ(drain(q), (std::vector<int>{4, 5, 6, 7, 8, 9}));
 }
 
 TEST(BoundedQueue, PopBlocksUntilPush)
@@ -117,9 +128,9 @@ TEST(BoundedQueue, PopBlocksUntilPush)
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         q.push(7);
     });
-    std::vector<int> batch;
-    ASSERT_TRUE(q.popBatch(batch, 4, std::chrono::microseconds(100)));
-    EXPECT_EQ(batch, std::vector<int>{7});
+    int item = 0;
+    ASSERT_TRUE(q.pop(item));
+    EXPECT_EQ(item, 7);
     producer.join();
 }
 
@@ -131,8 +142,9 @@ TEST(BoundedQueue, TryPushRefusesWhenFullInsteadOfBlocking)
     EXPECT_EQ(q.depth(), 2u);
     EXPECT_FALSE(q.tryPush(3)); // full: immediate refusal, no wait
 
-    std::vector<int> batch;
-    ASSERT_TRUE(q.popBatch(batch, 1, std::chrono::microseconds(0)));
+    int item = 0;
+    ASSERT_TRUE(q.pop(item));
+    EXPECT_EQ(item, 1);
     EXPECT_TRUE(q.tryPush(4)); // slot freed
     q.close();
     EXPECT_FALSE(q.tryPush(5)); // closed: refused even with room
@@ -145,8 +157,8 @@ TEST(BoundedQueue, ShutdownUnblocksWaitersAndDrainsBacklog)
     EXPECT_TRUE(q.push(2));
 
     // Two producers blocked in push() on the full queue, one consumer
-    // blocked in popBatch() with a long timeout on a second queue that
-    // stays empty: close() must wake all three.
+    // blocked in pop() on a second queue that stays empty: close() must
+    // wake all three.
     std::atomic<int> refusedPushes{0};
     std::thread p1([&] {
         if (!q.push(3))
@@ -160,9 +172,8 @@ TEST(BoundedQueue, ShutdownUnblocksWaitersAndDrainsBacklog)
     serve::BoundedQueue<int> empty(2);
     std::atomic<bool> consumerDone{false};
     std::thread consumer([&] {
-        std::vector<int> batch;
-        EXPECT_FALSE(
-            empty.popBatch(batch, 4, std::chrono::milliseconds(10'000)));
+        int item = 0;
+        EXPECT_FALSE(empty.pop(item));
         consumerDone.store(true);
     });
 
@@ -175,11 +186,8 @@ TEST(BoundedQueue, ShutdownUnblocksWaitersAndDrainsBacklog)
     EXPECT_EQ(refusedPushes.load(), 2); // blocked pushes return false
     EXPECT_TRUE(consumerDone.load());
 
-    // The backlog present at close() still drains, then popBatch ends.
-    std::vector<int> batch;
-    ASSERT_TRUE(q.popBatch(batch, 8, std::chrono::microseconds(0)));
-    EXPECT_EQ(batch, (std::vector<int>{1, 2}));
-    EXPECT_FALSE(q.popBatch(batch, 8, std::chrono::microseconds(0)));
+    // The backlog present at close() still drains, then pop() ends.
+    EXPECT_EQ(drain(q), (std::vector<int>{1, 2}));
 }
 
 TEST(ResultCache, LruEvictsAndRefreshesOnGet)
@@ -241,7 +249,6 @@ TEST(PredictionServer, BatchedResultsBitIdenticalToSequential)
 
     serve::ServeConfig cfg;
     cfg.workers = 4;
-    cfg.batchMax = 8;
     cfg.cacheCapacity = 0; // force every request through the model
     serve::PredictionServer server(tinyModel(), cfg);
 
@@ -372,7 +379,6 @@ TEST(PredictionServer, ManyConcurrentClientThreads)
 
     serve::ServeConfig cfg;
     cfg.workers = 4;
-    cfg.batchMax = 4;
     cfg.queueCapacity = 32; // small queue: exercise backpressure
     serve::PredictionServer server(tinyModel(), cfg);
 
@@ -409,9 +415,9 @@ TEST(PredictionServer, ManyConcurrentClientThreads)
                     metric == model::Metric::Cycles ? &datas[gi] : nullptr,
                     metric);
                 // Full bitwise comparison: under concurrent clients the
-                // batched forward must still reproduce the sequential
-                // fast path exactly, probabilities and log-prob
-                // included — not just the decoded value.
+                // workers must still reproduce the sequential fast path
+                // exactly, probabilities and log-prob included — not
+                // just the decoded value.
                 if (pred.value != expected[gi][m].value ||
                     pred.digits != expected[gi][m].digits ||
                     pred.digitProbs != expected[gi][m].digitProbs ||
@@ -584,21 +590,18 @@ countSpans(const std::vector<obs::SpanEvent>& spans, const char* name)
 } // namespace
 
 // Exported spans must nest: a request's end-to-end interval contains
-// its queue wait, its batch's forward, and its metric bucket's decode
-// as disjoint sub-intervals. Summed over a whole concurrent run with
-// every request on the model path, that containment implies
-//   sum(e2e) >= sum(queue_wait) + sum(forward) + sum(decode)
-// (each batch/bucket has >= 1 member, so the per-batch stage spans are
-// counted at most once per member on the right). 8 client threads keep
-// the inequality honest under real contention; the suite also runs
-// under TSan in CI.
+// its queue wait, its forward, and its decode as disjoint
+// sub-intervals. Summed over a whole concurrent run with every request
+// on the model path, that containment implies
+//   sum(e2e) >= sum(queue_wait) + sum(forward) + sum(decode).
+// 8 client threads keep the inequality honest under real contention;
+// the suite also runs under TSan in CI.
 TEST(Telemetry, SpanNestingUnderConcurrentClients)
 {
     TraceOn trace;
 
     serve::ServeConfig cfg;
     cfg.workers = 4;
-    cfg.batchMax = 4;
     cfg.cacheCapacity = 0; // every request runs the full pipeline
     serve::PredictionServer server(tinyModel(), cfg);
 
@@ -946,8 +949,30 @@ TEST(PredictionServer, ServeStatsReadTheRegistryCounters)
     EXPECT_EQ(stats.batches, row("serve.batches"));
     EXPECT_EQ(stats.modelCalls, row("serve.model_calls"));
     EXPECT_EQ(stats.rejected, row("serve.rejected"));
-    EXPECT_EQ(stats.meanBatch,
-              double(row("serve.dispatched")) / double(stats.batches));
+}
+
+// A worker takes one request per step: eight distinct misses queued
+// at once on one worker are eight dispatches, not a few batches.
+TEST(PredictionServer, OneWorkerDispatchesEachQueuedMissOnItsOwn)
+{
+    serve::ServeConfig cfg;
+    cfg.workers = 1;
+    cfg.cacheCapacity = 0;
+    serve::PredictionServer server(tinyModel(), cfg);
+    DataflowGraph g = makeGraph("one-by-one", 4);
+    std::vector<RuntimeData> inputs;
+    for (long n = 8; n < 16; ++n)
+        inputs.push_back(makeData(n));
+    std::vector<std::future<model::NumericPrediction>> futures;
+    for (const RuntimeData& d : inputs)
+        futures.push_back(server.submitAsync(g, &d, model::Metric::Cycles));
+    for (auto& f : futures)
+        f.get();
+    server.stop();
+
+    serve::ServerStats stats = server.stats();
+    EXPECT_EQ(stats.batches, 8u);
+    EXPECT_EQ(stats.modelCalls, 8u);
 }
 
 TEST(PredictionServer, CalibrationRoundResetsTheResidualGauge)

@@ -3,12 +3,18 @@
  * Interpreter-semantics tests: scalar temporaries feeding loop bounds,
  * loop-variable shadowing across nests, min/max/mod evaluation, empty
  * loops, and else-less branches — the corner cases synthesized programs
- * exercise constantly.
+ * exercise constantly. Also programs the parser accepts whose counts do
+ * not fit in `long`: the simulator must stay defined on them (the
+ * sanitizer CI job runs this suite with UBSan halting).
  */
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <string>
+
 #include "dfir/builder.h"
+#include "dfir/parser.h"
 #include "sim/profiler.h"
 
 namespace {
@@ -148,6 +154,99 @@ TEST(SimSemantics, CallOrderIndependentStaticMetrics)
     EXPECT_DOUBLE_EQ(p1.areaUm2, p2.areaUm2);
     EXPECT_EQ(p1.flipFlops, p2.flipFlops);
     EXPECT_EQ(p1.cycles, p2.cycles); // independent ops: order-invariant
+}
+
+/** Profile program text that must parse and verify cleanly. */
+sim::Profile
+profileText(const std::string& text)
+{
+    ParseResult res = parseProgram(text);
+    EXPECT_TRUE(res.ok) << res.error;
+    EXPECT_TRUE(res.diagnostics.ok()) << res.diagnostics.str();
+    return sim::profile(res.graph, res.data);
+}
+
+/** One operator `f` with tensor declaration `decl` and body `body`. */
+std::string
+program(const std::string& decl, const std::string& body)
+{
+    return "void f(float " + decl + ") {\n" + body +
+           "}\nvoid dataflow() {\n  f();\n}\n";
+}
+
+// The element product of unbound tensor dims saturates at the 2^20 cap
+// instead of overflowing first: [2^40][2^40] binds the same pseudo-data
+// as [2^10][2^10], so a branch on it runs the same way.
+TEST(SimSemantics, TensorDimsPastTheCapBindTheCappedTensor)
+{
+    const std::string body = "  for (int i = 0; i < 16; i += 1) {\n"
+                             "    if ((A[i][i] > 0)) {\n"
+                             "      A[i][i] = 1;\n"
+                             "    }\n"
+                             "  }\n";
+    sim::Profile huge =
+        profileText(program("A[1099511627776][1099511627776]", body));
+    sim::Profile capped = profileText(program("A[1024][1024]", body));
+    EXPECT_GT(capped.branchesTaken, 0);
+    EXPECT_EQ(huge.branchesTaken, capped.branchesTaken);
+    EXPECT_EQ(huge.branchesNotTaken, capped.branchesNotTaken);
+    EXPECT_EQ(huge.cycles, capped.cycles);
+}
+
+// Subscripts past `long` combine modulo 2^64 and still land in the
+// store; the cycle model charges the multiplies, not index values.
+TEST(SimSemantics, HugeSubscriptsStayInTheStore)
+{
+    sim::Profile huge = profileText(program(
+        "A[64][64]", "  for (int i = 0; i < 4; i += 1) {\n"
+                     "    A[(i * 1000000000000000000)]"
+                     "[(i * 1000000000000000000)] = 1;\n"
+                     "  }\n"));
+    sim::Profile small = profileText(program(
+        "A[64][64]", "  for (int i = 0; i < 4; i += 1) {\n"
+                     "    A[(i * 3)][(i * 3)] = 1;\n"
+                     "  }\n"));
+    EXPECT_EQ(huge.cycles, small.cycles);
+}
+
+// hi - lo of these bounds does not fit in `long`: the trip count
+// saturates, and so does the loop's cycle count.
+TEST(SimSemantics, TripCountPastLongMaxSaturates)
+{
+    sim::Profile prof = profileText(program(
+        "A[64]", "  for (int i = (0 - 9000000000000000000); "
+                 "i < 9000000000000000000; i += 1) {\n"
+                 "    A[i] = 1;\n"
+                 "  }\n"));
+    EXPECT_EQ(prof.cycles, LONG_MAX);
+}
+
+// A 2^40 x 2^40 nest runs 2^80 inner trips: the outer loop's
+// extrapolated cycle sum (~2^80) saturates instead of wrapping.
+TEST(SimSemantics, NestPastLongMaxCyclesSaturates)
+{
+    sim::Profile prof = profileText(program(
+        "A[64]", "  for (int i = 0; i < 1099511627776; i += 1) {\n"
+                 "    for (int j = 0; j < 1099511627776; j += 1) {\n"
+                 "      A[j] = 1;\n"
+                 "    }\n"
+                 "  }\n"));
+    EXPECT_EQ(prof.cycles, LONG_MAX);
+}
+
+// Counts that fit keep their exact value: a 2^20-trip loop costs its
+// fill depth plus one cycle per further trip (II = 1).
+TEST(SimSemantics, CountsThatFitStayExact)
+{
+    sim::Profile one = profileText(program(
+        "A[64]", "  for (int i = 0; i < 1; i += 1) {\n"
+                 "    A[i] = 1;\n"
+                 "  }\n"));
+    sim::Profile many = profileText(program(
+        "A[64]", "  for (int i = 0; i < 1048576; i += 1) {\n"
+                 "    A[i] = 1;\n"
+                 "  }\n"));
+    EXPECT_EQ(many.cycles - one.cycles, 1048575);
 }
 
 } // namespace
