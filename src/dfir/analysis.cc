@@ -165,11 +165,14 @@ estimateExpr(const ExprPtr& e, const std::map<std::string, long>& defaults,
         long l = estimateExpr(e->args[0], defaults, fallback);
         long r = estimateExpr(e->args[1], defaults, fallback);
         switch (e->op) {
-          case BinOp::Add: return l + r;
-          case BinOp::Sub: return l - r;
-          case BinOp::Mul: return l * r;
-          case BinOp::Div: return r != 0 ? l / r : l;
-          case BinOp::Mod: return r != 0 ? l % r : 0;
+          // Saturating: the operands fold untrusted literals. Dividing
+          // by -1 negates (LONG_MIN / -1 does not fit), and x % -1 is 0
+          // (LONG_MIN % -1 is undefined).
+          case BinOp::Add: return satAdd(l, r);
+          case BinOp::Sub: return satSub(l, r);
+          case BinOp::Mul: return satMul(l, r);
+          case BinOp::Div: return r == 0 ? l : r == -1 ? satSub(0, l) : l / r;
+          case BinOp::Mod: return r == 0 || r == -1 ? 0 : l % r;
           case BinOp::Min: return std::min(l, r);
           case BinOp::Max: return std::max(l, r);
           case BinOp::Lt: return l < r;
@@ -229,7 +232,8 @@ walkStmt(const StmtPtr& s, int depth,
       case StmtKind::For: {
         long lo = estimateExpr(s->loop.lower, defaults);
         long hi = estimateExpr(s->loop.upper, defaults);
-        long trip = std::max<long>(1, (hi - lo) / std::max(1, s->loop.step));
+        long trip =
+            std::max<long>(1, satSub(hi, lo) / std::max(1, s->loop.step));
         acc.logTripSum += std::log(static_cast<double>(trip) + 1.0);
         ++acc.loopCount;
         acc.maxDepth = std::max(acc.maxDepth, depth + 1);
@@ -363,7 +367,8 @@ addStmtNodes(GraphBuilder& gb, const StmtPtr& s, int parent,
       case StmtKind::For: {
         long lo = estimateExpr(s->loop.lower, defaults);
         long hi = estimateExpr(s->loop.upper, defaults);
-        long trip = std::max<long>(1, (hi - lo) / std::max(1, s->loop.step));
+        long trip =
+            std::max<long>(1, satSub(hi, lo) / std::max(1, s->loop.step));
         int n = gb.addNode(
             NodeKind::Loop,
             {static_cast<float>(std::log(double(trip) + 1.0)),
@@ -396,7 +401,8 @@ extractProgramGraph(const DataflowGraph& g)
                 continue;
             long elems = 1;
             for (const auto& d : t.dims)
-                elems *= std::max<long>(1, estimateExpr(d, defaults));
+                elems = satMul(elems,
+                               std::max<long>(1, estimateExpr(d, defaults)));
             int n = gb.addNode(
                 NodeKind::Array,
                 {static_cast<float>(std::log(double(elems) + 1.0)),

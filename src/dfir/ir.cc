@@ -76,6 +76,36 @@ checkedOp(BinOp op, long a, long b, long* out)
     return !overflow && *out != std::numeric_limits<long>::min();
 }
 
+long
+satAdd(long a, long b)
+{
+    long r;
+    if (!__builtin_add_overflow(a, b, &r))
+        return r;
+    return b > 0 ? std::numeric_limits<long>::max()
+                 : std::numeric_limits<long>::min();
+}
+
+long
+satSub(long a, long b)
+{
+    long r;
+    if (!__builtin_sub_overflow(a, b, &r))
+        return r;
+    return b < 0 ? std::numeric_limits<long>::max()
+                 : std::numeric_limits<long>::min();
+}
+
+long
+satMul(long a, long b)
+{
+    long r;
+    if (!__builtin_mul_overflow(a, b, &r))
+        return r;
+    return (a < 0) == (b < 0) ? std::numeric_limits<long>::max()
+                              : std::numeric_limits<long>::min();
+}
+
 const Operator*
 DataflowGraph::findOp(const std::string& op_name) const
 {

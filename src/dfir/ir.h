@@ -59,6 +59,16 @@ double evalBinOp(BinOp op, double l, double r);
  */
 bool checkedOp(BinOp op, long a, long b, long* out);
 
+/**
+ * a + b, a - b and a * b clamped to [LONG_MIN, LONG_MAX]: a result past
+ * either end reads as that end, and every result that fits is exact.
+ * The simulator's trip counts and cycle sums and the analysis's loop
+ * estimates fold untrusted literals through these.
+ */
+long satAdd(long a, long b);
+long satSub(long a, long b);
+long satMul(long a, long b);
+
 struct Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 

@@ -104,6 +104,16 @@ softmaxScaleBackward(const float* p, float* g, int rb, int n, float scale)
  * gradients, as sliceCols' backward did. Each GEMM covers all n rows
  * in one call: the vector gemmAccumBt transposes its B operand once
  * per call, so 16-row calls would pay that transpose n/16 times.
+ *
+ * dV runs as its transpose, dV^T = dO^T P into an [hd, n] buffer, so
+ * the product is n wide instead of hd and its tested multiplier is dO,
+ * not P with its masked zeros. Per element both are the same ascending-i
+ * chain from +0 with the same products (x * y == y * x); they differ
+ * only in which zero factor's term is skipped. That changes no bit on
+ * finite inputs: in round-to-nearest a sum is -0 only when both addends
+ * are -0, so a chain that starts at +0 never holds -0, and adding a
+ * zero factor's +-0 term to it leaves it as it was, which is what
+ * skipping the term does.
  */
 void
 attentionBackward(const Tensor& out, Tensor& q, Tensor& k, Tensor& v,
@@ -115,7 +125,7 @@ attentionBackward(const Tensor& out, Tensor& q, Tensor& k, Tensor& v,
     for (Tensor* t : {&q, &k, &v})
         if (t->requiresGrad)
             t->ensureGrad();
-    std::vector<float> dO(size_t(n) * hd), dQ(dO.size()), dV(dO.size());
+    std::vector<float> dO(size_t(n) * hd), dQ(dO.size()), dVt(dO.size());
     std::vector<float> dKt(dO.size()), dS(size_t(n) * n);
     for (int h = 0; h < s.heads; ++h) {
         const float* qh = s.q.data() + size_t(h) * n * hd;
@@ -130,8 +140,8 @@ attentionBackward(const Tensor& out, Tensor& q, Tensor& k, Tensor& v,
                 dO[size_t(i) * hd + c] = 0.f + g[c];
         }
         if (v.requiresGrad) {
-            std::fill(dV.begin(), dV.end(), 0.f);
-            gemmAccumAt(be, ph, dO.data(), dV.data(), n, n, hd);
+            std::fill(dVt.begin(), dVt.end(), 0.f);
+            gemmAccumAt(be, dO.data(), ph, dVt.data(), n, hd, n);
         }
         if (q.requiresGrad || k.requiresGrad) {
             std::fill(dS.begin(), dS.end(), 0.f);
@@ -154,7 +164,7 @@ attentionBackward(const Tensor& out, Tensor& q, Tensor& k, Tensor& v,
                 if (k.requiresGrad)
                     k.grad[e] += dKt[size_t(c) * n + i];
                 if (v.requiresGrad)
-                    v.grad[e] += dV[size_t(i) * hd + c];
+                    v.grad[e] += dVt[size_t(c) * n + i];
             }
     }
 }

@@ -11,7 +11,9 @@
  * output elements. The one reduction exempt is softmax's row max,
  * which is exact in any order on finite inputs (`rowMax` says why). All
  * three GEMMs run on one register tile (`tile`):
- * 4 output rows by 16 columns, or one fused 8+4, 8- or 4-wide tile for
+ * 4 output rows by 16 columns, each row's 16 held in one 64-byte vector
+ * (one zmm on the x86-64-v4 clone, two ymm on x86-64-v3, four SSE
+ * registers on the baseline), or one fused 8+4, 8- or 4-wide tile for
  * what a row has left (the 12-wide head-dim outputs of attention), with
  * the accumulators held in registers across the whole reduction:
  *
@@ -27,6 +29,13 @@
  *                 chain per element).
  *  - gemmAccumAt: tiles of out over the i loop (i stays outermost, as
  *                 the element-wise accumulation order requires).
+ *
+ * The zero-skip is tested once per call, not once per term: gemmAccum
+ * and gemmAccumAt scan their multiplier A for a zero (`anyZero`) and,
+ * when it holds none, run tiles with no per-term test or branch, which
+ * skip nothing because there is nothing to skip. An A that holds a zero
+ * (an attention P with masked cells, say) runs the tested tiles. The
+ * scalar edge loops always test.
  *
  * bench/bench_nn_gemm.cc has the per-shape speedups over scalar.
  *
@@ -127,8 +136,15 @@ constexpr int kMR = 4; //!< rows of every register tile
 typedef float v8f __attribute__((vector_size(32)));
 /** 4-wide companion for the narrow tiles (one xmm / SSE register). */
 typedef float v4f __attribute__((vector_size(16)));
+/**
+ * A tile row's 16 columns: one zmm on the x86-64-v4 clone, two ymm on
+ * x86-64-v3, four SSE registers on the baseline. The lane ops are the
+ * same element-wise mul/add at every width.
+ */
+typedef float v16f __attribute__((vector_size(64)));
 /** Lane masks (all ones or zero, as comparisons return) and int lanes. */
 typedef std::int32_t v8i __attribute__((vector_size(32)));
+typedef std::int32_t v16i __attribute__((vector_size(64)));
 /** Float bit patterns, for exponent-field arithmetic without UB. */
 typedef std::uint32_t v8u __attribute__((vector_size(32)));
 /**
@@ -139,30 +155,19 @@ typedef std::uint32_t v8u __attribute__((vector_size(32)));
 typedef double v8d __attribute__((vector_size(64)));
 typedef std::uint64_t v8q __attribute__((vector_size(64)));
 
-__attribute__((always_inline)) inline v8f
-load8(const float* p)
+/** A vector of V's width from p (unaligned-safe; folds to one move). */
+template <class V>
+__attribute__((always_inline)) inline V
+load(const float* p)
 {
-    v8f v;
-    std::memcpy(&v, p, sizeof(v)); // unaligned-safe; folds to one move
-    return v;
-}
-
-__attribute__((always_inline)) inline void
-store8(float* p, v8f v)
-{
-    std::memcpy(p, &v, sizeof(v));
-}
-
-__attribute__((always_inline)) inline v4f
-load4(const float* p)
-{
-    v4f v;
+    V v;
     std::memcpy(&v, p, sizeof(v));
     return v;
 }
 
+template <class V>
 __attribute__((always_inline)) inline void
-store4(float* p, v4f v)
+store(float* p, V v)
 {
     std::memcpy(p, &v, sizeof(v));
 }
@@ -179,6 +184,19 @@ bcast8(float x)
     return __builtin_shufflevector(s, s, 0, 0, 0, 0, 0, 0, 0, 0);
 #else
     return v8f{x, x, x, x, x, x, x, x};
+#endif
+}
+
+/** bcast8 at 16 lanes. */
+__attribute__((always_inline)) inline v16f
+bcast16(float x)
+{
+#if defined(__has_builtin) && __has_builtin(__builtin_shufflevector)
+    v16f s = {x};
+    return __builtin_shufflevector(s, s, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                   0, 0, 0, 0);
+#else
+    return v16f{x, x, x, x, x, x, x, x, x, x, x, x, x, x, x, x};
 #endif
 }
 
@@ -359,73 +377,87 @@ geluLanes(v8f v, v8f& th)
 }
 
 /**
- * One row of register accumulators: 8*N8 + 4*N4 output columns, with
- * N8 in 0..2 and N4 in 0..1 (16-, 12-, 8- and 4-wide tiles). Members a
- * width does not use are never touched and compile away.
+ * One row of register accumulators, W = 16, 12, 8 or 4 output columns:
+ * 16 in one 16-lane vector, 12 as 8 + 4, and 8 or 4 in one vector.
+ * Members a width does not use are never touched and compile away.
  */
 struct TileRow
 {
-    v8f lo, hi;
+    v16f w;
+    v8f lo;
     v4f q;
 };
 
-template <int N8, int N4>
+template <int W>
 __attribute__((always_inline)) inline TileRow
 loadRow(const float* p)
 {
     TileRow t{};
-    if constexpr (N8 >= 1)
-        t.lo = load8(p);
-    if constexpr (N8 >= 2)
-        t.hi = load8(p + 8);
-    if constexpr (N4 == 1)
-        t.q = load4(p + 8 * N8);
+    if constexpr (W == 16)
+        t.w = load<v16f>(p);
+    if constexpr (W == 12 || W == 8)
+        t.lo = load<v8f>(p);
+    if constexpr (W % 8 == 4)
+        t.q = load<v4f>(p + W - 4);
     return t;
 }
 
-template <int N8, int N4>
+template <int W>
 __attribute__((always_inline)) inline void
 storeRow(float* p, const TileRow& t)
 {
-    if constexpr (N8 >= 1)
-        store8(p, t.lo);
-    if constexpr (N8 >= 2)
-        store8(p + 8, t.hi);
-    if constexpr (N4 == 1)
-        store4(p + 8 * N8, t.q);
+    if constexpr (W == 16)
+        store(p, t.w);
+    if constexpr (W == 12 || W == 8)
+        store(p, t.lo);
+    if constexpr (W % 8 == 4)
+        store(p + W - 4, t.q);
 }
 
 /** p[0..W) += t, one add per element. */
-template <int N8, int N4>
+template <int W>
 __attribute__((always_inline)) inline void
 addToRow(float* p, const TileRow& t)
 {
-    if constexpr (N8 >= 1)
-        store8(p, load8(p) + t.lo);
-    if constexpr (N8 >= 2)
-        store8(p + 8, load8(p + 8) + t.hi);
-    if constexpr (N4 == 1)
-        store4(p + 8 * N8, load4(p + 8 * N8) + t.q);
+    if constexpr (W == 16)
+        store(p, load<v16f>(p) + t.w);
+    if constexpr (W == 12 || W == 8)
+        store(p, load<v8f>(p) + t.lo);
+    if constexpr (W % 8 == 4)
+        store(p + W - 4, load<v4f>(p + W - 4) + t.q);
 }
 
 /** acc += xv * y, element-wise: one mul then one add per lane. */
-template <int N8, int N4>
+template <int W>
 __attribute__((always_inline)) inline void
 rank1(TileRow& acc, float xv, const TileRow& y)
 {
-    const v8f xb = bcast8(xv);
-    if constexpr (N8 >= 1)
-        acc.lo += xb * y.lo;
-    if constexpr (N8 >= 2)
-        acc.hi += xb * y.hi;
-    if constexpr (N4 == 1)
-        acc.q += lo4(xb) * y.q;
+    if constexpr (W == 16) {
+        acc.w += bcast16(xv) * y.w;
+    } else {
+        const v8f xb = bcast8(xv);
+        if constexpr (W == 12 || W == 8)
+            acc.lo += xb * y.lo;
+        if constexpr (W % 8 == 4)
+            acc.q += lo4(xb) * y.q;
+    }
 }
 
 /**
+ * How a tile's per-element chain runs, after the scalar reference:
+ *  - Skip (gemmAccum, gemmAccumAt): from C's value, skipping each term
+ *    whose X is zero (== 0.0f, so -0.0f too), never multiplying it —
+ *    0 * inf would be NaN;
+ *  - Dense: the same chain on an X that holds no zero, where the skip
+ *    never fires, so the tile takes every term without testing one;
+ *  - Local (gemmAccumBt): from 0, every term, added to C once at the
+ *    end (`s = 0; ...; out += s`).
+ */
+enum class Chain { Skip, Dense, Local };
+
+/**
  * The register tile all three GEMM variants reduce to: a sum of rank-1
- * updates over `steps`, into kMR output rows of W = 8*N8 + 4*N4
- * columns,
+ * updates over `steps`, into kMR output rows of W columns,
  *
  *     C[r, 0..W) <- C[r, 0..W) + sum_s X[r,s] * Y[s, 0..W),
  *
@@ -435,79 +467,96 @@ rank1(TileRow& acc, float xv, const TileRow& y)
  *
  * Per output element the float operations are exactly the scalar
  * reference's: terms in ascending s, a separate mul and add each
- * (contraction is off for this file). The two reference shapes:
- *  - Skip (gemmAccum, gemmAccumAt): the chain starts from C's value and
- *    a term whose X is zero (== 0.0f, so -0.0f too) is skipped, never
- *    multiplied — 0 * inf would be NaN;
- *  - !Skip (gemmAccumBt): the chain starts from 0, takes every term,
- *    and is added to C once at the end (`s = 0; ...; out += s`).
+ * (contraction is off for this file), in the chain C names.
  */
-template <int N8, int N4, bool Skip>
+template <int W, Chain C>
 __attribute__((always_inline)) inline void
 tile(const float* x, size_t xRow, size_t xStep, const float* y, size_t ldy,
      float* c, size_t ldc, int steps)
 {
+    constexpr bool test = C == Chain::Skip;
     TileRow acc0{}, acc1{}, acc2{}, acc3{};
-    if constexpr (Skip) {
-        acc0 = loadRow<N8, N4>(c);
-        acc1 = loadRow<N8, N4>(c + ldc);
-        acc2 = loadRow<N8, N4>(c + 2 * ldc);
-        acc3 = loadRow<N8, N4>(c + 3 * ldc);
+    if constexpr (C != Chain::Local) {
+        acc0 = loadRow<W>(c);
+        acc1 = loadRow<W>(c + ldc);
+        acc2 = loadRow<W>(c + 2 * ldc);
+        acc3 = loadRow<W>(c + 3 * ldc);
     }
     for (int s = 0; s < steps; ++s) {
-        const TileRow ys = loadRow<N8, N4>(y + size_t(s) * ldy);
+        const TileRow ys = loadRow<W>(y + size_t(s) * ldy);
         const float* xs = x + size_t(s) * xStep;
         const float x0 = xs[0], x1 = xs[xRow];
         const float x2 = xs[2 * xRow], x3 = xs[3 * xRow];
-        if (!Skip || x0 != 0.f)
-            rank1<N8, N4>(acc0, x0, ys);
-        if (!Skip || x1 != 0.f)
-            rank1<N8, N4>(acc1, x1, ys);
-        if (!Skip || x2 != 0.f)
-            rank1<N8, N4>(acc2, x2, ys);
-        if (!Skip || x3 != 0.f)
-            rank1<N8, N4>(acc3, x3, ys);
+        if (!test || x0 != 0.f)
+            rank1<W>(acc0, x0, ys);
+        if (!test || x1 != 0.f)
+            rank1<W>(acc1, x1, ys);
+        if (!test || x2 != 0.f)
+            rank1<W>(acc2, x2, ys);
+        if (!test || x3 != 0.f)
+            rank1<W>(acc3, x3, ys);
     }
-    if constexpr (Skip) {
-        storeRow<N8, N4>(c, acc0);
-        storeRow<N8, N4>(c + ldc, acc1);
-        storeRow<N8, N4>(c + 2 * ldc, acc2);
-        storeRow<N8, N4>(c + 3 * ldc, acc3);
+    if constexpr (C != Chain::Local) {
+        storeRow<W>(c, acc0);
+        storeRow<W>(c + ldc, acc1);
+        storeRow<W>(c + 2 * ldc, acc2);
+        storeRow<W>(c + 3 * ldc, acc3);
     } else {
-        addToRow<N8, N4>(c, acc0);
-        addToRow<N8, N4>(c + ldc, acc1);
-        addToRow<N8, N4>(c + 2 * ldc, acc2);
-        addToRow<N8, N4>(c + 3 * ldc, acc3);
+        addToRow<W>(c, acc0);
+        addToRow<W>(c + ldc, acc1);
+        addToRow<W>(c + 2 * ldc, acc2);
+        addToRow<W>(c + 3 * ldc, acc3);
     }
 }
 
 /**
  * Sweep one kMR-row block across output columns [0, w): 16-wide tiles,
  * then a single 12-, 8- or 4-wide tile for what is left — so the
- * head-dim outputs of attention (P*V, dV, dQ at width 12) run one
- * fused 8+4 tile instead of per-element loops. Returns the first column
- * not covered (w rounded down to a multiple of 4).
+ * head-dim outputs of attention (P*V, dQ at width 12) run one fused 8+4
+ * tile instead of per-element loops. Returns the first column not
+ * covered (w rounded down to a multiple of 4).
  */
-template <bool Skip>
+template <Chain C>
 __attribute__((always_inline)) inline int
 tileColumns(const float* x, size_t xRow, size_t xStep, const float* y,
             size_t ldy, float* c, size_t ldc, int steps, int w)
 {
     int j = 0;
     for (; j + 16 <= w; j += 16)
-        tile<2, 0, Skip>(x, xRow, xStep, y + j, ldy, c + j, ldc, steps);
+        tile<16, C>(x, xRow, xStep, y + j, ldy, c + j, ldc, steps);
     const int rest = w - j;
     if (rest >= 12) {
-        tile<1, 1, Skip>(x, xRow, xStep, y + j, ldy, c + j, ldc, steps);
+        tile<12, C>(x, xRow, xStep, y + j, ldy, c + j, ldc, steps);
         j += 12;
     } else if (rest >= 8) {
-        tile<1, 0, Skip>(x, xRow, xStep, y + j, ldy, c + j, ldc, steps);
+        tile<8, C>(x, xRow, xStep, y + j, ldy, c + j, ldc, steps);
         j += 8;
     } else if (rest >= 4) {
-        tile<0, 1, Skip>(x, xRow, xStep, y + j, ldy, c + j, ldc, steps);
+        tile<4, C>(x, xRow, xStep, y + j, ldy, c + j, ldc, steps);
         j += 4;
     }
     return j;
+}
+
+/**
+ * Whether any of x[0, count) meets the skip predicate, x == 0.0f (so
+ * -0.0f too). gemmAccum and gemmAccumAt scan their multiplier once per
+ * call: on an operand that holds no zero they run Dense tiles, which
+ * drop the per-term test (and its branch) the Skip tiles pay.
+ */
+__attribute__((always_inline)) inline bool
+anyZero(const float* x, size_t count)
+{
+    v16i hit{};
+    size_t i = 0;
+    for (; i + 16 <= count; i += 16)
+        hit |= load<v16f>(x + i) == splat<v16f>(0.f);
+    bool any = false;
+    for (int l = 0; l < 16; ++l)
+        any |= hit[l] != 0;
+    for (; i < count; ++i)
+        any |= x[i] == 0.f;
+    return any;
 }
 
 /** Scalar-identical ikj kernel over rows [i0,i1), columns [j0,n). */
@@ -551,23 +600,54 @@ gemmAccumAtEdge(const float* a, const float* dc, float* out, int m,
     }
 }
 
-} // namespace
-
-LLM_KERNEL_CLONES void
-gemmAccum(const float* a, const float* b, float* c, int m, int k, int n)
+/** gemmAccum's tiles in chain C (Skip or Dense); edges stay scalar. */
+template <Chain C>
+__attribute__((always_inline)) inline void
+gemmAccumTiles(const float* a, const float* b, float* c, int m, int k,
+               int n)
 {
     // Tiles of C: X = A (rows i..i+3, stepping along k), Y = B's rows.
     int i = 0;
     for (; i + kMR <= m; i += kMR) {
-        const int j = tileColumns<true>(a + size_t(i) * k, size_t(k), 1, b,
-                                        size_t(n), c + size_t(i) * n,
-                                        size_t(n), k, n);
+        const int j = tileColumns<C>(a + size_t(i) * k, size_t(k), 1, b,
+                                     size_t(n), c + size_t(i) * n,
+                                     size_t(n), k, n);
         if (j < n)
             gemmAccumEdge(a, b, c, i, i + kMR, j, k, n);
     }
     if (i < m)
         scalar::gemmAccum(a + size_t(i) * k, b, c + size_t(i) * n, m - i,
                           k, n);
+}
+
+/** gemmAccumAt's tiles in chain C (Skip or Dense); edges stay scalar. */
+template <Chain C>
+__attribute__((always_inline)) inline void
+gemmAccumAtTiles(const float* a, const float* dc, float* out, int m, int k,
+                 int n)
+{
+    // Tiles of out: X = A^T (out rows p..p+3 are A's columns, stepping
+    // down A's rows, so i stays outermost per element), Y = dC's rows.
+    int p = 0;
+    for (; p + kMR <= k; p += kMR) {
+        const int j = tileColumns<C>(a + p, 1, size_t(k), dc, size_t(n),
+                                     out + size_t(p) * n, size_t(n), m, n);
+        if (j < n)
+            gemmAccumAtEdge(a, dc, out, m, p, p + kMR, j, k, n);
+    }
+    if (p < k)
+        gemmAccumAtEdge(a, dc, out, m, p, k, 0, k, n);
+}
+
+} // namespace
+
+LLM_KERNEL_CLONES void
+gemmAccum(const float* a, const float* b, float* c, int m, int k, int n)
+{
+    if (anyZero(a, size_t(m) * k))
+        gemmAccumTiles<Chain::Skip>(a, b, c, m, k, n);
+    else
+        gemmAccumTiles<Chain::Dense>(a, b, c, m, k, n);
 }
 
 namespace {
@@ -589,7 +669,7 @@ gemmAccumBt(const float* dc, const float* b, float* out, int m, int k, int n)
     // [n,k] panel turns the inner step into `acc[p..] += dC[i,j] *
     // bT[j][p..]`: a broadcast-multiply across up to 16 INDEPENDENT p
     // chains, each still strictly j-ascending and local-sum-then-
-    // accumulate (the tile's !Skip form). Small m can't amortize the
+    // accumulate (the tile's Local chain). Small m can't amortize the
     // O(k*n) transpose, and k below one vector width leaves nothing to
     // vectorize across; the reference loop is fast enough there.
     if (m < kMR || k < 8) {
@@ -609,8 +689,8 @@ gemmAccumBt(const float* dc, const float* b, float* out, int m, int k, int n)
     for (; i + kMR <= m; i += kMR) {
         const float* d = dc + size_t(i) * n;
         float* o = out + size_t(i) * k;
-        int p = tileColumns<false>(d, size_t(n), 1, bt, size_t(k), o,
-                                   size_t(k), n, k);
+        int p = tileColumns<Chain::Local>(d, size_t(n), 1, bt, size_t(k), o,
+                                          size_t(k), n, k);
         for (; p < k; ++p) {
             const float* brow = b + size_t(p) * n;
             for (int r = 0; r < kMR; ++r) {
@@ -630,18 +710,10 @@ gemmAccumBt(const float* dc, const float* b, float* out, int m, int k, int n)
 LLM_KERNEL_CLONES void
 gemmAccumAt(const float* a, const float* dc, float* out, int m, int k, int n)
 {
-    // Tiles of out: X = A^T (out rows p..p+3 are A's columns, stepping
-    // down A's rows, so i stays outermost per element), Y = dC's rows.
-    int p = 0;
-    for (; p + kMR <= k; p += kMR) {
-        const int j = tileColumns<true>(a + p, 1, size_t(k), dc, size_t(n),
-                                        out + size_t(p) * n, size_t(n), m,
-                                        n);
-        if (j < n)
-            gemmAccumAtEdge(a, dc, out, m, p, p + kMR, j, k, n);
-    }
-    if (p < k)
-        gemmAccumAtEdge(a, dc, out, m, p, k, 0, k, n);
+    if (anyZero(a, size_t(m) * k))
+        gemmAccumAtTiles<Chain::Skip>(a, dc, out, m, k, n);
+    else
+        gemmAccumAtTiles<Chain::Dense>(a, dc, out, m, k, n);
 }
 
 namespace {
@@ -671,16 +743,16 @@ rowMax(const float* __restrict in, int n)
     float mx = in[0];
     int j = 1;
     if (n >= 32) {
-        v8f m0 = load8(in), m1 = load8(in + 8);
-        v8f m2 = load8(in + 16), m3 = load8(in + 24);
+        v8f m0 = load<v8f>(in), m1 = load<v8f>(in + 8);
+        v8f m2 = load<v8f>(in + 16), m3 = load<v8f>(in + 24);
         for (j = 32; j + 32 <= n; j += 32) {
-            m0 = max8(m0, load8(in + j));
-            m1 = max8(m1, load8(in + j + 8));
-            m2 = max8(m2, load8(in + j + 16));
-            m3 = max8(m3, load8(in + j + 24));
+            m0 = max8(m0, load<v8f>(in + j));
+            m1 = max8(m1, load<v8f>(in + j + 8));
+            m2 = max8(m2, load<v8f>(in + j + 16));
+            m3 = max8(m3, load<v8f>(in + j + 24));
         }
         for (; j + 8 <= n; j += 8)
-            m0 = max8(m0, load8(in + j));
+            m0 = max8(m0, load<v8f>(in + j));
         m0 = max8(max8(m0, m1), max8(m2, m3));
         mx = m0[0];
         for (int l = 1; l < 8; ++l)
@@ -702,11 +774,11 @@ expShifted(const float* __restrict in, float mx, float* __restrict out,
     const v8f m = bcast8(mx);
     int j = 0;
     for (; j + 8 <= n; j += 8)
-        store8(out + j, expLanes(load8(in + j) - m));
+        store(out + j, expLanes(load<v8f>(in + j) - m));
     if (j < n) {
         float buf[8] = {};
         std::memcpy(buf, in + j, size_t(n - j) * sizeof(float));
-        store8(buf, expLanes(load8(buf) - m));
+        store(buf, expLanes(load<v8f>(buf) - m));
         std::memcpy(out + j, buf, size_t(n - j) * sizeof(float));
     }
 }
@@ -724,13 +796,13 @@ normalize(float* __restrict out, float sum, int n)
 LLM_KERNEL_CLONES void
 exp8(const float* x, float* y)
 {
-    store8(y, expLanes(load8(x)));
+    store(y, expLanes(load<v8f>(x)));
 }
 
 LLM_KERNEL_CLONES void
 tanh8(const float* x, float* y)
 {
-    store8(y, tanhLanes(load8(x)));
+    store(y, tanhLanes(load<v8f>(x)));
 }
 
 LLM_KERNEL_CLONES void
@@ -809,18 +881,18 @@ geluForward(const float* x, float* y, float* t, std::size_t n)
     std::size_t i = 0;
     v8f th;
     for (; i + 8 <= n; i += 8) {
-        store8(y + i, geluLanes(load8(x + i), th));
+        store(y + i, geluLanes(load<v8f>(x + i), th));
         if (t)
-            store8(t + i, th);
+            store(t + i, th);
     }
     if (i < n) {
         const size_t rest = (n - i) * sizeof(float);
         float buf[8] = {};
         std::memcpy(buf, x + i, rest);
-        store8(buf, geluLanes(load8(buf), th));
+        store(buf, geluLanes(load<v8f>(buf), th));
         std::memcpy(y + i, buf, rest);
         if (t) {
-            store8(buf, th);
+            store(buf, th);
             std::memcpy(t + i, buf, rest);
         }
     }

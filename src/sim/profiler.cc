@@ -34,21 +34,10 @@ constexpr long kMaxTensorElems = 1L << 20;
 // Trip counts and cycle sums saturate at LONG_MAX instead of
 // overflowing: program text is untrusted, and a count that does not fit
 // in `long` reads as the largest one. Every count that fits is exact.
-// Operands are non-negative (the verifier refuses negative delays).
-
-long
-satAdd(long a, long b)
-{
-    long r;
-    return __builtin_add_overflow(a, b, &r) ? LONG_MAX : r;
-}
-
-long
-satMul(long a, long b)
-{
-    long r;
-    return __builtin_mul_overflow(a, b, &r) ? LONG_MAX : r;
-}
+// Operands are non-negative (the verifier refuses negative delays), so
+// dfir's saturating ops only ever clamp at the top.
+using dfir::satAdd;
+using dfir::satMul;
 
 /** ceil(a / b) for a >= 0 and b >= 1, without forming a + b - 1. */
 long

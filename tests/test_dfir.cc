@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cmath>
+
 #include "dfir/analysis.h"
 #include "dfir/builder.h"
 #include "dfir/printer.h"
@@ -130,6 +133,36 @@ TEST(Analysis, EstimateExprFoldsArithmetic)
     EXPECT_EQ(estimateExpr(badd(p("N"), c(2)), defaults), 66);
     EXPECT_EQ(estimateExpr(bmul(c(3), c(5)), defaults), 15);
     EXPECT_EQ(estimateExpr(p("M"), defaults, 32), 32); // fallback
+}
+
+TEST(Analysis, BoundsPastLongStayFinite)
+{
+    // Trips and sizes are formed from untrusted literals: a span past
+    // LONG_MAX, LONG_MIN / -1 and LONG_MIN % -1 saturate or fold to 0
+    // instead of overflowing (UBSan halts on the unchecked forms).
+    const long big = 9000000000000000000L;
+    const ExprPtr minLong = bsub(bsub(c(0), c(LONG_MAX)), c(1));
+    const ExprPtr minusOne = bsub(c(0), c(1));
+    EXPECT_EQ(estimateExpr(bsub(c(big), bsub(c(0), c(big))), {}), LONG_MAX);
+    EXPECT_EQ(estimateExpr(bsub(bsub(c(0), c(big)), c(big)), {}), LONG_MIN);
+    EXPECT_EQ(estimateExpr(bmul(c(big), bsub(c(0), c(big))), {}), LONG_MIN);
+    EXPECT_EQ(estimateExpr(bdiv(minLong, minusOne), {}), LONG_MAX);
+    EXPECT_EQ(estimateExpr(bin(BinOp::Mod, minLong, minusOne), {}), 0);
+
+    Operator op;
+    op.name = "wide";
+    op.tensors = {tensor("X", {c(big), c(big)})};
+    auto body = assign("X", {v("i"), v("j")}, c(1));
+    op.body = {forLoop("i", bsub(c(0), c(big)), c(big),
+                       {forLoop("j", c(0), bdiv(minLong, minusOne),
+                                {body})})};
+    auto g = makeGraph({op});
+    for (float f : handcraftedFeatures(g, {}))
+        EXPECT_TRUE(std::isfinite(f)) << f;
+    const ProgramGraph pg = extractProgramGraph(g);
+    for (const auto& node : pg.features)
+        for (float f : node)
+            EXPECT_TRUE(std::isfinite(f)) << f;
 }
 
 TEST(Analysis, HandcraftedFeatureShapeAndSensitivity)

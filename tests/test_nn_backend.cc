@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "eval/model_cache.h"
@@ -142,6 +143,73 @@ runGemmCompare(const GemmShape& s, const std::vector<float>& a,
         << "gemmAccumAt " << s.m << "x" << s.k << "x" << s.n;
 }
 
+bool
+anyNaN(const std::vector<float>& v)
+{
+    for (float x : v)
+        if (std::isnan(x))
+            return true;
+    return false;
+}
+
+/**
+ * Operands whose only zero (+0, then -0) is the multiplier's first
+ * element, then its last. For gemmAccum and gemmAccumAt the partner row
+ * that zero multiplies holds +-inf: the zero must be skipped, so a zero
+ * scan that misses one element (and runs the untested tile) turns
+ * 0 * inf into NaN. gemmAccumBt tests no zero — its reference takes
+ * every term, so 0 * inf is NaN on both sides — and gets the lone zero
+ * against finite partners.
+ */
+void
+runLoneZeroCompare(const GemmShape& s, util::Rng& rng)
+{
+    const nn::Backend& sc = nn::scalarBackend();
+    const nn::Backend& ve = nn::vectorBackend();
+    const float inf = std::numeric_limits<float>::infinity();
+    const size_t mk = size_t(s.m) * s.k, kn = size_t(s.k) * s.n;
+    const size_t mn = size_t(s.m) * s.n;
+    for (float zero : {0.f, -0.f}) {
+        for (bool last : {false, true}) {
+            // The zero sits at A[i,p]: gemmAccum multiplies it into B's
+            // row p, gemmAccumAt into dC's row i.
+            const int i = last ? s.m - 1 : 0, p = last ? s.k - 1 : 0;
+            auto a = randVec(mk, rng);
+            a[size_t(i) * s.k + p] = zero;
+            auto b = randVec(kn, rng);
+            auto dc = randVec(mn, rng);
+            for (int j = 0; j < s.n; ++j) {
+                b[size_t(p) * s.n + j] = j % 2 ? -inf : inf;
+                dc[size_t(i) * s.n + j] = j % 2 ? inf : -inf;
+            }
+            const std::string where =
+                util::format(" %dx%dx%d, %s zero %s", s.m, s.k, s.n,
+                             std::signbit(zero) ? "-" : "+",
+                             last ? "last" : "first");
+
+            std::vector<float> c1(mn, 0.5f), c2 = c1;
+            sc.gemmAccum(a.data(), b.data(), c1.data(), s.m, s.k, s.n);
+            ve.gemmAccum(a.data(), b.data(), c2.data(), s.m, s.k, s.n);
+            EXPECT_TRUE(bitEqual(c1, c2)) << "gemmAccum" << where;
+            EXPECT_FALSE(anyNaN(c2)) << "gemmAccum" << where;
+
+            std::vector<float> db1(kn, -0.5f), db2 = db1;
+            sc.gemmAccumAt(a.data(), dc.data(), db1.data(), s.m, s.k, s.n);
+            ve.gemmAccumAt(a.data(), dc.data(), db2.data(), s.m, s.k, s.n);
+            EXPECT_TRUE(bitEqual(db1, db2)) << "gemmAccumAt" << where;
+            EXPECT_FALSE(anyNaN(db2)) << "gemmAccumAt" << where;
+
+            auto x = randVec(mn, rng);
+            x[last ? mn - 1 : 0] = zero;
+            const auto y = randVec(kn, rng);
+            std::vector<float> da1(mk, 0.25f), da2 = da1;
+            sc.gemmAccumBt(x.data(), y.data(), da1.data(), s.m, s.k, s.n);
+            ve.gemmAccumBt(x.data(), y.data(), da2.data(), s.m, s.k, s.n);
+            EXPECT_TRUE(bitEqual(da1, da2)) << "gemmAccumBt" << where;
+        }
+    }
+}
+
 TEST(NnBackend, GemmBitIdentityShapeSweepDense)
 {
     util::Rng rng(101);
@@ -151,6 +219,7 @@ TEST(NnBackend, GemmBitIdentityShapeSweepDense)
         auto dc = randVec(size_t(s.m) * s.n, rng);
         auto c = randVec(size_t(s.m) * s.n, rng, 0.1);
         runGemmCompare(s, a, b, dc, c);
+        runLoneZeroCompare(s, rng);
     }
 }
 
@@ -173,7 +242,8 @@ TEST(NnBackend, GemmBitIdentityNarrowWidthSweep)
     // Every output width 1..20 of every variant (n for gemmAccum and
     // gemmAccumAt, k for gemmAccumBt) crosses the 16-, 12-, 8- and
     // 4-wide tiles and the per-element tail, at one full row block
-    // (m = 4) and one with a leftover row (m = 5).
+    // (m = 4) and one with a leftover row (m = 5), on dense, zero-heavy
+    // and lone-zero operands.
     util::Rng rng(404);
     for (int m : {4, 5}) {
         for (int k = 1; k <= 20; ++k) {
@@ -187,6 +257,7 @@ TEST(NnBackend, GemmBitIdentityNarrowWidthSweep)
                                zeroHeavyVec(kn, rng, 300),
                                zeroHeavyVec(mn, rng, 600),
                                std::vector<float>(mn, 0.f));
+                runLoneZeroCompare(s, rng);
             }
         }
     }
