@@ -21,20 +21,37 @@
  *    partner operand it is never tested. accum_at [n,n,12] masked is
  *    the untransposed dV, P^T dO, for comparison.
  *
+ *
+ * Then one head's attention block as the encoder runs it, 16 query
+ * rows at head width 12 against n = 206 and 280 keys, with no mask and
+ * `_masked` (a separation-mask band of -1e9 on half the rows): the
+ * scalar attentionRows entry, `composite_vector` (the per-op composite,
+ * scores, scale, mask, softmaxRows and P.V, on the vector kernels) and
+ * the vector entry, the fused pass. These ask for no P, as inference
+ * does; `_probs` rows at n = 280 masked also write P, as training does.
+ *
+ * Every row is the median of 5 windows, the backends of a row taking
+ * turns window by window, with the windows' quartiles beside it.
+ *
  * CSV rows: nn_gemm,<variant>_m<m>_k<k>_n<n>[_masked]_<backend>_gflops,
- * <v> plus a `_speedup` row (vector over scalar) per row. Quick mode
- * shortens the measured window, not the shape list.
+ * <v> with `_q1`/`_q3` rows, plus a `_speedup` row (vector over scalar,
+ * of the medians) per row; nn_gemm,attn_rows_m16_n<n>[_masked][_probs]_
+ * <backend>_ns_per_cell,<v> with `_q1`/`_q3` rows. Quick mode shortens
+ * the windows, not the shape list.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "harness/harness.h"
 #include "nn/backend.h"
+#include "nn/kernels.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -118,59 +135,122 @@ variantName(Variant v)
     return "?";
 }
 
-/** Run one (kernel, shape) measurement; returns GFLOP/s. */
-double
-measure(const nn::Backend& be, Variant v, const Shape& s, Masked masked,
-        double seconds)
+/** Windows per row; each row reports their median and quartiles. */
+constexpr int kWindows = 5;
+
+/** Quartiles of a row's windows. */
+struct Spread
 {
+    double q1, median, q3;
+};
+
+Spread
+spreadOf(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    auto at = [&](double f) {
+        const double pos = f * double(v.size() - 1);
+        const size_t lo = size_t(pos);
+        const size_t hi = std::min(lo + 1, v.size() - 1);
+        return v[lo] + (pos - double(lo)) * (v[hi] - v[lo]);
+    };
+    return {at(0.25), at(0.5), at(0.75)};
+}
+
+/**
+ * Time `call` (which returns the seconds it spent in the kernel) over
+ * whole repetitions until they add up to `seconds`; returns the mean
+ * seconds per call.
+ */
+template <class Call>
+double
+window(Call&& call, double seconds)
+{
+    long reps = 0;
+    double in_kernel = 0.0;
+    do {
+        in_kernel += call();
+        ++reps;
+    } while (in_kernel < seconds);
+    return in_kernel / double(reps);
+}
+
+/**
+ * Run `calls` (one per backend) in turns, kWindows windows each, after
+ * one warm-up call each; returns each backend's seconds per call, one
+ * per window.
+ */
+template <class Call>
+std::vector<std::vector<double>>
+takeTurns(std::vector<Call>& calls, double seconds)
+{
+    for (auto& c : calls)
+        c(); // warm-up: faults the buffers, primes the clone dispatch
+    std::vector<std::vector<double>> perCall(calls.size());
+    for (int w = 0; w < kWindows; ++w)
+        for (size_t b = 0; b < calls.size(); ++b)
+            perCall[b].push_back(window(calls[b], seconds));
+    return perCall;
+}
+
+/** One (kernel, shape) call on backend `be`, as a timed closure. */
+std::function<double()>
+gemmCall(const nn::Backend& be, Variant v, const Shape& s, Masked masked)
+{
+    struct Buffers
+    {
+        std::vector<float> a, b, dc, out;
+    };
+    auto buf = std::make_shared<Buffers>();
     util::Rng rng(1234);
-    auto a = randVec(size_t(s.m) * s.k, rng);
-    auto b = randVec(size_t(s.k) * s.n, rng);
-    auto dc = randVec(size_t(s.m) * s.n, rng);
+    buf->a = randVec(size_t(s.m) * s.k, rng);
+    buf->b = randVec(size_t(s.k) * s.n, rng);
+    buf->dc = randVec(size_t(s.m) * s.n, rng);
     if (masked == Masked::A)
-        zeroBand(a, s.k);
+        zeroBand(buf->a, s.k);
     if (masked == Masked::Dc)
-        zeroBand(dc, s.n);
+        zeroBand(buf->dc, s.n);
     // The accumulators are re-zeroed between reps so values cannot
     // drift to inf across thousands of accumulating calls; only the
     // kernel call itself is timed, so the memset does not compress the
     // reported ratio on low-arithmetic-intensity shapes.
-    std::vector<float> out;
-    auto runOnce = [&]() {
+    return [&be, v, s, buf]() {
+        Buffers& x = *buf;
         Clock::time_point t0, t1;
         switch (v) {
           case Variant::Accum:
-            out.assign(size_t(s.m) * s.n, 0.f);
+            x.out.assign(size_t(s.m) * s.n, 0.f);
             t0 = Clock::now();
-            be.gemmAccum(a.data(), b.data(), out.data(), s.m, s.k, s.n);
+            be.gemmAccum(x.a.data(), x.b.data(), x.out.data(), s.m, s.k,
+                         s.n);
             t1 = Clock::now();
             break;
           case Variant::AccumBt:
-            out.assign(size_t(s.m) * s.k, 0.f);
+            x.out.assign(size_t(s.m) * s.k, 0.f);
             t0 = Clock::now();
-            be.gemmAccumBt(dc.data(), b.data(), out.data(), s.m, s.k,
+            be.gemmAccumBt(x.dc.data(), x.b.data(), x.out.data(), s.m, s.k,
                            s.n);
             t1 = Clock::now();
             break;
           case Variant::AccumAt:
-            out.assign(size_t(s.k) * s.n, 0.f);
+            x.out.assign(size_t(s.k) * s.n, 0.f);
             t0 = Clock::now();
-            be.gemmAccumAt(a.data(), dc.data(), out.data(), s.m, s.k,
+            be.gemmAccumAt(x.a.data(), x.dc.data(), x.out.data(), s.m, s.k,
                            s.n);
             t1 = Clock::now();
             break;
         }
         return std::chrono::duration<double>(t1 - t0).count();
     };
-    runOnce(); // warm-up: faults the buffers, primes the clone dispatch
-    double flops = 2.0 * s.m * s.k * s.n;
-    long reps = 0;
-    double in_kernel = 0.0;
-    do {
-        in_kernel += runOnce();
-        ++reps;
-    } while (in_kernel < seconds);
-    return flops * reps / in_kernel / 1e9;
+}
+
+/** Print `<base>` and its `_q1`/`_q3` rows. */
+void
+csvSpread(const std::string& base, const std::string& unit, Spread s)
+{
+    bench::csv("nn_gemm", (base + unit).c_str(), s.median);
+    bench::csv("nn_gemm", (base + unit + "_q1").c_str(), s.q1);
+    bench::csv("nn_gemm", (base + unit + "_q3").c_str(), s.q3);
 }
 
 /** Time one case on both backends and print its rows. */
@@ -178,17 +258,99 @@ void
 report(const Case& c, double seconds)
 {
     const Shape& s = c.s;
-    double sc = measure(nn::scalarBackend(), c.v, s, c.masked, seconds);
-    double ve = measure(nn::vectorBackend(), c.v, s, c.masked, seconds);
+    std::vector<std::function<double()>> calls = {
+        gemmCall(nn::scalarBackend(), c.v, s, c.masked),
+        gemmCall(nn::vectorBackend(), c.v, s, c.masked)};
+    const double flops = 2.0 * s.m * s.k * s.n;
+    Spread gf[2];
+    auto perCall = takeTurns(calls, seconds);
+    for (int b = 0; b < 2; ++b) {
+        for (double& t : perCall[b])
+            t = flops / t / 1e9;
+        gf[b] = spreadOf(perCall[b]);
+    }
+    const double sc = gf[0].median, ve = gf[1].median;
     std::string shape = util::format("m%d_k%d_n%d%s", s.m, s.k, s.n,
                                      c.masked == Masked::None ? ""
                                                               : "_masked");
     std::printf("%-10s %-25s %12.2f %12.2f %8.2fx\n", variantName(c.v),
                 shape.c_str(), sc, ve, ve / sc);
     std::string base = util::format("%s_%s", variantName(c.v), shape.c_str());
-    bench::csv("nn_gemm", (base + "_scalar_gflops").c_str(), sc);
-    bench::csv("nn_gemm", (base + "_vector_gflops").c_str(), ve);
+    csvSpread(base + "_scalar", "_gflops", gf[0]);
+    csvSpread(base + "_vector", "_gflops", gf[1]);
     bench::csv("nn_gemm", (base + "_speedup").c_str(), ve / sc);
+}
+
+/** One attention block's inputs: 16 rows of one head at width 12. */
+struct AttentionCase
+{
+    int n;
+    bool masked, probs;
+};
+
+constexpr int kHeadDim = 12;
+
+/**
+ * Time one attention block on the scalar entry, the composite on the
+ * vector kernels and the vector entry, and print their rows in ns per
+ * score cell (16 x n).
+ */
+void
+reportAttention(const AttentionCase& c, double seconds)
+{
+    const int rb = nn::kAttentionRowBlock, n = c.n, hd = kHeadDim;
+    util::Rng rng(99);
+    auto q = std::make_shared<std::vector<float>>(randVec(size_t(rb) * hd, rng));
+    auto kt = std::make_shared<std::vector<float>>(randVec(size_t(hd) * n, rng));
+    auto v = std::make_shared<std::vector<float>>(randVec(size_t(n) * hd, rng));
+    // The separation mask's shape: half the rows (Class I rows, say)
+    // blocked from a band of columns (the data segment).
+    auto mask = std::make_shared<std::vector<float>>(size_t(rb) * n, 0.f);
+    for (int j = n / 3; j < n / 2; ++j)
+        for (int r = 0; r < rb / 2; ++r)
+            (*mask)[size_t(j) * rb + r] = -1e9f;
+    using Kernel = std::function<void(float*, float*, float*)>;
+    auto timed = [&](Kernel k) {
+        auto scratch = std::make_shared<std::vector<float>>(2 * size_t(rb) * n);
+        auto probs = std::make_shared<std::vector<float>>(size_t(rb) * n);
+        auto out = std::make_shared<std::vector<float>>(size_t(rb) * hd);
+        const bool keep = c.probs;
+        return std::function<double()>([=]() {
+            const Clock::time_point t0 = Clock::now();
+            k(scratch->data(), keep ? probs->data() : nullptr, out->data());
+            return std::chrono::duration<double>(Clock::now() - t0).count();
+        });
+    };
+    const float* m = c.masked ? mask->data() : nullptr;
+    auto entry = [&](const nn::Backend& be) {
+        return Kernel([=, &be](float* s, float* p, float* o) {
+            be.attentionRows(q->data(), kt->data(), v->data(), m, rb, n, hd,
+                             s, p, o);
+        });
+    };
+    std::vector<std::function<double()>> calls = {
+        timed(entry(nn::scalarBackend())),
+        timed([=](float* s, float* p, float* o) {
+            nn::kernels::attentionComposite(
+                nn::kernels::vec::gemmAccum, nn::kernels::vec::softmaxRows,
+                q->data(), kt->data(), v->data(), m, rb, n, hd, s, p, o);
+        }),
+        timed(entry(nn::vectorBackend()))};
+    auto perCall = takeTurns(calls, seconds);
+    const char* names[3] = {"scalar", "composite_vector", "vector"};
+    const std::string base = util::format(
+        "attn_rows_m%d_n%d%s%s", rb, n, c.masked ? "_masked" : "",
+        c.probs ? "_probs" : "");
+    Spread ns[3];
+    for (int b = 0; b < 3; ++b) {
+        for (double& t : perCall[b])
+            t = t * 1e9 / (double(rb) * n);
+        ns[b] = spreadOf(perCall[b]);
+    }
+    std::printf("%-34s %12.3f %12.3f %12.3f\n", base.c_str(), ns[0].median,
+                ns[1].median, ns[2].median);
+    for (int b = 0; b < 3; ++b)
+        csvSpread(base + "_" + names[b], "_ns_per_cell", ns[b]);
 }
 
 } // namespace
@@ -197,7 +359,7 @@ int
 main(int argc, char** argv)
 {
     bench::parseArgs(argc, argv);
-    const double seconds = harness::smokeMode() ? 0.02 : 0.25;
+    const double seconds = harness::smokeMode() ? 0.004 : 0.1;
 
     std::printf("%-10s %-25s %12s %12s %9s\n", "variant", "shape",
                 "scalar GF/s", "vector GF/s", "speedup");
@@ -206,5 +368,12 @@ main(int argc, char** argv)
             report({v, s, Masked::None}, seconds);
     for (const auto& c : kEncoderCases)
         report(c, seconds);
+
+    std::printf("\n%-34s %12s %12s %12s  (ns per cell)\n", "attention block",
+                "scalar", "composite", "vector");
+    for (int n : {206, 280})
+        for (bool masked : {false, true})
+            reportAttention({n, masked, false}, seconds);
+    reportAttention({280, true, true}, seconds);
     return 0;
 }

@@ -66,8 +66,7 @@ struct InferenceSession::Workspace
           h(size_t(kRowBlock) * cfg.dim), ln(h.size()), xhat(h.size()),
           proj(h.size()), ctx(h.size()), invstd(kRowBlock),
           head(size_t(kRowBlock) * (cfg.dim / cfg.heads)),
-          scores(size_t(kRowBlock) * n), probs(scores.size()),
-          mask(scores.size()), dataCols(n), classICols(n),
+          scratch(2 * size_t(kRowBlock) * n), mask(size_t(kRowBlock) * n),
           mid(size_t(kRowBlock) * cfg.ffn), act(mid.size())
     {
         rows.reserve(n);
@@ -81,9 +80,8 @@ struct InferenceSession::Workspace
     std::vector<float> h, ln, xhat, proj, ctx; //!< [block, d]
     std::vector<float> invstd;                 //!< [block]
     std::vector<float> head;                   //!< [block, hd]
-    std::vector<float> scores, probs, mask;    //!< [block, n]
-    std::vector<float> dataCols;   //!< [n] a Class I row's mask row
-    std::vector<float> classICols; //!< [n] a data row's mask row
+    std::vector<float> scratch;                //!< attentionRows' scratch
+    std::vector<float> mask;                   //!< [n][block] columns
     std::vector<float> mid, act;               //!< [block, ffn]
 };
 
@@ -123,13 +121,6 @@ InferenceSession::computeLayout(const EncodedProgram& ep) const
         key = util::hashCombine(key, static_cast<uint64_t>(ep.tokens[i]));
     lay.staticKey = key;
     return lay;
-}
-
-bool
-InferenceSession::blocked(const Layout& lay, int i, int j)
-{
-    return (lay.classIRow[i] && lay.dataRow[j]) ||
-           (lay.dataRow[i] && lay.classIRow[j]);
 }
 
 void
@@ -201,14 +192,6 @@ InferenceSession::forwardPooled(const EncodedProgram& ep, const Layout& lay,
                         ws.v.data() + (size_t(hh) * n + i) * hd);
     };
 
-    // The separation mask has two kinds of rows: a Class I row blocks
-    // the data columns, a data row the Class I columns. Build each once.
-    if (lay.masked)
-        for (int j = 0; j < n; ++j) {
-            ws.dataCols[j] = lay.dataRow[j] ? -1e9f : 0.f;
-            ws.classICols[j] = lay.classIRow[j] ? -1e9f : 0.f;
-        }
-
     for (int l = 0; l < layers; ++l) {
         const nn::TransformerBlock& blk = *enc.blocks[l];
         const nn::MultiHeadSelfAttention& attn = *blk.attn;
@@ -260,29 +243,32 @@ InferenceSession::forwardPooled(const EncodedProgram& ep, const Layout& lay,
         for (int c0 = 0; c0 < nr; c0 += kRowBlock) {
             const int rb = std::min(kRowBlock, nr - c0);
             gather(c0, rb);
-            // The block's separation-mask rows, shared by every head. A
-            // row that is both Class I and data keeps the per-cell test.
-            if (lay.masked)
+            // The block's separation mask as columns, shared by every
+            // head. As in buildSeparationMask, a Class I row blocks the
+            // data columns and a data row the Class I columns, so a
+            // column's lanes follow from its kinds: kind[(data column) * 2
+            // + (Class I column)].
+            if (lay.masked) {
+                float kind[4][kRowBlock] = {};
                 for (int r = 0; r < rb; ++r) {
                     const int i = ws.rows[c0 + r];
-                    float* mrow = ws.mask.data() + size_t(r) * n;
-                    if (lay.classIRow[i] && lay.dataRow[i])
-                        for (int j = 0; j < n; ++j)
-                            mrow[j] = blocked(lay, i, j) ? -1e9f : 0.f;
-                    else if (lay.classIRow[i])
-                        std::copy_n(ws.dataCols.data(), n, mrow);
-                    else if (lay.dataRow[i])
-                        std::copy_n(ws.classICols.data(), n, mrow);
-                    else
-                        std::fill_n(mrow, n, 0.f);
+                    kind[1][r] = lay.dataRow[i] ? -1e9f : 0.f;
+                    kind[2][r] = lay.classIRow[i] ? -1e9f : 0.f;
+                    kind[3][r] =
+                        lay.dataRow[i] || lay.classIRow[i] ? -1e9f : 0.f;
                 }
+                for (int j = 0; j < n; ++j)
+                    std::copy_n(kind[lay.dataRow[j] * 2 + lay.classIRow[j]],
+                                kRowBlock,
+                                ws.mask.data() + size_t(j) * kRowBlock);
+            }
             for (int hh = 0; hh < heads; ++hh) {
                 nn::attentionRows(
                     be, ws.q.data() + (size_t(hh) * n + c0) * hd,
                     ws.kt.data() + size_t(hh) * hd * n,
                     ws.v.data() + size_t(hh) * n * hd,
                     lay.masked ? ws.mask.data() : nullptr, rb, n, hd,
-                    ws.scores.data(), ws.probs.data(), ws.head.data());
+                    ws.scratch.data(), nullptr, ws.head.data());
                 for (int r = 0; r < rb; ++r)
                     std::copy_n(ws.head.data() + size_t(r) * hd, hd,
                                 ws.ctx.data() + size_t(r) * d + hh * hd);

@@ -20,7 +20,7 @@
  * LLMulator makes to win the Table 5 / Table 9 latency reductions; the
  * accompanying accuracy cost is measured, not assumed, by the benches.
  *
- * The forward's attention blocks are nn::attentionRows (nn/attention.h),
+ * The forward's attention blocks are nn::attentionRows (nn/ops.h),
  * which the training op nn::attention also runs: one attention
  * implementation serves inference and training.
  */
@@ -137,9 +137,6 @@ class InferenceSession
         std::vector<uint8_t> classIRow;//!< rows inside Class I operators
     };
     Layout computeLayout(const EncodedProgram& ep) const;
-
-    /** Separation-mask predicate (mirrors buildSeparationMask). */
-    static bool blocked(const Layout& lay, int i, int j);
 
     struct Workspace;
 

@@ -24,16 +24,15 @@ invSqrt(int hd)
 /**
  * One attention() call's panels (layout in attention.h) and, when the
  * call records a tape node, every head's probabilities [heads][n][n];
- * otherwise `p` is one scratch block. `p` starts uninitialized:
- * attentionRows writes each cell before it reads it.
+ * otherwise `p` is null. `p` starts uninitialized: attentionRows writes
+ * every cell of it.
  */
 struct Saved
 {
     Saved(int n_, int d_, int heads_, bool keepProbs)
         : n(n_), d(d_), heads(heads_), hd(d_ / heads_), q(size_t(n_) * d_),
           kt(q.size()), v(q.size()),
-          p(new float[keepProbs ? size_t(heads_) * n_ * n_
-                                : size_t(kAttentionRowBlock) * n_])
+          p(keepProbs ? new float[size_t(heads_) * n_ * n_] : nullptr)
     {
     }
 
@@ -171,25 +170,6 @@ attentionBackward(const Tensor& out, Tensor& q, Tensor& k, Tensor& v,
 
 } // namespace
 
-void
-attentionRows(const Backend& be, const float* q, const float* kt,
-              const float* v, const float* mask, int rb, int n, int hd,
-              float* scores, float* probs, float* out)
-{
-    const size_t cells = size_t(rb) * n;
-    // q k^T into zeros, x 1/sqrt(hd), + mask: the composite's matmul,
-    // scale and add. probs doubles as the product's buffer.
-    std::fill_n(probs, cells, 0.f);
-    gemmAccum(be, q, kt, probs, rb, hd, n);
-    be.scaleElem(invSqrt(hd), probs, scores, cells);
-    if (mask)
-        for (size_t e = 0; e < cells; ++e)
-            scores[e] += mask[e];
-    be.softmaxRows(scores, probs, rb, n);
-    std::fill_n(out, size_t(rb) * hd, 0.f);
-    gemmAccum(be, probs, v, out, rb, n, hd);
-}
-
 TensorPtr
 attention(const TensorPtr& q, const TensorPtr& k, const TensorPtr& v,
           const TensorPtr& mask, int heads)
@@ -221,18 +201,28 @@ attention(const TensorPtr& q, const TensorPtr& k, const TensorPtr& v,
 
     const Backend& be = backend();
     auto out = Tensor::zeros(n, d);
-    std::vector<float> scores(size_t(kAttentionRowBlock) * n);
-    std::vector<float> head(size_t(kAttentionRowBlock) * hd);
-    for (int h = 0; h < heads; ++h) {
-        for (int r0 = 0; r0 < n; r0 += kAttentionRowBlock) {
-            const int rb = std::min(kAttentionRowBlock, n - r0);
-            float* probs = s->p.get() + (grad ? (size_t(h) * n + r0) * n : 0);
+    const int lanes = kAttentionRowBlock;
+    std::vector<float> scratch(2 * size_t(lanes) * n);
+    std::vector<float> cols(mask ? size_t(lanes) * n : 0);
+    std::vector<float> head(size_t(lanes) * hd);
+    for (int r0 = 0; r0 < n; r0 += lanes) {
+        const int rb = std::min(lanes, n - r0);
+        // The block's mask rows as columns, once for every head.
+        if (mask)
+            for (int r = 0; r < rb; ++r) {
+                const float* row = mask->value.data() + size_t(r0 + r) * n;
+                for (int j = 0; j < n; ++j)
+                    cols[size_t(j) * lanes + r] = row[j];
+            }
+        for (int h = 0; h < heads; ++h) {
             attentionRows(be, s->q.data() + (size_t(h) * n + r0) * hd,
                           s->kt.data() + size_t(h) * hd * n,
                           s->v.data() + size_t(h) * n * hd,
-                          mask ? mask->value.data() + size_t(r0) * n
+                          mask ? cols.data() : nullptr, rb, n, hd,
+                          scratch.data(),
+                          grad ? s->p.get() + (size_t(h) * n + r0) * n
                                : nullptr,
-                          rb, n, hd, scores.data(), probs, head.data());
+                          head.data());
             for (int r = 0; r < rb; ++r)
                 std::copy_n(head.data() + size_t(r) * hd, hd,
                             out->value.data() + size_t(r0 + r) * d + h * hd);

@@ -32,6 +32,17 @@
  * every softmax output keeps its bits. (With a NaN in a row, the max can
  * differ; NaN rows are outside the finite-input contract below.)
  *
+ * A fused kernel may merge several of the reference's calls when every
+ * element keeps its sequence. attentionRows does: its vector entry takes
+ * the 16 query rows as lanes and keeps each score, probability and
+ * output in registers, and still equals the scalar composite because
+ *  - a zero multiplier's skipped term equals adding its +-0 product to
+ *    a chain that starts at +0: in round-to-nearest a sum is -0 only
+ *    when both addends are, so such a chain never holds -0, and x + 0
+ *    is x;
+ *  - the softmax sum is softmax's own ascending-j chain per row;
+ *  - the row max is exact in any order (above).
+ *
  * Because backends are interchangeable bit for bit, backend choice is
  * deliberately NOT hashed into model-cache or trainer cache keys, and
  * never needs to be: a model trained under one backend is byte-identical
@@ -57,9 +68,11 @@
  * a skip-free IEEE evaluation — it never changes a nonzero result — but
  * for non-finite inputs it suppresses `0 * inf = NaN` propagation.
  * Callers must therefore keep kernel inputs finite; both backends share
- * the same skip predicate, so they agree with EACH OTHER bitwise even
- * on -0.0f / non-finite inputs, and the contract only delimits what the
- * kernels mean relative to unskipped IEEE arithmetic.
+ * the same skip predicate, so their GEMMs agree with EACH OTHER bitwise
+ * even on -0.0f / non-finite inputs, and the contract only delimits what
+ * the kernels mean relative to unskipped IEEE arithmetic. The fused
+ * attentionRows adds the zero terms the composite skips, so the two
+ * entries agree on finite inputs only.
  *
  * ## Selection
  *
@@ -75,6 +88,12 @@
 
 namespace llmulator {
 namespace nn {
+
+/**
+ * Query rows per attentionRows block: the vector backend's lanes, and
+ * the stride of the block's mask columns.
+ */
+constexpr int kAttentionRowBlock = 16;
 
 /**
  * Dispatch table of raw hot kernels. All pointers are non-null in a
@@ -115,6 +134,31 @@ struct Backend
      * exps.
      */
     void (*softmaxRows)(const float* x, float* y, int m, int n);
+
+    /**
+     * One head's attention over a block of rb <= kAttentionRowBlock
+     * query rows: P = softmax(q kt / sqrt(hd) + mask), out = P v.
+     * The per-element order is the per-op graph's: each score is
+     * gemmAccum's chain into a zero (ascending c, zero multipliers
+     * skipped), then x 1/sqrt(hd), then + its mask cell; softmaxRows'
+     * max, exp and ascending-j sum; then out is gemmAccum's chain of
+     * P v into a zero (ascending j, zero P skipped). The scalar entry
+     * runs exactly those kernels in that order and is the reference;
+     * a fused entry must equal it bit for bit.
+     *
+     * @param q       [rb, hd] the block's queries
+     * @param kt      [hd, n] the head's keys, transposed
+     * @param v       [n, hd] the head's values
+     * @param mask    [n][kAttentionRowBlock] additive mask columns
+     *                (cell (r, j) at mask[j * kAttentionRowBlock + r];
+     *                lanes r >= rb are read and ignored), or null
+     * @param scratch 2 * kAttentionRowBlock * n floats
+     * @param probs   [rb, n] receives P, or null when no caller needs it
+     * @param out     [rb, hd] receives P v
+     */
+    void (*attentionRows)(const float* q, const float* kt, const float* v,
+                          const float* mask, int rb, int n, int hd,
+                          float* scratch, float* probs, float* out);
 
     /**
      * Fused row-wise layer norm forward. Writes the output y[m,n], the

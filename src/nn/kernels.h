@@ -26,6 +26,8 @@
 
 #include <cstddef>
 
+#include "nn/backend.h"
+
 namespace llmulator {
 namespace nn {
 namespace kernels {
@@ -33,6 +35,24 @@ namespace kernels {
 /** GELU tanh-approximation constants, shared by forward and backward. */
 inline constexpr float kGeluC = 0.7978845608028654f; // sqrt(2/pi)
 inline constexpr float kGeluA = 0.044715f;
+
+/** A gemmAccum kernel, as attentionComposite runs it. */
+using GemmFn = void (*)(const float* a, const float* b, float* c, int m,
+                        int k, int n);
+/** A softmaxRows kernel, as attentionComposite runs it. */
+using SoftmaxFn = void (*)(const float* x, float* y, int m, int n);
+
+/**
+ * Backend::attentionRows as the per-op graph computes it, on one
+ * backend's kernels: scores by `gemm` into zeros, x 1/sqrt(hd), + mask,
+ * `softmax`, then P v by `gemm` into zeros. The scalar entry is this on
+ * the scalar kernels; the vector entry runs it on the vector kernels
+ * for the head widths it does not fuse.
+ */
+void attentionComposite(GemmFn gemm, SoftmaxFn softmax, const float* q,
+                        const float* kt, const float* v, const float* mask,
+                        int rb, int n, int hd, float* scratch, float* probs,
+                        float* out);
 
 namespace scalar {
 
@@ -48,6 +68,9 @@ void gemmAccumBt(const float* dc, const float* b, float* out, int m,
 void gemmAccumAt(const float* a, const float* dc, float* out, int m,
                  int k, int n);
 void softmaxRows(const float* x, float* y, int m, int n);
+void attentionRows(const float* q, const float* kt, const float* v,
+                   const float* mask, int rb, int n, int hd, float* scratch,
+                   float* probs, float* out);
 void layerNormRows(const float* x, const float* gamma, const float* beta,
                    float eps, float* y, float* xhat, float* invstd,
                    int m, int n);
@@ -74,6 +97,9 @@ void gemmAccumBt(const float* dc, const float* b, float* out, int m,
 void gemmAccumAt(const float* a, const float* dc, float* out, int m,
                  int k, int n);
 void softmaxRows(const float* x, float* y, int m, int n);
+void attentionRows(const float* q, const float* kt, const float* v,
+                   const float* mask, int rb, int n, int hd, float* scratch,
+                   float* probs, float* out);
 void layerNormRows(const float* x, const float* gamma, const float* beta,
                    float eps, float* y, float* xhat, float* invstd,
                    int m, int n);

@@ -236,6 +236,15 @@ softmaxRows(const float* x, float* y, int m, int n)
 }
 
 void
+attentionRows(const float* q, const float* kt, const float* v,
+              const float* mask, int rb, int n, int hd, float* scratch,
+              float* probs, float* out)
+{
+    attentionComposite(gemmAccum, softmaxRows, q, kt, v, mask, rb, n, hd,
+                       scratch, probs, out);
+}
+
+void
 layerNormRows(const float* x, const float* gamma, const float* beta,
               float eps, float* y, float* xhat, float* invstd, int m, int n)
 {
@@ -309,6 +318,33 @@ scaleElem(float alpha, const float* x, float* y, std::size_t n)
 }
 
 } // namespace scalar
+
+void
+attentionComposite(GemmFn gemm, SoftmaxFn softmax, const float* q,
+                   const float* kt, const float* v, const float* mask,
+                   int rb, int n, int hd, float* scratch, float* probs,
+                   float* out)
+{
+    const size_t cells = size_t(rb) * n;
+    float* scores = scratch;
+    float* p = probs ? probs : scratch + size_t(kAttentionRowBlock) * n;
+    // q k^T into zeros (p doubles as the product's buffer), x 1/sqrt(hd),
+    // + mask: the graph's matmul, scale and add.
+    std::fill_n(p, cells, 0.f);
+    gemm(q, kt, p, rb, hd, n);
+    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+    for (size_t e = 0; e < cells; ++e)
+        scores[e] = p[e] * scale;
+    if (mask)
+        for (int r = 0; r < rb; ++r)
+            for (int j = 0; j < n; ++j)
+                scores[size_t(r) * n + j] +=
+                    mask[size_t(j) * kAttentionRowBlock + r];
+    softmax(scores, p, rb, n);
+    std::fill_n(out, size_t(rb) * hd, 0.f);
+    gemm(p, v, out, rb, n, hd);
+}
+
 } // namespace kernels
 } // namespace nn
 } // namespace llmulator

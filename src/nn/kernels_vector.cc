@@ -43,20 +43,36 @@
  * transcendentals.h, evaluated 8 lanes at a time (`expLanes`,
  * `tanhLanes`): every lane runs the scalar sequence's operations, and a
  * branch of the scalar code becomes a per-lane blend. exp runs its
- * double-precision steps on one 8-double vector, and each lane loads its
- * table entry. The softmax row max runs on four 8-lane accumulators. A
- * row's softmax sum must stay j-ascending, so it stays one add chain per
- * row; four rows' chains advance in one loop so they overlap in the
- * adder. bench/bench_nn_transcendentals.cc has the per-element and
- * per-cell timings.
+ * double-precision steps on one 8-double vector. Its 32-entry table
+ * lookup is the one step that differs by ISA: the x86-64-v4 versions
+ * hold the table in four zmm registers (`RegisterTable`: two vpermt2q
+ * and a masked move), every other version loads each lane's entry
+ * (`LaneLoads`), because without AVX-512 the same two-source permute
+ * lowers to about 90 scalar instructions. The softmax row max runs on
+ * four 8-lane accumulators. A row's softmax sum must stay j-ascending,
+ * so it stays one add chain per row; four rows' chains advance in one
+ * loop so they overlap in the adder. bench/bench_nn_transcendentals.cc
+ * has the per-element and per-cell timings.
  *
- * On x86-64/glibc (GCC) the hot kernels are compiled via target_clones
- * into x86-64-v4/x86-64-v3/default variants with runtime dispatch, so a
- * generic build still uses wide vectors and hardware FMA where the CPU
- * has them; the default clone computes exp's fma lanes with libm's
- * (exact) fma. FP contraction is pinned off for this file and
- * kernels_scalar.cc (see kernels.h and src/nn/CMakeLists.txt), so clone
- * selection can never change results.
+ * attentionRows fuses one head's block of up to 16 query rows into one
+ * pass (`attentionFused`, head widths 12 and 16): the rows are the 16
+ * lanes of one vector, and scores, scale, mask, softmax and P.V sweep
+ * the key columns three times with every running value in registers.
+ * Its comment says why each element keeps the scalar composite's
+ * sequence. Other widths run the composite on the kernels above.
+ * bench/bench_nn_gemm.cc times the block as scalar, composite and fused.
+ *
+ * On x86-64/glibc the hot kernels are compiled via target_clones into
+ * x86-64-v4/x86-64-v3/default variants (GCC; clang clones avx512f/avx2/
+ * default) with runtime dispatch, so a generic build still uses wide
+ * vectors and hardware FMA where the CPU has them; the default clone
+ * computes exp's fma lanes with libm's (exact) fma. The kernels that
+ * call exp (exp8, softmaxRows, attentionRows) are versioned for the same
+ * targets by hand, one definition per target, so each version can pick
+ * its table lookup; the same dispatch picks the version. FP contraction
+ * is pinned off for this file and kernels_scalar.cc (see kernels.h and
+ * src/nn/CMakeLists.txt), so clone or version selection can never change
+ * results.
  */
 
 #include "nn/kernels.h"
@@ -87,21 +103,38 @@
 // instruction (avx2/avx512f alone do not enable it). Clang only learned
 // arch=x86-64-vN clones recently, so it keeps the ISA-extension clones
 // and takes libm's fma for those lanes.
+//
+// The kernels that call exp are versioned by hand instead (LLM_VERSION_*:
+// the same three targets, one definition each, and the same dispatch),
+// because their versions differ in more than the target: the x86-64-v4
+// version reads exp's table from registers (RegisterTable), the others
+// load it per lane (LaneLoads).
 #if !defined(LLM_NO_KERNEL_CLONES) && defined(__x86_64__) && \
     defined(__gnu_linux__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
+#define LLM_KERNEL_VERSIONS
 #if defined(__clang__)
 #define LLM_KERNEL_CLONES \
     __attribute__((target_clones("avx512f", "avx2", "default")))
+#define LLM_VERSION_V4 __attribute__((target("avx512f")))
+#define LLM_VERSION_V3 __attribute__((target("avx2")))
 #else
 #define LLM_KERNEL_CLONES                                          \
     __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", \
                                  "default")))
+#define LLM_VERSION_V4 __attribute__((target("arch=x86-64-v4")))
+#define LLM_VERSION_V3 __attribute__((target("arch=x86-64-v3")))
 #endif
+#define LLM_VERSION_DEFAULT __attribute__((target("default")))
 #endif
 #endif
 #ifndef LLM_KERNEL_CLONES
 #define LLM_KERNEL_CLONES
+#define LLM_VERSION_DEFAULT
+#endif
+
+#if defined(LLM_KERNEL_VERSIONS)
+#include <immintrin.h>
 #endif
 
 // The vector helpers pass vectors by value; they are always_inline'd into
@@ -251,7 +284,64 @@ fma8(v8d a, v8d b, v8d c)
     return r;
 }
 
-/** scalar::expSeq's main path on 8 double lanes (no special cases). */
+/** exp's table lookup, kExpTable[ki & 31], with one load per lane. */
+struct LaneLoads
+{
+    __attribute__((always_inline)) static inline v8q
+    lookup(v8q ki)
+    {
+        v8q t{};
+        for (int l = 0; l < 8; ++l)
+            t[l] = seq::kExpTable[ki[l] & 31];
+        return t;
+    }
+};
+
+#if defined(LLM_KERNEL_VERSIONS)
+/**
+ * kExpTable[ki & 31] from four zmm registers: two vpermt2q look up
+ * entry ki & 15 of the table's low and high halves, and bit 4 of ki
+ * picks one. This is avx512f code, which only an avx512f caller may
+ * inline; the x86-64-v4 versions are its only callers, and they do (the
+ * table loads hoist out of their loops). It is not always_inline
+ * because the lane templates that reach it are also compiled for the
+ * baseline, and it takes pointers, so no 64-byte vector would cross a
+ * call between targets if it were not inlined.
+ */
+__attribute__((target("avx512f"))) inline void
+tableInRegisters(const v8q* ki, v8q* t)
+{
+    using seq::kExpTable;
+    __m512i idx;
+    std::memcpy(&idx, ki, sizeof(idx));
+    const __m512i lo = _mm512_permutex2var_epi64(
+        _mm512_loadu_si512(kExpTable), idx, _mm512_loadu_si512(kExpTable + 8));
+    const __m512i hi =
+        _mm512_permutex2var_epi64(_mm512_loadu_si512(kExpTable + 16), idx,
+                                  _mm512_loadu_si512(kExpTable + 24));
+    const __mmask8 upper = _mm512_test_epi64_mask(idx, _mm512_set1_epi64(16));
+    const __m512i r = _mm512_mask_blend_epi64(upper, lo, hi);
+    std::memcpy(t, &r, sizeof(r));
+}
+
+/** exp's table lookup on the x86-64-v4 versions: tableInRegisters. */
+struct RegisterTable
+{
+    __attribute__((always_inline)) static inline v8q
+    lookup(v8q ki)
+    {
+        v8q t;
+        tableInRegisters(&ki, &t);
+        return t;
+    }
+};
+#endif
+
+/**
+ * scalar::expSeq's main path on 8 double lanes (no special cases), with
+ * Table's lookup.
+ */
+template <class Table>
 __attribute__((always_inline)) inline v8f
 expCore(v8d xd)
 {
@@ -262,9 +352,7 @@ expCore(v8d xd)
     const v8q ki = bitcast<v8q>(kd);
     kd -= shift;
     const v8d r = fma8(invLn2N, xd, -kd);
-    v8q t{}; // kExpTable[ki & 31], one load per lane
-    for (int l = 0; l < 8; ++l)
-        t[l] = kExpTable[ki[l] & 31];
+    const v8q t = Table::lookup(ki);
     const v8d s = bitcast<v8d>(t + (ki << splat<v8q>(std::uint64_t(47))));
     const v8d z = fma8(splat<v8d>(kExpC0), r, splat<v8d>(kExpC1));
     v8d y = fma8(r, splat<v8d>(kExpC2), splat<v8d>(1.0));
@@ -273,11 +361,12 @@ expCore(v8d xd)
 }
 
 /** scalar::expSeq on 8 lanes: the main path, then its special cases. */
+template <class Table>
 __attribute__((always_inline)) inline v8f
 expLanes(v8f x)
 {
     using namespace seq;
-    v8f y = expCore(__builtin_convertvector(x, v8d));
+    v8f y = expCore<Table>(__builtin_convertvector(x, v8d));
     y = blend(x < splat<v8f>(kExpMayUnderflow), splat<v8f>(0x1p-149f), y);
     y = blend(x < splat<v8f>(kExpUnderflow), splat<v8f>(0.f), y);
     y = blend(x > splat<v8f>(kExpOverflow),
@@ -767,6 +856,7 @@ rowMax(const float* __restrict in, int n)
  * out[j] = exp(in[j] - mx) for j in [0, n), 8 lanes at a time; the last
  * n % 8 elements run as one group of lanes padded with zeros.
  */
+template <class Table>
 __attribute__((always_inline)) inline void
 expShifted(const float* __restrict in, float mx, float* __restrict out,
            int n)
@@ -774,11 +864,11 @@ expShifted(const float* __restrict in, float mx, float* __restrict out,
     const v8f m = bcast8(mx);
     int j = 0;
     for (; j + 8 <= n; j += 8)
-        store(out + j, expLanes(load<v8f>(in + j) - m));
+        store(out + j, expLanes<Table>(load<v8f>(in + j) - m));
     if (j < n) {
         float buf[8] = {};
         std::memcpy(buf, in + j, size_t(n - j) * sizeof(float));
-        store(buf, expLanes(load<v8f>(buf) - m));
+        store(buf, expLanes<Table>(load<v8f>(buf) - m));
         std::memcpy(out + j, buf, size_t(n - j) * sizeof(float));
     }
 }
@@ -791,22 +881,16 @@ normalize(float* __restrict out, float sum, int n)
         out[j] *= inv;
 }
 
-} // namespace
-
-LLM_KERNEL_CLONES void
-exp8(const float* x, float* y)
+template <class Table>
+__attribute__((always_inline)) inline void
+exp8With(const float* x, float* y)
 {
-    store(y, expLanes(load<v8f>(x)));
+    store(y, expLanes<Table>(load<v8f>(x)));
 }
 
-LLM_KERNEL_CLONES void
-tanh8(const float* x, float* y)
-{
-    store(y, tanhLanes(load<v8f>(x)));
-}
-
-LLM_KERNEL_CLONES void
-softmaxRows(const float* x, float* y, int m, int n)
+template <class Table>
+__attribute__((always_inline)) inline void
+softmaxRowsWith(const float* x, float* y, int m, int n)
 {
     // Per row: max scan and exp lanes, then the j-ascending sum of exps
     // and the normalize step. Each row's sum is one dependent add chain;
@@ -814,7 +898,7 @@ softmaxRows(const float* x, float* y, int m, int n)
     // adder, each still strictly j-ascending.
     for (int i = 0; i < m; ++i) {
         const float* row = x + size_t(i) * n;
-        expShifted(row, rowMax(row, n), y + size_t(i) * n, n);
+        expShifted<Table>(row, rowMax(row, n), y + size_t(i) * n, n);
     }
     int i = 0;
     for (; i + 4 <= m; i += 4) {
@@ -841,6 +925,313 @@ softmaxRows(const float* x, float* y, int m, int n)
             sum += out[j];
         normalize(out, sum, n);
     }
+}
+
+/** The lanes of one attentionRows block: its query rows. */
+constexpr int kLanes = kAttentionRowBlock;
+static_assert(kLanes == 16, "attention lanes are one v16f");
+
+/** max per lane, as std::max(a, b) takes it: b where a < b, else a. */
+__attribute__((always_inline)) inline v16f
+max16(v16f a, v16f b)
+{
+    return a < b ? b : a;
+}
+
+/**
+ * Score column j's last two steps, x scale then + its mask column, in
+ * the graph's order; the column goes to e[j] and into the running max,
+ * which starts at column 0 and takes the columns in ascending j, as
+ * softmaxRows' scalar scan does.
+ */
+__attribute__((always_inline)) inline void
+scoreColumn(v16f s, int j, v16f scale, const float* mask, float* e,
+            v16f& mx)
+{
+    s = s * scale;
+    if (mask)
+        s += load<v16f>(mask + size_t(j) * kLanes);
+    store(e + size_t(j) * kLanes, s);
+    mx = j == 0 ? s : max16(mx, s);
+}
+
+/** Transposes the 8x8 block b in place: b[t][i] <- b[i][t]. */
+__attribute__((always_inline)) inline void
+transpose8(v8f (&b)[8])
+{
+#if defined(__has_builtin) && __has_builtin(__builtin_shufflevector)
+    // unpcklps/unpckhps, shufps, then vperm2f128, as the shuffles lower.
+    v8f t[8], u[8];
+    for (int i = 0; i < 8; i += 2) {
+        t[i] = __builtin_shufflevector(b[i], b[i + 1], 0, 8, 1, 9, 4, 12, 5,
+                                       13);
+        t[i + 1] = __builtin_shufflevector(b[i], b[i + 1], 2, 10, 3, 11, 6,
+                                           14, 7, 15);
+    }
+    for (int i = 0; i < 8; i += 4)
+        for (int h = 0; h < 2; ++h) {
+            u[i + 2 * h] = __builtin_shufflevector(t[i + h], t[i + h + 2], 0,
+                                                   1, 8, 9, 4, 5, 12, 13);
+            u[i + 2 * h + 1] = __builtin_shufflevector(
+                t[i + h], t[i + h + 2], 2, 3, 10, 11, 6, 7, 14, 15);
+        }
+    for (int i = 0; i < 4; ++i) {
+        b[i] = __builtin_shufflevector(u[i], u[i + 4], 0, 1, 2, 3, 8, 9, 10,
+                                       11);
+        b[i + 4] = __builtin_shufflevector(u[i], u[i + 4], 4, 5, 6, 7, 12,
+                                           13, 14, 15);
+    }
+#else
+    float f[8][8];
+    for (int i = 0; i < 8; ++i)
+        for (int t = 0; t < 8; ++t)
+            f[t][i] = b[i][t];
+    for (int t = 0; t < 8; ++t)
+        b[t] = load<v8f>(f[t]);
+#endif
+}
+
+/**
+ * probs[r][j] = e[j][r] for the block's rows r < rb: the [n][16]
+ * column panel back in row-major order, as 8x8 blocks transposed in
+ * registers; the last n % 8 columns go one cell at a time.
+ */
+__attribute__((always_inline)) inline void
+rowsFromColumns(const float* e, int rb, int n, float* probs)
+{
+    int j = 0;
+    for (; j + 8 <= n; j += 8)
+        for (int r0 = 0; r0 < rb; r0 += 8) {
+            v8f b[8];
+            for (int u = 0; u < 8; ++u)
+                b[u] = load<v8f>(e + size_t(j + u) * kLanes + r0);
+            transpose8(b);
+            for (int t = 0; t < 8 && r0 + t < rb; ++t)
+                store(probs + size_t(r0 + t) * n + j, b[t]);
+        }
+    for (; j < n; ++j)
+        for (int r = 0; r < rb; ++r)
+            probs[size_t(r) * n + j] = e[size_t(j) * kLanes + r];
+}
+
+/**
+ * Backend::attentionRows for head width HD in one pass of three sweeps
+ * over the key columns j, with the block's 16 query rows as the lanes
+ * of one v16f: each score, exp and output stays in registers, and the
+ * [n][16] panel e (the scratch) carries a column from one sweep to the
+ * next.
+ *
+ *  1. Scores: a chain from +0 over c ascending of q[.][c] * kt[c][j],
+ *     four columns' chains at a time, then x 1/sqrt(HD), then + the
+ *     mask column; the running max takes the columns in ascending j.
+ *  2. e = exp(s - max), and the per-lane sum of e in ascending j.
+ *  3. p = e * (1/sum); HD output vectors accumulate p * v[j][c] from +0
+ *     in ascending j. P, when asked for, goes back to rows through
+ *     registers (rowsFromColumns).
+ *
+ * Every element keeps the scalar composite's float sequence. The
+ * composite's GEMMs skip zero multipliers (a q cell, a P cell) where
+ * this adds their product; a skipped term equals adding its +-0 to a
+ * chain that starts at +0, because in round-to-nearest a sum is -0 only
+ * when both addends are, so such a chain never holds -0, and x + 0 is x
+ * (finite inputs; attention.cc's dV argument). The sum is softmax's own
+ * ascending chain per row, and the max is softmax's own scan, which is
+ * exact in any order anyway. Lanes past rb compute on +0 queries and
+ * whatever mask lanes the caller left there, and are never written.
+ */
+template <int HD, class Table>
+__attribute__((always_inline)) inline void
+attentionFused(const float* q, const float* kt, const float* v,
+               const float* mask, int rb, int n, float* e, float* probs,
+               float* out)
+{
+    // The queries as lanes: qc[c] holds q[r][c] in lane r.
+    float lanes[HD][kLanes] = {};
+    for (int r = 0; r < rb; ++r)
+        for (int c = 0; c < HD; ++c)
+            lanes[c][r] = q[size_t(r) * HD + c];
+    v16f qc[HD];
+    for (int c = 0; c < HD; ++c)
+        qc[c] = load<v16f>(lanes[c]);
+
+    const v16f scale =
+        splat<v16f>(1.0f / std::sqrt(static_cast<float>(HD)));
+    v16f mx{};
+    int j = 0;
+    for (; j + 4 <= n; j += 4) {
+        v16f s0{}, s1{}, s2{}, s3{};
+        for (int c = 0; c < HD; ++c) {
+            const float* k = kt + size_t(c) * n + j;
+            s0 += qc[c] * bcast16(k[0]);
+            s1 += qc[c] * bcast16(k[1]);
+            s2 += qc[c] * bcast16(k[2]);
+            s3 += qc[c] * bcast16(k[3]);
+        }
+        scoreColumn(s0, j, scale, mask, e, mx);
+        scoreColumn(s1, j + 1, scale, mask, e, mx);
+        scoreColumn(s2, j + 2, scale, mask, e, mx);
+        scoreColumn(s3, j + 3, scale, mask, e, mx);
+    }
+    for (; j < n; ++j) {
+        v16f s{};
+        for (int c = 0; c < HD; ++c)
+            s += qc[c] * bcast16(kt[size_t(c) * n + j]);
+        scoreColumn(s, j, scale, mask, e, mx);
+    }
+
+    // exp runs on 8 lanes, so this sweep takes each column as two halves.
+    float half[kLanes];
+    store(half, mx);
+    const v8f mx0 = load<v8f>(half), mx1 = load<v8f>(half + 8);
+    v8f sum0{}, sum1{};
+    for (j = 0; j < n; ++j) {
+        float* ej = e + size_t(j) * kLanes;
+        const v8f e0 = expLanes<Table>(load<v8f>(ej) - mx0);
+        const v8f e1 = expLanes<Table>(load<v8f>(ej + 8) - mx1);
+        store(ej, e0);
+        store(ej + 8, e1);
+        sum0 += e0;
+        sum1 += e1;
+    }
+
+    store(half, splat<v8f>(1.f) / sum0);
+    store(half + 8, splat<v8f>(1.f) / sum1);
+    const v16f inv = load<v16f>(half);
+    v16f acc[HD];
+    for (int c = 0; c < HD; ++c)
+        acc[c] = v16f{};
+    for (j = 0; j < n; ++j) {
+        float* ej = e + size_t(j) * kLanes;
+        const v16f p = load<v16f>(ej) * inv;
+        store(ej, p);
+        const float* vj = v + size_t(j) * HD;
+        for (int c = 0; c < HD; ++c)
+            acc[c] += p * bcast16(vj[c]);
+    }
+    for (int c = 0; c < HD; ++c)
+        store(lanes[c], acc[c]);
+    for (int r = 0; r < rb; ++r)
+        for (int c = 0; c < HD; ++c)
+            out[size_t(r) * HD + c] = lanes[c][r];
+    if (probs)
+        rowsFromColumns(e, rb, n, probs);
+}
+
+template <class Table>
+__attribute__((always_inline)) inline void
+attentionRowsWith(const float* q, const float* kt, const float* v,
+                  const float* mask, int rb, int n, int hd, float* scratch,
+                  float* probs, float* out)
+{
+    if (hd == 12)
+        attentionFused<12, Table>(q, kt, v, mask, rb, n, scratch, probs,
+                                  out);
+    else if (hd == 16)
+        attentionFused<16, Table>(q, kt, v, mask, rb, n, scratch, probs,
+                                  out);
+    else
+        attentionComposite(gemmAccum, softmaxRows, q, kt, v, mask, rb, n, hd,
+                           scratch, probs, out);
+}
+
+} // namespace
+
+// The per-ISA versions of the kernels that call exp (see
+// LLM_VERSION_V4): the dispatch picks one per process, as it picks the
+// other kernels' clones.
+#if defined(LLM_KERNEL_VERSIONS)
+LLM_VERSION_V4 void
+exp8Version(const float* x, float* y)
+{
+    exp8With<RegisterTable>(x, y);
+}
+
+LLM_VERSION_V3 void
+exp8Version(const float* x, float* y)
+{
+    exp8With<LaneLoads>(x, y);
+}
+#endif
+
+LLM_VERSION_DEFAULT void
+exp8Version(const float* x, float* y)
+{
+    exp8With<LaneLoads>(x, y);
+}
+
+#if defined(LLM_KERNEL_VERSIONS)
+LLM_VERSION_V4 void
+softmaxRowsVersion(const float* x, float* y, int m, int n)
+{
+    softmaxRowsWith<RegisterTable>(x, y, m, n);
+}
+
+LLM_VERSION_V3 void
+softmaxRowsVersion(const float* x, float* y, int m, int n)
+{
+    softmaxRowsWith<LaneLoads>(x, y, m, n);
+}
+#endif
+
+LLM_VERSION_DEFAULT void
+softmaxRowsVersion(const float* x, float* y, int m, int n)
+{
+    softmaxRowsWith<LaneLoads>(x, y, m, n);
+}
+
+#if defined(LLM_KERNEL_VERSIONS)
+LLM_VERSION_V4 void
+attentionRowsVersion(const float* q, const float* kt, const float* v,
+                     const float* mask, int rb, int n, int hd,
+                     float* scratch, float* probs, float* out)
+{
+    attentionRowsWith<RegisterTable>(q, kt, v, mask, rb, n, hd, scratch,
+                                     probs, out);
+}
+
+LLM_VERSION_V3 void
+attentionRowsVersion(const float* q, const float* kt, const float* v,
+                     const float* mask, int rb, int n, int hd,
+                     float* scratch, float* probs, float* out)
+{
+    attentionRowsWith<LaneLoads>(q, kt, v, mask, rb, n, hd, scratch, probs,
+                                 out);
+}
+#endif
+
+LLM_VERSION_DEFAULT void
+attentionRowsVersion(const float* q, const float* kt, const float* v,
+                     const float* mask, int rb, int n, int hd,
+                     float* scratch, float* probs, float* out)
+{
+    attentionRowsWith<LaneLoads>(q, kt, v, mask, rb, n, hd, scratch, probs,
+                                 out);
+}
+
+void
+exp8(const float* x, float* y)
+{
+    exp8Version(x, y);
+}
+
+LLM_KERNEL_CLONES void
+tanh8(const float* x, float* y)
+{
+    store(y, tanhLanes(load<v8f>(x)));
+}
+
+void
+softmaxRows(const float* x, float* y, int m, int n)
+{
+    softmaxRowsVersion(x, y, m, n);
+}
+
+void
+attentionRows(const float* q, const float* kt, const float* v,
+              const float* mask, int rb, int n, int hd, float* scratch,
+              float* probs, float* out)
+{
+    attentionRowsVersion(q, kt, v, mask, rb, n, hd, scratch, probs, out);
 }
 
 LLM_KERNEL_CLONES void

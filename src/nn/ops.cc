@@ -30,29 +30,35 @@ anyRequiresGrad(const TensorPtr& a, const TensorPtr& b)
 }
 
 /**
- * Per-kernel, per-backend GEMM call/FLOP counters in the global
- * registry (`nn.<kernel>.<backend>.{calls,flops}`), gated by
- * LLMULATOR_METRICS. A thread-local cache keyed by the backend pointer
- * keeps the enabled hot path free of name building and registry
- * lookups; disabled cost is one relaxed load + branch. Speed-only:
- * counting observes the dispatch, it never changes it.
+ * Per-kernel, per-backend call/FLOP counters in the global registry
+ * (`nn.<kernel>.<backend>.{calls,flops}`), gated by LLMULATOR_METRICS,
+ * for the three GEMMs and attentionRows. A thread-local cache keyed by
+ * the backend pointer keeps the enabled hot path free of name building
+ * and registry lookups; disabled cost is one relaxed load + branch.
+ * Speed-only: counting observes the dispatch, it never changes it.
  */
-enum GemmKernel { kGemmAccum = 0, kGemmAccumBt = 1, kGemmAccumAt = 2 };
+enum CountedKernel {
+    kGemmAccum = 0,
+    kGemmAccumBt = 1,
+    kGemmAccumAt = 2,
+    kAttentionRows = 3,
+    kCountedKernels = 4
+};
 
 void
-countGemm(GemmKernel kernel, const Backend& be, uint64_t flops)
+countKernel(CountedKernel kernel, const Backend& be, uint64_t flops)
 {
     if (!obs::metricsEnabled())
         return;
-    static const char* const kKernelNames[3] = {
-        "gemm_accum", "gemm_accum_bt", "gemm_accum_at"};
+    static const char* const kKernelNames[kCountedKernels] = {
+        "gemm_accum", "gemm_accum_bt", "gemm_accum_at", "attention_rows"};
     struct Entry
     {
         const Backend* be = nullptr;
         obs::Counter* calls = nullptr;
         obs::Counter* flops = nullptr;
     };
-    thread_local Entry cache[3];
+    thread_local Entry cache[kCountedKernels];
     Entry& e = cache[kernel];
     if (e.be != &be) {
         std::string base =
@@ -72,7 +78,8 @@ gemmAccum(const Backend& be, const float* a, const float* b, float* c, int m,
           int k, int n)
 {
     be.gemmAccum(a, b, c, m, k, n);
-    countGemm(kGemmAccum, be, 2ull * uint64_t(m) * uint64_t(k) * uint64_t(n));
+    countKernel(kGemmAccum, be,
+                2ull * uint64_t(m) * uint64_t(k) * uint64_t(n));
 }
 
 void
@@ -80,7 +87,7 @@ gemmAccumBt(const Backend& be, const float* dc, const float* b, float* out,
             int m, int k, int n)
 {
     be.gemmAccumBt(dc, b, out, m, k, n);
-    countGemm(kGemmAccumBt, be,
+    countKernel(kGemmAccumBt, be,
               2ull * uint64_t(m) * uint64_t(k) * uint64_t(n));
 }
 
@@ -89,8 +96,19 @@ gemmAccumAt(const Backend& be, const float* a, const float* dc, float* out,
             int m, int k, int n)
 {
     be.gemmAccumAt(a, dc, out, m, k, n);
-    countGemm(kGemmAccumAt, be,
+    countKernel(kGemmAccumAt, be,
               2ull * uint64_t(m) * uint64_t(k) * uint64_t(n));
+}
+
+void
+attentionRows(const Backend& be, const float* q, const float* kt,
+              const float* v, const float* mask, int rb, int n, int hd,
+              float* scratch, float* probs, float* out)
+{
+    be.attentionRows(q, kt, v, mask, rb, n, hd, scratch, probs, out);
+    // Its two products, scores and P v, of 2 * rb * hd * n FLOPs each.
+    countKernel(kAttentionRows, be,
+                4ull * uint64_t(rb) * uint64_t(hd) * uint64_t(n));
 }
 
 TensorPtr

@@ -46,6 +46,16 @@ void gemmAccumBt(const Backend& be, const float* dc, const float* b,
 void gemmAccumAt(const Backend& be, const float* a, const float* dc,
                  float* out, int m, int k, int n);
 
+/**
+ * Backend::attentionRows on backend `be` (backend.h has the contract),
+ * counted in the nn.attention_rows.<backend>.* rows with its two
+ * products' FLOPs. The training op nn::attention and the autograd-free
+ * encoder forward run their attention blocks through it.
+ */
+void attentionRows(const Backend& be, const float* q, const float* kt,
+                   const float* v, const float* mask, int rb, int n, int hd,
+                   float* scratch, float* probs, float* out);
+
 /** C[m,n] = A[m,k] * B[k,n]. */
 TensorPtr matmul(const TensorPtr& a, const TensorPtr& b);
 

@@ -422,6 +422,106 @@ TEST(NnBackend, SoftmaxMaxScanBitIdentity)
     }
 }
 
+/** One attentionRows block's results: out, and P when asked for. */
+struct AttentionResult
+{
+    std::vector<float> out, probs;
+};
+
+/**
+ * Run one attentionRows block on `be`. The scratch and the outputs
+ * start as NaN, so a cell the kernel reads before writing, or forgets
+ * to write, shows.
+ */
+AttentionResult
+runAttentionRows(const nn::Backend& be, const std::vector<float>& q,
+                 const std::vector<float>& kt, const std::vector<float>& v,
+                 const float* mask, int rb, int n, int hd, bool keepProbs)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    std::vector<float> scratch(2 * size_t(nn::kAttentionRowBlock) * n, nan);
+    AttentionResult r;
+    r.out.assign(size_t(rb) * hd, nan);
+    r.probs.assign(keepProbs ? size_t(rb) * n : 0, nan);
+    be.attentionRows(q.data(), kt.data(), v.data(), mask, rb, n, hd,
+                     scratch.data(), keepProbs ? r.probs.data() : nullptr,
+                     r.out.data());
+    return r;
+}
+
+TEST(NnBackend, AttentionRowsBitIdentity)
+{
+    // The vector entry fuses widths 12 and 16 (the query rows are its
+    // lanes) and runs the composite on the vector kernels at any other
+    // width (8 here). rb = 1..16 covers every lane count and n = 1..40
+    // every tail of the score sweep's 4-column steps, the exp halves and
+    // the 8x8 P transposes; 206, 271, 280 and 320 are encoder lengths.
+    // q and v hold exact +-0 cells, which the composite's GEMMs skip and
+    // the fused pass adds, and the block's last row is all +-0 queries,
+    // so its scores, and its max, are +0. The separation mask blocks
+    // the Class I rows from the data columns and the data rows from the
+    // Class I columns, with rows and columns of each kind and of both;
+    // row 5 is masked in full. The open cells take turns at +0, -0 and
+    // a value in (-2, 2): the one kind of cell where adding the mask
+    // before the scale would show. Mask lanes past rb hold a value the
+    // kernel must ignore.
+    const int L = nn::kAttentionRowBlock;
+    std::vector<int> lengths;
+    for (int n = 1; n <= 40; ++n)
+        lengths.push_back(n);
+    for (int n : {206, 271, 280, 320})
+        lengths.push_back(n);
+    util::Rng rng(808);
+    for (int hd : {12, 16, 8}) {
+        for (int n : lengths) {
+            for (int rb = 1; rb <= L; ++rb) {
+                auto q = randVec(size_t(rb) * hd, rng);
+                auto kt = randVec(size_t(hd) * n, rng);
+                auto v = randVec(size_t(n) * hd, rng);
+                for (int r = 0; r < rb; ++r)
+                    for (int c = 0; c < hd; ++c)
+                        if ((r + c) % 5 == 0 || r == rb - 1)
+                            q[size_t(r) * hd + c] = (r + c) % 2 ? -0.f : 0.f;
+                for (int j = 0; j < n; ++j)
+                    for (int c = 0; c < hd; ++c)
+                        if ((j + c) % 7 == 0)
+                            v[size_t(j) * hd + c] = j % 2 ? -0.f : 0.f;
+                std::vector<float> mask(size_t(L) * n, 7.f);
+                auto classI = [](int k) { return k % 4 == 1 || k % 4 == 3; };
+                auto data = [](int k) { return k % 4 >= 2; };
+                for (int j = 0; j < n; ++j)
+                    for (int r = 0; r < rb; ++r) {
+                        const int cj = j / 3;
+                        const bool blocked = r == 5 ||
+                                             (classI(r) && data(cj)) ||
+                                             (data(r) && classI(cj));
+                        const int open = (r + j) % 3;
+                        mask[size_t(j) * L + r] =
+                            blocked     ? -1e9f
+                            : open == 0 ? 0.f
+                            : open == 1 ? -0.f
+                                        : static_cast<float>(
+                                              rng.uniform(-2.0, 2.0));
+                    }
+                for (const float* m : {static_cast<const float*>(nullptr),
+                                       static_cast<const float*>(mask.data())})
+                    for (bool keep : {false, true}) {
+                        const auto a = runAttentionRows(
+                            nn::scalarBackend(), q, kt, v, m, rb, n, hd, keep);
+                        const auto b = runAttentionRows(
+                            nn::vectorBackend(), q, kt, v, m, rb, n, hd, keep);
+                        ASSERT_TRUE(bitEqual(a.out, b.out))
+                            << "out, hd " << hd << ", n " << n << ", rb " << rb
+                            << (m ? ", masked" : "") << (keep ? ", with P" : "");
+                        ASSERT_TRUE(bitEqual(a.probs, b.probs))
+                            << "P, hd " << hd << ", n " << n << ", rb " << rb
+                            << (m ? ", masked" : "");
+                    }
+            }
+        }
+    }
+}
+
 std::uint32_t
 bitsOf(float x)
 {
@@ -570,6 +670,40 @@ TEST(NnBackend, ExpTableEveryIndexInEveryLane)
     for (int l = 0; l < 8; ++l)
         for (int i = 0; i < 32; ++i)
             EXPECT_TRUE(seen[l][i]) << "lane " << l << " never met index " << i;
+
+    // The attention kernel's exp, on its 16 lanes (the query rows): with
+    // q the identity at hd 16, score (r, j) is kt[r][j] / 4 exactly, and
+    // column 0 scores 0, so column j exponentiates x = kt[r][j] / 4. Lane
+    // r of column j meets index (j + 5r) % 32 at exponent r % 4 + 1.
+    // Softmax feeds exp s - max <= 0, so this side has one sign. P holds
+    // each exp times the row's 1/sum, so a wrong entry shows in P.
+    const int L = nn::kAttentionRowBlock, hd = 16, n = 33;
+    std::vector<float> q(size_t(L) * hd, 0.f), kt(size_t(hd) * n, 0.f);
+    std::vector<float> v(size_t(n) * hd, 1.f);
+    bool seen16[16][32] = {};
+    for (int r = 0; r < L; ++r) {
+        q[size_t(r) * hd + r] = 1.f;
+        for (int j = 1; j < n; ++j) {
+            const long long i = (j - 1 + 5 * r) % 32, e = r % 4 + 1;
+            const float x =
+                static_cast<float>(-double(i + 32 * e) * ln2 / 32.0);
+            kt[size_t(r) * n + j] = 4.f * x;
+            seen16[r][std::llround(double(x) * 32.0 / ln2) & 31] = true;
+        }
+    }
+    const auto a = runAttentionRows(nn::scalarBackend(), q, kt, v, nullptr,
+                                    L, n, hd, true);
+    const auto b = runAttentionRows(nn::vectorBackend(), q, kt, v, nullptr,
+                                    L, n, hd, true);
+    for (int r = 0; r < L; ++r)
+        for (int j = 0; j < n; ++j)
+            EXPECT_EQ(bitsOf(a.probs[size_t(r) * n + j]),
+                      bitsOf(b.probs[size_t(r) * n + j]))
+                << "attention exp lane " << r << ", column " << j;
+    for (int r = 0; r < L; ++r)
+        for (int i = 0; i < 32; ++i)
+            EXPECT_TRUE(seen16[r][i])
+                << "attention lane " << r << " never met index " << i;
 }
 
 TEST(NnBackend, TanhSequenceMatchesGlibcOnEdgeInputs)
